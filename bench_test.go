@@ -6,6 +6,7 @@
 package glitchsim_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -366,6 +367,36 @@ func BenchmarkMeasureLanesNonUniform(b *testing.B) {
 		secs := b.Elapsed().Seconds()
 		b.ReportMetric(float64(events)/secs, "events/s")
 	})
+}
+
+// BenchmarkMeasureSmall times one small measurement through
+// Engine.Measure with a warm compiled-netlist cache: 64 vectors on the
+// default 64 lanes, so the run is one measured word-parallel step behind
+// the default warm-up and the per-measurement fixed costs dominate. The
+// cases are combinational circuits under both wide kernels.
+func BenchmarkMeasureSmall(b *testing.B) {
+	e := glitchsim.NewEngine()
+	for _, tc := range []struct {
+		name    string
+		circuit string
+		dm      delay.Model
+	}{
+		{"rca16_unit", "rca16", delay.Unit()},
+		{"booth8_typical", "booth8", delay.Typical()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			req := glitchsim.MeasureRequest{
+				Circuit: glitchsim.CircuitNamed(tc.circuit),
+				Config:  glitchsim.Config{Cycles: 64, Delay: tc.dm},
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := e.Measure(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSequential is the scalar-versus-word-parallel A/B on a

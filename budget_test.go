@@ -258,7 +258,9 @@ func TestBudgetMemoryAdmissionBatch(t *testing.T) {
 }
 
 // TestEstimateCost: the admission estimate is populated, scales with
-// circuit size, and counts steps by the lane decomposition.
+// circuit size, and counts steps as the measurement runs them: by the
+// lane decomposition, with one settling step for a combinational
+// word-parallel warm-up.
 func TestEstimateCost(t *testing.T) {
 	e := NewEngine()
 	small, err := e.EstimateCost(MeasureRequest{Circuit: CircuitNamed("rca8"), Config: Config{Cycles: 640}})
@@ -278,17 +280,26 @@ func TestEstimateCost(t *testing.T) {
 	if small.Lanes != e.Lanes() {
 		t.Errorf("lanes %d, want engine default %d", small.Lanes, e.Lanes())
 	}
-	wantSteps := 8 + (640+small.Lanes-1)/small.Lanes
-	if small.Steps != wantSteps {
-		t.Errorf("steps %d, want %d", small.Steps, wantSteps)
-	}
-	// Lanes=1 runs every cycle as its own step.
-	scalar, err := e.EstimateCost(MeasureRequest{Circuit: CircuitNamed("rca8"), Config: Config{Cycles: 640, Lanes: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scalar.Steps != 8+640 {
-		t.Errorf("scalar steps %d, want %d", scalar.Steps, 8+640)
+	for _, tc := range []struct {
+		name    string
+		circuit string
+		lanes   int
+		want    int
+	}{
+		// The combinational warm-up settles in one word-parallel step.
+		{"rca8-wide", "rca8", MaxLanes, 1 + 640/MaxLanes},
+		// Lanes=1 runs every warm-up and measured cycle as its own step.
+		{"rca8-scalar", "rca8", 1, 8 + 640},
+		// A sequential warm-up steps through all SequentialLevels+1 cycles.
+		{"accum16-wide", "accum16", MaxLanes, 17 + 640/MaxLanes},
+	} {
+		est, err := e.EstimateCost(MeasureRequest{Circuit: CircuitNamed(tc.circuit), Config: Config{Cycles: 640, Lanes: tc.lanes}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Steps != tc.want {
+			t.Errorf("%s: steps %d, want %d", tc.name, est.Steps, tc.want)
+		}
 	}
 }
 

@@ -70,12 +70,18 @@ type Config struct {
 	// Cycles is the number of measured cycles. 0 selects the default of
 	// 500, the paper's Table 1 run length; ExplicitZero runs none.
 	Cycles int
-	// Warmup cycles run before measurement starts, flushing X values and
-	// pipeline fill. 0 selects the default: 8 cycles, extended on
-	// sequential netlists to SequentialLevels+1 when the register
-	// pipeline is deeper than that, so every DFF holds flushed state
-	// before counting starts. ExplicitZero disables warm-up so start-up
-	// activity is measured too.
+	// Warmup is the number of stimulus vectors applied before
+	// measurement starts, flushing X values and pipeline fill. 0 selects
+	// the default: 8 cycles, extended on sequential netlists to
+	// SequentialLevels+1 when the register pipeline is deeper than that,
+	// so every DFF holds flushed state before counting starts.
+	// ExplicitZero disables warm-up so start-up activity is measured too.
+	// On a combinational netlist the settled state depends on the last
+	// vector alone, so a lane-decomposed measurement simulates only the
+	// last warm-up vector and skips the rest of each lane's stream; the
+	// statistics are those of a full warm-up. Single-stream (Lanes=1 or
+	// explicit Source) and sequential measurements simulate every
+	// warm-up cycle.
 	Warmup int
 	// Seed selects the random stimulus stream (default 1).
 	Seed uint64
@@ -102,11 +108,12 @@ type Config struct {
 	//
 	// Lane decomposition keeps stimulus streams invariant across delay
 	// models: Table 2's unit and dsum=2·dcarry rows see identical vector
-	// streams, keeping their useful counts equal. Each lane pays its own
-	// Warmup (e.g. 64×8 warm-up cycles for a default decomposition, all
-	// word-parallel); set Lanes=1 to reproduce pre-lanes single-stream
-	// numbers exactly. Engine.SelectedKernel reports the resulting
-	// kernel choice.
+	// streams, keeping their useful counts equal. Each lane gets its own
+	// Warmup vectors, all word-parallel: a sequential netlist pays
+	// Warmup kernel steps for them, a combinational one a single
+	// settling step (see Warmup). Set Lanes=1 to reproduce pre-lanes
+	// single-stream numbers exactly. Engine.SelectedKernel reports the
+	// resulting kernel choice.
 	Lanes int
 	// Budget bounds the measurement's resource consumption; the zero
 	// value is unlimited. Event and wall-clock trips abort the run with
@@ -166,6 +173,22 @@ func (c Config) withDefaults(n *netlist.Netlist) Config {
 		c.Source = stimulus.NewRandom(n.InputWidth(), c.Seed)
 	}
 	return c
+}
+
+// warmupSteps returns how many kernel steps the warm-up of a resolved
+// configuration costs on the path lanes selects (lanes > 1: the
+// lane-decomposed word-parallel path). There a combinational netlist
+// settles its warm-up in one step: Validate guarantees it is acyclic,
+// so its settled state is a function of the last vector applied alone,
+// and the first Warmup-1 vectors only advance the stimulus streams.
+// Sequential netlists carry state from cycle to cycle and warm up step
+// by step, as does the scalar path, which stays the independent
+// reference the equivalence suites compare against.
+func warmupSteps(n *netlist.Netlist, cfg Config, lanes int) int {
+	if lanes > 1 && n.NumDFFs() == 0 && cfg.Warmup > 1 {
+		return 1
+	}
+	return cfg.Warmup
 }
 
 // MeasureDetailed simulates the netlist under the configuration and

@@ -290,6 +290,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf(`kind "measure" needs measure.circuit`))
 			return
 		}
+		if err := p.Measure.validate(); err != nil {
+			s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+			return
+		}
 		p.Measure.Stream = false
 		if !resolveAhead(p.Measure.Circuit) {
 			return

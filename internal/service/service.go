@@ -183,7 +183,8 @@ type MeasureParams struct {
 	// registry.Names) or the fingerprint of an uploaded circuit (POST
 	// /v1/circuits).
 	Circuit string `json:"circuit"`
-	// Cycles: omitted = 500, explicit 0 = measure nothing.
+	// Cycles: omitted = 500, explicit 0 = measure nothing. Negative
+	// counts (here and in Warmup, Lanes, CheckpointEvery) answer 400.
 	Cycles *int `json:"cycles,omitempty"`
 	// Warmup: omitted = 8, explicit 0 = measure from reset.
 	Warmup *int `json:"warmup,omitempty"`
@@ -251,6 +252,26 @@ func (p *MeasureParams) config() glitchsim.Config {
 	return cfg
 }
 
+// validate rejects negative counts. The Config sentinels would coerce
+// them silently (a negative cycles or warmup to ExplicitZero, negative
+// lanes to a single-stream run), so the wire refuses them instead.
+func (p *MeasureParams) validate() error {
+	for _, f := range []struct {
+		name string
+		v    *int
+	}{
+		{"cycles", p.Cycles},
+		{"warmup", p.Warmup},
+		{"lanes", &p.Lanes},
+		{"checkpoint_every", &p.CheckpointEvery},
+	} {
+		if f.v != nil && *f.v < 0 {
+			return fmt.Errorf("%s must not be negative, got %d", f.name, *f.v)
+		}
+	}
+	return nil
+}
+
 // explicitZero maps the wire's pointer convention onto the Config
 // sentinel: absent = default, explicit 0 = really zero.
 func explicitZero(v *int) int {
@@ -267,6 +288,10 @@ func explicitZero(v *int) int {
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	var p MeasureParams
 	if !s.decodeParams(w, r, &p) {
+		return
+	}
+	if err := p.validate(); err != nil {
+		s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	if p.Circuit == "" {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"glitchsim"
+	"glitchsim/internal/jobs"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -370,5 +371,43 @@ func TestServiceLanesParam(t *testing.T) {
 	}
 	if wide.Activity.Transitions == scalar.Activity.Transitions {
 		t.Error("lane-decomposed and single-stream measurements coincide (lanes knob ignored?)")
+	}
+}
+
+// TestServiceRejectsNegativeCounts: a negative cycles, warmup, lanes or
+// checkpoint_every answers 400 bad_request naming the field, in the JSON
+// body and the query string of /v1/measure and in a measure job, instead
+// of being coerced to a default, a zero count or a single-stream run.
+func TestServiceRejectsNegativeCounts(t *testing.T) {
+	_, ts := newJobServer(t, glitchsim.NewEngine(), jobs.Options{})
+	for _, field := range []string{"cycles", "warmup", "lanes", "checkpoint_every"} {
+		body := fmt.Sprintf(`{"circuit":"rca8",%q:-3}`, field)
+		for _, tc := range []struct {
+			form string
+			do   func() (*http.Response, error)
+		}{
+			{"json", func() (*http.Response, error) {
+				return http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(body))
+			}},
+			{"query", func() (*http.Response, error) {
+				return http.Get(ts.URL + "/v1/measure?circuit=rca8&" + field + "=-3")
+			}},
+			{"job", func() (*http.Response, error) {
+				return http.Post(ts.URL+"/v1/jobs", "application/json",
+					strings.NewReader(`{"kind":"measure","measure":`+body+`}`))
+			}},
+		} {
+			resp, err := tc.do()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s=-3: status %d, want 400", tc.form, field, resp.StatusCode)
+			}
+			e := decodeBody[ErrorResponse](t, resp)
+			if e.Code != CodeBadRequest || !strings.Contains(e.Error, field) {
+				t.Errorf("%s %s=-3: code %q error %q, want %q naming the field", tc.form, field, e.Code, e.Error, CodeBadRequest)
+			}
+		}
 	}
 }

@@ -17,13 +17,15 @@ import (
 // Lane decomposition: the measurement-layer face of the word-parallel
 // kernels. A measurement with L lanes distributes its Cycles random
 // vectors over L independent seeded stimulus streams (each with its own
-// warm-up) instead of one long stream, and all L streams advance in ONE
-// word-parallel simulation, evaluating every gate for up to 64 patterns
-// per visit — under every delay model. Uniform models with delay >= 1
-// (the paper's unit-delay experiments; inertial and transport coincide
-// there) ride the lockstep wavefront kernel; everything else (full-adder
-// sum/carry ratios, per-type delays, zero delay, and inertial runs on
-// those models) rides the lane-masked wide-event kernel. Both are
+// warm-up, settled in one step on combinational netlists; see
+// warmupSteps) instead of one long stream, and all L streams advance in
+// ONE word-parallel simulation, evaluating every gate for up to 64
+// patterns per visit — under every delay model. Uniform models with
+// delay >= 1 (the paper's unit-delay experiments; inertial and
+// transport coincide there) ride the lockstep wavefront kernel;
+// everything else (full-adder sum/carry ratios, per-type delays, zero
+// delay, and inertial runs on those models) rides the lane-masked
+// wide-event kernel. Both are
 // bit-identical to L scalar runs merged in lane order by construction
 // (TestWideKernelEquivalence, TestWideEventKernelEquivalence and
 // TestMeasureLanesScalarWideAgree enforce it), so the delay model
@@ -229,6 +231,7 @@ type wideScratch struct {
 	seeds  []uint64
 	quotas []int
 	buf    []logic.W
+	state  []logic.W // kernel net values, for the warm-up re-entry
 }
 
 var wideScratchPool = sync.Pool{New: func() any { return new(wideScratch) }}
@@ -251,7 +254,8 @@ func (s *wideScratch) grow(lanes, width int) {
 // stream of laneSeeds(cfg.Seed)[l] for its quota of measured cycles
 // (quotas are non-increasing; all lanes share the warm-up length). The
 // folded counter is bit-identical to the per-lane scalar measurements
-// merged in lane order, under every delay model.
+// merged in lane order, under every delay model, whether the warm-up
+// runs step by step or settles in one step (warmupSteps).
 //
 // On a budget trip after k completed measured steps, the partial
 // counter is returned WITH the error and its statistics equal the
@@ -311,7 +315,19 @@ func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*
 		// entirely, and attaching the counter afterwards is
 		// indistinguishable from attach-then-Reset (the counter carries no
 		// cross-cycle state beyond the statistics a reset would clear).
-		for i := 0; i < cfg.Warmup; i++ {
+		// When warmupSteps settles the warm-up in fewer steps, the skipped
+		// vectors are fast-forwarded, and the kernel keeps its reset state
+		// but takes the cycle count the skipped steps would have reached:
+		// the settling step is kernel cycle Warmup-1, and measured cycles
+		// (BudgetError.Cycle, checkpoints) are numbered as after a
+		// step-by-step warm-up.
+		steps := warmupSteps(n, cfg, lanes)
+		if skip := cfg.Warmup - steps; skip > 0 {
+			src.Skip(skip)
+			scratch.state = ws.ExportState(scratch.state[:0])
+			ws.ImportState(scratch.state, skip)
+		}
+		for i := 0; i < steps; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

@@ -8,12 +8,15 @@ package glitchsim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"glitchsim/internal/circuits"
 	"glitchsim/internal/core"
 	"glitchsim/internal/delay"
+	"glitchsim/internal/logic"
 	"glitchsim/internal/sim"
+	"glitchsim/internal/stimulus"
 	"glitchsim/netlist"
 )
 
@@ -45,49 +48,103 @@ func TestMeasureLanesScalarWideAgree(t *testing.T) {
 	} {
 		nl := tc.build()
 		c := sim.Compile(nl)
-		cfg := Config{Cycles: tc.cycles, Seed: 9, Delay: tc.dm, Inertial: tc.inertial}.withDefaults(nl)
-
-		lanes := tc.lanes
-		if cfg.Cycles < lanes {
-			lanes = cfg.Cycles
-		}
-		seeds := laneSeeds(cfg.Seed, lanes)
-		quotas := laneQuotas(cfg.Cycles, lanes)
-
-		wide, err := measureWide(ctx, c, cfg, lanes)
-		if err != nil {
-			t.Fatalf("%s: wide: %v", tc.name, err)
-		}
-
-		// Scalar reference: the same lanes, one stream at a time.
-		var agg *core.Counter
-		for l, seed := range seeds {
-			lcfg := cfg
-			lcfg.Seed = seed
-			lcfg.Cycles = quotas[l]
-			lcfg.Source = nil
-			lcfg = lcfg.withDefaults(nl)
-			counter, err := measureStream(ctx, c, lcfg)
+		// The warm-up column: the word-parallel path settles a
+		// combinational warm-up in one step, the scalar reference still
+		// simulates every warm-up step.
+		for _, warmup := range []int{1, 2, 37, 0, ExplicitZero} {
+			name := fmt.Sprintf("%s/warmup=%d", tc.name, warmup)
+			cfg := Config{Cycles: tc.cycles, Warmup: warmup, Seed: 9, Delay: tc.dm, Inertial: tc.inertial}.withDefaults(nl)
+			lanes := min(tc.lanes, cfg.Cycles)
+			wide, err := measureWide(ctx, c, cfg, lanes)
 			if err != nil {
-				t.Fatalf("%s: scalar lane %d: %v", tc.name, l, err)
+				t.Fatalf("%s: wide: %v", name, err)
 			}
-			if agg == nil {
-				agg = counter
-			} else if err := agg.Merge(counter); err != nil {
-				t.Fatal(err)
+			agg := mergedLaneStreams(t, c, cfg, lanes)
+			if wide.Cycles() != agg.Cycles() || wide.Cycles() != tc.cycles {
+				t.Fatalf("%s: cycles wide=%d scalar=%d want %d", name, wide.Cycles(), agg.Cycles(), tc.cycles)
 			}
-		}
-
-		if wide.Cycles() != agg.Cycles() || wide.Cycles() != tc.cycles {
-			t.Fatalf("%s: cycles wide=%d scalar=%d want %d", tc.name, wide.Cycles(), agg.Cycles(), tc.cycles)
-		}
-		for i := 0; i < nl.NumNets(); i++ {
-			id := netlist.NetID(i)
-			if got, want := wide.Stats(id), agg.Stats(id); got != want {
-				t.Fatalf("%s: net %s stats differ\nwide:   %+v\nscalar: %+v", tc.name, nl.Nets[i].Name, got, want)
-			}
+			assertSameStats(t, name, nl, wide, agg)
 		}
 	}
+}
+
+// mergedLaneStreams is the scalar reference of a lane-decomposed
+// measurement: each lane's seed stream measured on its own by
+// measureStream, warm-up step by step, merged in lane order. cfg has its
+// defaults resolved.
+func mergedLaneStreams(t *testing.T, c *sim.Compiled, cfg Config, lanes int) *core.Counter {
+	t.Helper()
+	quotas := laneQuotas(cfg.Cycles, lanes)
+	var agg *core.Counter
+	for l, seed := range laneSeeds(cfg.Seed, lanes) {
+		// Only the seed stream changes: re-resolving defaults would turn a
+		// resolved zero warm-up back into the default.
+		lcfg := cfg
+		lcfg.Seed = seed
+		lcfg.Cycles = quotas[l]
+		lcfg.Source = stimulus.NewRandom(c.Netlist().InputWidth(), seed)
+		counter, err := measureStream(context.Background(), c, lcfg)
+		if err != nil {
+			t.Fatalf("scalar lane %d: %v", l, err)
+		}
+		if agg == nil {
+			agg = counter
+		} else if err := agg.Merge(counter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return agg
+}
+
+// assertSameStats fails unless every net's statistics agree.
+func assertSameStats(t *testing.T, name string, nl *netlist.Netlist, got, want *core.Counter) {
+	t.Helper()
+	for i := 0; i < nl.NumNets(); i++ {
+		id := netlist.NetID(i)
+		if g, w := got.Stats(id), want.Stats(id); g != w {
+			t.Fatalf("%s: net %s stats differ\nwide:   %+v\nscalar: %+v", name, nl.Nets[i].Name, g, w)
+		}
+	}
+}
+
+// TestCombinationalWarmupSettlesOnce: a combinational lane-decomposed
+// measurement settles its warm-up in one kernel step, so an event budget
+// far below what a step-by-step warm-up of 10 000 cycles consumes still
+// completes the run, with statistics equal to the scalar lane streams
+// that do simulate every warm-up step.
+func TestCombinationalWarmupSettlesOnce(t *testing.T) {
+	const (
+		warmup = 10_000
+		lanes  = 4
+		budget = 2_000
+	)
+	nl := circuits.NewRCA(8, circuits.Cells)
+	c := sim.Compile(nl)
+	cfg := Config{Cycles: 40, Warmup: warmup, Seed: 3}.withDefaults(nl)
+
+	// The budget binds a step-by-step warm-up.
+	ws := sim.NewWideKernel(c, sim.Options{})
+	src := stimulus.NewWideRandom(nl.InputWidth(), laneSeeds(cfg.Seed, lanes))
+	buf := make([]logic.W, nl.InputWidth())
+	for i := 0; i < warmup; i++ {
+		if err := ws.Step(src.NextWide(buf)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ws.Events() <= budget {
+		t.Fatalf("a %d-step warm-up uses %d events, within the %d budget", warmup, ws.Events(), budget)
+	}
+
+	bcfg := cfg
+	bcfg.Budget = Budget{Events: budget}
+	wide, err := measureWide(context.Background(), c, bcfg, lanes)
+	if err != nil {
+		t.Fatalf("wide: %v", err)
+	}
+	if wide.Cycles() != cfg.Cycles {
+		t.Fatalf("measured %d cycles, want %d", wide.Cycles(), cfg.Cycles)
+	}
+	assertSameStats(t, "rca8", nl, wide, mergedLaneStreams(t, c, cfg, lanes))
 }
 
 // TestLaneQuotasPartitionCycles: quotas sum to the cycle budget, are
