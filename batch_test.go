@@ -1,6 +1,7 @@
 package glitchsim_test
 
 import (
+	"context"
 	"testing"
 
 	"glitchsim"
@@ -11,27 +12,29 @@ import (
 // TestMeasureManyMatchesSerial: parallel batch measurement must be
 // bit-identical to measuring each job serially, for any worker count.
 func TestMeasureManyMatchesSerial(t *testing.T) {
-	rca := glitchsim.NewRCA(8)
-	wal := glitchsim.NewWallaceMultiplier(4)
+	e, ctx := glitchsim.NewEngine(), context.Background()
+	rca := glitchsim.CircuitFromNetlist(glitchsim.NewRCA(8))
+	wal := glitchsim.CircuitFromNetlist(glitchsim.NewWallaceMultiplier(4))
 	jobs := []glitchsim.MeasureJob{
-		{Netlist: rca, Config: glitchsim.Config{Cycles: 60, Seed: 1}},
-		{Netlist: rca, Config: glitchsim.Config{Cycles: 60, Seed: 2}},
-		{Netlist: rca, Config: glitchsim.Config{Cycles: 40, Seed: 3, Inertial: true}},
-		{Netlist: wal, Config: glitchsim.Config{Cycles: 50, Seed: 1}},
-		{Netlist: wal, Config: glitchsim.Config{Cycles: 50, Seed: 4}},
+		{Circuit: rca, Config: glitchsim.Config{Cycles: 60, Seed: 1}},
+		{Circuit: rca, Config: glitchsim.Config{Cycles: 60, Seed: 2}},
+		{Circuit: rca, Config: glitchsim.Config{Cycles: 40, Seed: 3, Inertial: true}},
+		{Circuit: wal, Config: glitchsim.Config{Cycles: 50, Seed: 1}},
+		{Circuit: wal, Config: glitchsim.Config{Cycles: 50, Seed: 4}},
 	}
 	want := make([]glitchsim.Activity, len(jobs))
 	for i, j := range jobs {
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		act, err := glitchsim.Measure(j.Netlist, j.Config)
+		act, err := e.Measure(ctx, glitchsim.MeasureRequest{Circuit: j.Circuit, Config: j.Config})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = act
 	}
 	for _, workers := range []int{1, 2, 5, 16} {
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		res := glitchsim.MeasureMany(jobs, workers)
+		res, err := e.MeasureMany(ctx, glitchsim.BatchRequest{Jobs: jobs, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res) != len(jobs) {
 			t.Fatalf("workers=%d: %d results for %d jobs", workers, len(res), len(jobs))
 		}
@@ -52,16 +55,18 @@ func TestMeasureManyMatchesSerial(t *testing.T) {
 // TestMeasureManyReportsPerJobErrors: a failing job (stimulus width
 // mismatch) must not disturb its neighbours.
 func TestMeasureManyReportsPerJobErrors(t *testing.T) {
-	rca := glitchsim.NewRCA(4)
-	other := glitchsim.NewRCA(6)
+	rca := glitchsim.CircuitFromNetlist(glitchsim.NewRCA(4))
+	other := glitchsim.CircuitFromNetlist(glitchsim.NewRCA(6))
 	bad := glitchsim.Config{Cycles: 10, Source: stimulus.NewRandom(3, 1)} // wrong width
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	res := glitchsim.MeasureMany([]glitchsim.MeasureJob{
-		{Netlist: rca, Config: glitchsim.Config{Cycles: 10}},
-		{Netlist: rca, Config: bad},
-		{Netlist: nil},
-		{Netlist: other, Config: glitchsim.Config{Cycles: 10}},
-	}, 2)
+	res, err := glitchsim.NewEngine().MeasureMany(context.Background(), glitchsim.BatchRequest{Jobs: []glitchsim.MeasureJob{
+		{Circuit: rca, Config: glitchsim.Config{Cycles: 10}},
+		{Circuit: rca, Config: bad},
+		{},
+		{Circuit: other, Config: glitchsim.Config{Cycles: 10}},
+	}, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res[0].Err != nil || res[3].Err != nil {
 		t.Fatalf("good jobs failed: %v / %v", res[0].Err, res[3].Err)
 	}
@@ -69,19 +74,19 @@ func TestMeasureManyReportsPerJobErrors(t *testing.T) {
 		t.Error("width-mismatched job did not fail")
 	}
 	if res[2].Err == nil {
-		t.Error("nil-netlist job did not fail")
+		t.Error("circuit-less job did not fail")
 	}
 }
 
 // TestMeasureSeedsMergesCounters: the seed-merged aggregate must equal
 // the sum of the individual per-seed measurements.
 func TestMeasureSeedsMergesCounters(t *testing.T) {
-	nl := glitchsim.NewArrayMultiplier(4)
+	e, ctx := glitchsim.NewEngine(), context.Background()
+	nl := glitchsim.CircuitFromNetlist(glitchsim.NewArrayMultiplier(4))
 	seeds := []uint64{1, 2, 3, 4}
 	cfg := glitchsim.Config{Cycles: 50}
 
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	agg, err := glitchsim.MeasureSeeds(nl, cfg, seeds, 2)
+	agg, err := e.MeasureSeeds(ctx, glitchsim.SeedSweepRequest{Circuit: nl, Config: cfg, Seeds: seeds, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +95,7 @@ func TestMeasureSeedsMergesCounters(t *testing.T) {
 	for _, seed := range seeds {
 		c := cfg
 		c.Seed = seed
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		counter, err := glitchsim.MeasureDetailed(nl, c)
+		counter, err := e.MeasureDetailed(ctx, glitchsim.MeasureRequest{Circuit: nl, Config: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,8 +117,7 @@ func TestMeasureSeedsMergesCounters(t *testing.T) {
 		t.Errorf("merged cycles %d, want %d", agg.Cycles(), wantCycles)
 	}
 
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	if _, err := glitchsim.MeasureSeeds(nl, cfg, nil, 1); err == nil {
+	if _, err := e.MeasureSeeds(ctx, glitchsim.SeedSweepRequest{Circuit: nl, Config: cfg, Workers: 1}); err == nil {
 		t.Error("MeasureSeeds with no seeds did not fail")
 	}
 }

@@ -22,10 +22,10 @@ import (
 // N-transition event of a 4-bit RCA, measured analytically and by event
 // simulation.
 func BenchmarkFig3WorstCase(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var last glitchsim.WorstCaseResult
 	for i := 0; i < b.N; i++ {
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		res, err := glitchsim.WorstCase(4)
+		res, err := e.WorstCase(ctx, glitchsim.ExperimentRequest{Width: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,10 +39,10 @@ func BenchmarkFig3WorstCase(b *testing.B) {
 // BenchmarkFig5RCA regenerates Figure 5: the 16-bit RCA under 4000
 // random inputs, analytic and simulated totals.
 func BenchmarkFig5RCA(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var last glitchsim.Fig5Result
 	for i := 0; i < b.N; i++ {
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		res, err := glitchsim.Figure5(16, 4000, 1)
+		res, err := e.Figure5(ctx, glitchsim.ExperimentRequest{Width: 16, Cycles: 4000, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,6 +56,7 @@ func BenchmarkFig5RCA(b *testing.B) {
 // BenchmarkTable1 regenerates Table 1 row by row: array vs wallace,
 // 8x8 and 16x16, 500 random inputs, unit delay.
 func BenchmarkTable1(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	for _, arch := range []string{"array", "wallace"} {
 		for _, width := range []int{8, 16} {
 			b.Run(fmt.Sprintf("%s_%dx%d", arch, width, width), func(b *testing.B) {
@@ -65,8 +66,7 @@ func BenchmarkTable1(b *testing.B) {
 					if arch == "wallace" {
 						nl = circuits.NewWallaceMultiplier(width, circuits.Cells)
 					}
-					//lint:ignore SA1019 deprecated wrappers keep golden coverage
-					act, err := glitchsim.Measure(nl, glitchsim.Config{Cycles: 500})
+					act, err := e.MeasureCircuit(ctx, glitchsim.CircuitFromNetlist(nl), glitchsim.Config{Cycles: 500})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -83,6 +83,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates Table 2: the 8x8 multipliers with
 // dsum=dcarry vs dsum=2·dcarry.
 func BenchmarkTable2(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	for _, arch := range []string{"array", "wallace"} {
 		for _, dsum := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s_dsum%d", arch, dsum), func(b *testing.B) {
@@ -96,8 +97,7 @@ func BenchmarkTable2(b *testing.B) {
 				}
 				var last glitchsim.Activity
 				for i := 0; i < b.N; i++ {
-					//lint:ignore SA1019 deprecated wrappers keep golden coverage
-					act, err := glitchsim.Measure(nl, glitchsim.Config{Cycles: 500, Delay: dm})
+					act, err := e.MeasureCircuit(ctx, glitchsim.CircuitFromNetlist(nl), glitchsim.Config{Cycles: 500, Delay: dm})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -113,10 +113,10 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkDirectionDetector regenerates the §4.2 study: 4320 random
 // inputs through the video direction detector.
 func BenchmarkDirectionDetector(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var last glitchsim.DirDetResult
 	for i := 0; i < b.N; i++ {
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		res, err := glitchsim.DirectionDetector42(4320, 1)
+		res, err := e.DirectionDetector42(ctx, glitchsim.ExperimentRequest{Cycles: 4320, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,11 +131,11 @@ func BenchmarkDirectionDetector(b *testing.B) {
 // BenchmarkTable3 regenerates Table 3: four retimed direction-detector
 // variants with the three-component power breakdown.
 func BenchmarkTable3(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var rows []glitchsim.Table3Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		rows, err = glitchsim.Table3(200, 1)
+		rows, err = e.Table3(ctx, glitchsim.ExperimentRequest{Cycles: 200, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,14 +149,14 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkFig10 regenerates the Figure 10 sweep and reports the
 // optimum point.
 func BenchmarkFig10(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var rows []glitchsim.Table3Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		rows, err = glitchsim.Figure10(nil, 100, 1)
+		res, err := e.Figure10(ctx, glitchsim.ExperimentRequest{Cycles: 100, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows = res.Points
 	}
 	best := rows[0]
 	for _, r := range rows {
@@ -172,10 +172,10 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkAblationInertial measures the transport/inertial gap on the
 // direction detector under heterogeneous delays (ablation A1).
 func BenchmarkAblationInertial(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var last glitchsim.AblationResult
 	for i := 0; i < b.N; i++ {
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		res, err := glitchsim.AblationInertial(300, 1)
+		res, err := e.AblationInertial(ctx, glitchsim.ExperimentRequest{Cycles: 300, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,10 +189,10 @@ func BenchmarkAblationInertial(b *testing.B) {
 // probabilistic estimator undershoots the event-driven measurement
 // (ablation A2).
 func BenchmarkAblationZeroDelay(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var last glitchsim.ZeroDelayComparison
 	for i := 0; i < b.N; i++ {
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		res, err := glitchsim.AblationZeroDelay(16, 2000, 1)
+		res, err := e.AblationZeroDelay(ctx, glitchsim.ExperimentRequest{Width: 16, Cycles: 2000, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,10 +206,10 @@ func BenchmarkAblationZeroDelay(b *testing.B) {
 // BenchmarkAblationGranularity compares FA-cell and gate-level models of
 // one RCA (ablation A4).
 func BenchmarkAblationGranularity(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var last glitchsim.AblationResult
 	for i := 0; i < b.N; i++ {
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		res, err := glitchsim.AblationGranularity(8, 300, 1)
+		res, err := e.AblationGranularity(ctx, glitchsim.ExperimentRequest{Width: 8, Cycles: 300, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +227,8 @@ func BenchmarkAblationGranularity(b *testing.B) {
 // so the two sub-benchmarks are directly comparable; see internal/sim's
 // BenchmarkKernel and BenchmarkWideKernel for kernel-only numbers.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	nl := circuits.NewArrayMultiplier(16, circuits.Cells)
+	e, ctx := glitchsim.NewEngine(), context.Background()
+	nl := glitchsim.CircuitFromNetlist(circuits.NewArrayMultiplier(16, circuits.Cells))
 	for _, tc := range []struct {
 		name  string
 		lanes int
@@ -241,8 +242,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			var cycles int
 			var events uint64
 			for i := 0; i < b.N; i++ {
-				//lint:ignore SA1019 deprecated wrappers keep golden coverage
-				act, err := glitchsim.Measure(nl, glitchsim.Config{Cycles: 100, Warmup: 1, Lanes: tc.lanes})
+				act, err := e.MeasureCircuit(ctx, nl, glitchsim.Config{Cycles: 100, Warmup: 1, Lanes: tc.lanes})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -264,14 +264,14 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // stream for reference) and once on the 64-lane kernel. The interleaved
 // BENCH_kernel.json lanes numbers come from this benchmark.
 func BenchmarkMeasureLanes(b *testing.B) {
-	nl := circuits.NewArrayMultiplier(16, circuits.Cells)
+	e, ctx := glitchsim.NewEngine(), context.Background()
+	nl := glitchsim.CircuitFromNetlist(circuits.NewArrayMultiplier(16, circuits.Cells))
 	for _, lanes := range []int{1, 64} {
 		b.Run(fmt.Sprintf("lanes%d", lanes), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				//lint:ignore SA1019 deprecated wrappers keep golden coverage
-				if _, err := glitchsim.Measure(nl, glitchsim.Config{Cycles: 500, Lanes: lanes}); err != nil {
+				if _, err := e.MeasureCircuit(ctx, nl, glitchsim.Config{Cycles: 500, Lanes: lanes}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -289,7 +289,9 @@ func BenchmarkMeasureLanes(b *testing.B) {
 // reproduces its totals bit-identically. The interleaved
 // BENCH_kernel.json wide-event numbers come from this benchmark.
 func BenchmarkMeasureLanesNonUniform(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	nl := circuits.NewArrayMultiplier(16, circuits.Cells)
+	circuit := glitchsim.CircuitFromNetlist(nl)
 	dm := delay.FullAdderRatio(2, 1)
 	const cycles, baseSeed = 500, 1
 	lanes := glitchsim.MaxLanes
@@ -309,10 +311,9 @@ func BenchmarkMeasureLanesNonUniform(b *testing.B) {
 			if l < cycles%lanes {
 				quota++
 			}
-			//lint:ignore SA1019 deprecated wrappers keep golden coverage
-			counter, err := glitchsim.MeasureDetailed(nl, glitchsim.Config{
+			counter, err := e.MeasureDetailed(ctx, glitchsim.MeasureRequest{Circuit: circuit, Config: glitchsim.Config{
 				Cycles: quota, Seed: seed, Delay: dm, Lanes: 1,
-			})
+			}})
 			if err != nil {
 				return glitchsim.Activity{}, err
 			}
@@ -325,8 +326,7 @@ func BenchmarkMeasureLanesNonUniform(b *testing.B) {
 		return glitchsim.ActivityFromCounter(nl.Name, agg), nil
 	}
 
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	wide, err := glitchsim.Measure(nl, glitchsim.Config{Cycles: cycles, Seed: baseSeed, Delay: dm, Lanes: lanes})
+	wide, err := e.MeasureCircuit(ctx, circuit, glitchsim.Config{Cycles: cycles, Seed: baseSeed, Delay: dm, Lanes: lanes})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -357,8 +357,7 @@ func BenchmarkMeasureLanesNonUniform(b *testing.B) {
 		b.ResetTimer()
 		var events uint64
 		for i := 0; i < b.N; i++ {
-			//lint:ignore SA1019 deprecated wrappers keep golden coverage
-			act, err := glitchsim.Measure(nl, glitchsim.Config{Cycles: cycles, Seed: baseSeed, Delay: dm, Lanes: lanes})
+			act, err := e.MeasureCircuit(ctx, circuit, glitchsim.Config{Cycles: cycles, Seed: baseSeed, Delay: dm, Lanes: lanes})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -399,6 +398,16 @@ func BenchmarkMeasureSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSessionFunc times opening and closing the callback
+// session every synchronous service request runs on.
+func BenchmarkNewSessionFunc(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		e.NewSessionFunc(ctx, func(glitchsim.Event) {}).Close()
+	}
+}
+
 // BenchmarkSequential is the scalar-versus-word-parallel A/B on a
 // sequential workload: the pipelined 8x8 array multiplier (91 DFFs, 4
 // register levels) measured for 500 vectors under unit delay. Register
@@ -410,7 +419,9 @@ func BenchmarkMeasureSmall(b *testing.B) {
 // totals bit-identically before timing. The interleaved
 // BENCH_kernel.json sequential numbers come from this benchmark.
 func BenchmarkSequential(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	nl := circuits.NewPipelinedMultiplier(8, 2, circuits.Cells)
+	circuit := glitchsim.CircuitFromNetlist(nl)
 	const cycles, baseSeed = 500, 1
 	lanes := glitchsim.MaxLanes
 
@@ -426,10 +437,9 @@ func BenchmarkSequential(b *testing.B) {
 			if l < cycles%lanes {
 				quota++
 			}
-			//lint:ignore SA1019 deprecated wrappers keep golden coverage
-			counter, err := glitchsim.MeasureDetailed(nl, glitchsim.Config{
+			counter, err := e.MeasureDetailed(ctx, glitchsim.MeasureRequest{Circuit: circuit, Config: glitchsim.Config{
 				Cycles: quota, Seed: seed, Lanes: 1,
-			})
+			}})
 			if err != nil {
 				return glitchsim.Activity{}, err
 			}
@@ -442,8 +452,7 @@ func BenchmarkSequential(b *testing.B) {
 		return glitchsim.ActivityFromCounter(nl.Name, agg), nil
 	}
 
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	wide, err := glitchsim.Measure(nl, glitchsim.Config{Cycles: cycles, Seed: baseSeed, Lanes: lanes})
+	wide, err := e.MeasureCircuit(ctx, circuit, glitchsim.Config{Cycles: cycles, Seed: baseSeed, Lanes: lanes})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -474,8 +483,7 @@ func BenchmarkSequential(b *testing.B) {
 		b.ResetTimer()
 		var events uint64
 		for i := 0; i < b.N; i++ {
-			//lint:ignore SA1019 deprecated wrappers keep golden coverage
-			act, err := glitchsim.Measure(nl, glitchsim.Config{Cycles: cycles, Seed: baseSeed, Lanes: lanes})
+			act, err := e.MeasureCircuit(ctx, circuit, glitchsim.Config{Cycles: cycles, Seed: baseSeed, Lanes: lanes})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -490,19 +498,23 @@ func BenchmarkSequential(b *testing.B) {
 // study of the 8x8 array multiplier sharded across all CPUs, the
 // many-scenario workload the batch API exists for.
 func BenchmarkMeasureMany(b *testing.B) {
-	nl := circuits.NewArrayMultiplier(8, circuits.Cells)
+	e, ctx := glitchsim.NewEngine(), context.Background()
+	nl := glitchsim.CircuitFromNetlist(circuits.NewArrayMultiplier(8, circuits.Cells))
 	jobs := make([]glitchsim.MeasureJob, 16)
 	for i := range jobs {
 		jobs[i] = glitchsim.MeasureJob{
-			Netlist: nl,
+			Circuit: nl,
 			Config:  glitchsim.Config{Cycles: 100, Warmup: 1, Seed: uint64(i + 1)},
 		}
 	}
 	b.ResetTimer()
 	var cycles int
 	for i := 0; i < b.N; i++ {
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		for _, r := range glitchsim.MeasureMany(jobs, 0) {
+		res, err := e.MeasureMany(ctx, glitchsim.BatchRequest{Jobs: jobs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}

@@ -241,10 +241,10 @@ func TestBudgetMemoryAdmission(t *testing.T) {
 // without aborting the batch.
 func TestBudgetMemoryAdmissionBatch(t *testing.T) {
 	e := NewEngine()
-	nl := circuits.NewRCA(8, circuits.Cells)
+	nl := CircuitFromNetlist(circuits.NewRCA(8, circuits.Cells))
 	res, err := e.MeasureMany(context.Background(), BatchRequest{Jobs: []MeasureJob{
-		{Netlist: nl, Config: Config{Cycles: 10, Budget: Budget{MemoryBytes: 1}}},
-		{Netlist: nl, Config: Config{Cycles: 10}},
+		{Circuit: nl, Config: Config{Cycles: 10, Budget: Budget{MemoryBytes: 1}}},
+		{Circuit: nl, Config: Config{Cycles: 10}},
 	}})
 	if err != nil {
 		t.Fatal(err)

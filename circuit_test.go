@@ -166,7 +166,7 @@ func TestBatchWithCircuits(t *testing.T) {
 	e := NewEngine()
 	jobs := []MeasureJob{
 		{Circuit: CircuitNamed("rca4"), Config: Config{Cycles: 20}},
-		{Netlist: NewRCA(4), Config: Config{Cycles: 20}},
+		{Circuit: CircuitFromNetlist(NewRCA(4)), Config: Config{Cycles: 20}},
 		{Circuit: CircuitNamed("nope"), Config: Config{Cycles: 20}},
 	}
 	res, err := e.MeasureMany(context.Background(), BatchRequest{Jobs: jobs})
@@ -182,13 +182,10 @@ func TestBatchWithCircuits(t *testing.T) {
 	if res[2].Err == nil || !strings.Contains(res[2].Err.Error(), "unknown circuit") {
 		t.Errorf("bad job error = %v, want unknown circuit", res[2].Err)
 	}
-	if jobs[2].Netlist != nil {
-		t.Error("measureMany mutated the caller's job slice")
-	}
 }
 
-// TestSeedSweepWithCircuit: SeedSweepRequest accepts a Circuit and
-// matches the netlist-based sweep bit for bit.
+// TestSeedSweepWithCircuit: a named Circuit sweep matches the sweep of
+// a raw netlist bit for bit.
 func TestSeedSweepWithCircuit(t *testing.T) {
 	e := NewEngine()
 	ctx := context.Background()
@@ -198,7 +195,7 @@ func TestSeedSweepWithCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.MeasureSeeds(ctx, SeedSweepRequest{Netlist: NewRCA(4), Config: cfg, Seeds: seeds})
+	b, err := e.MeasureSeeds(ctx, SeedSweepRequest{Circuit: CircuitFromNetlist(NewRCA(4)), Config: cfg, Seeds: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +205,27 @@ func TestSeedSweepWithCircuit(t *testing.T) {
 }
 
 // TestExperimentCircuitOverride: Table3 retimes a caller-chosen subject;
-// the fixed-set experiments reject the field.
+// the fixed-set experiments reject the field, on the Engine and through
+// a Session alike.
 func TestExperimentCircuitOverride(t *testing.T) {
 	e := NewEngine()
 	ctx := context.Background()
-	if _, err := e.Table1(ctx, ExperimentRequest{Circuit: CircuitNamed("rca4")}); err == nil {
-		t.Error("Table1 accepted a Circuit override")
+	sess := e.NewSessionFunc(ctx, func(Event) {})
+	defer sess.Close()
+	override := ExperimentRequest{Circuit: CircuitNamed("rca4")}
+	for _, tc := range []struct {
+		name    string
+		engine  func(context.Context, ExperimentRequest) ([]MultRow, error)
+		session func(ExperimentRequest) ([]MultRow, error)
+	}{
+		{"Table1", e.Table1, sess.Table1},
+		{"Table2", e.Table2, sess.Table2},
+	} {
+		_, engineErr := tc.engine(ctx, override)
+		_, sessErr := tc.session(override)
+		if engineErr == nil || sessErr == nil || sessErr.Error() != engineErr.Error() {
+			t.Errorf("%s with a Circuit: engine err %v, session err %v", tc.name, engineErr, sessErr)
+		}
 	}
 	if _, err := e.AdderStudy(ctx, ExperimentRequest{Circuit: CircuitNamed("rca4")}); err == nil {
 		t.Error("AdderStudy accepted a Circuit override")

@@ -52,7 +52,6 @@ func addCircuitFlags(fs *flag.FlagSet, def string) *circuitSelector {
 // circuit sources, so a file-based circuit measured twice compiles once
 // (the compiled-netlist cache is fingerprint-keyed).
 func (cs *circuitSelector) build() (*netlist.Netlist, error) {
-	e := glitchsim.DefaultEngine()
 	switch {
 	case *cs.verilog != "" && *cs.json != "":
 		return nil, fmt.Errorf("-verilog and -netlist are mutually exclusive")
@@ -61,14 +60,14 @@ func (cs *circuitSelector) build() (*netlist.Netlist, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.Resolve(glitchsim.CircuitFromVerilog(src))
+		return engine.Resolve(glitchsim.CircuitFromVerilog(src))
 	case *cs.json != "":
 		src, err := os.ReadFile(*cs.json)
 		if err != nil {
 			return nil, err
 		}
-		return e.Resolve(glitchsim.CircuitFromJSON(src))
+		return engine.Resolve(glitchsim.CircuitFromJSON(src))
 	default:
-		return e.Resolve(glitchsim.CircuitNamed(*cs.name))
+		return engine.Resolve(glitchsim.CircuitNamed(*cs.name))
 	}
 }

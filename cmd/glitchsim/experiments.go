@@ -21,7 +21,7 @@ func cmdWorstCase(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := glitchsim.DefaultEngine().WorstCase(context.Background(),
+	res, err := engine.WorstCase(context.Background(),
 		glitchsim.ExperimentRequest{Width: *n})
 	if err != nil {
 		return err
@@ -49,7 +49,7 @@ func cmdFig5(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := glitchsim.DefaultEngine().Figure5(context.Background(),
+	res, err := engine.Figure5(context.Background(),
 		glitchsim.ExperimentRequest{Width: *n, Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -103,7 +103,7 @@ func cmdTable1(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().Table1(context.Background(),
+	rows, err := engine.Table1(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -123,7 +123,7 @@ func cmdTable2(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().Table2(context.Background(),
+	rows, err := engine.Table2(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -143,7 +143,7 @@ func cmdDirDet(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := glitchsim.DefaultEngine().DirectionDetector42(context.Background(),
+	res, err := engine.DirectionDetector42(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -177,7 +177,7 @@ func cmdTable3(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().Table3(context.Background(),
+	rows, err := engine.Table3(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -197,7 +197,7 @@ func cmdFig10(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := glitchsim.DefaultEngine().Figure10(context.Background(),
+	res, err := engine.Figure10(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -231,14 +231,14 @@ func cmdAblate(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	inert, err := glitchsim.DefaultEngine().AblationInertial(ctx,
+	inert, err := engine.AblationInertial(ctx,
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("A1 transport vs inertial (dirdet8, typical delays):\n  transport: %v\n  inertial:  %v\n\n", inert.A, inert.B)
 
-	zd, err := glitchsim.DefaultEngine().AblationZeroDelay(ctx,
+	zd, err := engine.AblationZeroDelay(ctx,
 		glitchsim.ExperimentRequest{Width: 16, Cycles: *cycles * 4, Seed: *seed})
 	if err != nil {
 		return err
@@ -248,14 +248,14 @@ func cmdAblate(args []string) error {
 		zd.EstimatedPerCycle, zd.MeasuredPerCycle, zd.UsefulPerCycle)
 	fmt.Printf("  glitch-blind underestimate factor: %.2f\n\n", zd.Underestimate())
 
-	gran, err := glitchsim.DefaultEngine().AblationGranularity(ctx,
+	gran, err := engine.AblationGranularity(ctx,
 		glitchsim.ExperimentRequest{Width: 8, Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("A4 FA-cell vs gate-level granularity (rca8):\n  cells: %v\n  gates: %v\n\n", gran.A, gran.B)
 
-	gray, err := glitchsim.DefaultEngine().GraySweep(ctx,
+	gray, err := engine.GraySweep(ctx,
 		glitchsim.ExperimentRequest{Cycles: *cycles})
 	if err != nil {
 		return err
@@ -265,7 +265,7 @@ func cmdAblate(args []string) error {
 		fmt.Printf("  %v\n", g)
 	}
 
-	seeds, err := glitchsim.DefaultEngine().SeedSweep(ctx,
+	seeds, err := engine.SeedSweep(ctx,
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seeds: []uint64{1, 2, 3, 4, 5}})
 	if err != nil {
 		return err

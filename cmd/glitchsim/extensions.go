@@ -17,7 +17,7 @@ func cmdBalance(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().BalanceStudy(context.Background(),
+	rows, err := engine.BalanceStudy(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -42,7 +42,7 @@ func cmdAdders(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().AdderStudy(context.Background(),
+	rows, err := engine.AdderStudy(context.Background(),
 		glitchsim.ExperimentRequest{Width: *width, Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -63,7 +63,7 @@ func cmdCorr(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().CorrelationStudy(context.Background(),
+	rows, err := engine.CorrelationStudy(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -126,7 +126,7 @@ func cmdMults(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().MultiplierStudy(context.Background(),
+	rows, err := engine.MultiplierStudy(context.Background(),
 		glitchsim.ExperimentRequest{Width: *width, Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err

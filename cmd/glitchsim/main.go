@@ -58,6 +58,10 @@ var commands = map[string]func(args []string) error{
 	"all":       cmdAll,
 }
 
+// engine runs every subcommand. main rebuilds it from -workers and
+// -lanes; tests call commands directly and get the defaults.
+var engine = glitchsim.NewEngine()
+
 // workers is the shared worker-pool size for the experiment drivers,
 // settable as either -workers or -parallel ahead of the subcommand.
 var workers int
@@ -85,8 +89,7 @@ func jsonOut() bool { return format == "json" }
 func main() {
 	flag.Usage = usage
 	flag.Parse()
-	glitchsim.SetDefaultWorkers(workers)
-	glitchsim.SetDefaultLanes(lanes)
+	engine = glitchsim.NewEngine(glitchsim.WithWorkers(workers), glitchsim.WithLanes(lanes))
 	if format != "text" && format != "json" {
 		fmt.Fprintf(os.Stderr, "glitchsim: unknown -format %q (text or json)\n", format)
 		os.Exit(2)
@@ -111,11 +114,13 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `glitchsim - transition activity analysis and glitch reduction (DATE'95)
 
-usage: glitchsim [-workers N] <subcommand> [flags]
+usage: glitchsim [-workers N] [-lanes N] [-format FMT] <subcommand> [flags]
 
 global flags:
   -workers N    measurement worker goroutines for the experiment drivers
                 (alias -parallel; 0 = all CPUs)
+  -lanes N      word-parallel stimulus lanes per measurement (1 = scalar
+                kernel, the historical single-stream numbers; 0 = 64)
   -format FMT   experiment output: text (default) or json (the glitchsimd
                 service schema)
 

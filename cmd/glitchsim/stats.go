@@ -65,7 +65,7 @@ func cmdPower(args []string) error {
 		return err
 	}
 	tech := glitchsim.DefaultTech()
-	counter, err := glitchsim.DefaultEngine().MeasureDetailed(context.Background(), glitchsim.MeasureRequest{
+	counter, err := engine.MeasureDetailed(context.Background(), glitchsim.MeasureRequest{
 		Circuit: glitchsim.CircuitFromNetlist(n),
 		Config:  glitchsim.Config{Cycles: *cycles, Seed: *seed},
 	})

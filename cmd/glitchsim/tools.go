@@ -71,14 +71,14 @@ func cmdSim(args []string) error {
 			fmt.Fprintf(os.Stderr, "note: %s covers %d cycles, replay wraps around to fill %d\n", *stim, have, *cycles)
 		}
 	}
-	kernel, err := glitchsim.DefaultEngine().SelectedKernel(glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(n), Config: cfg})
+	kernel, err := engine.SelectedKernel(glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(n), Config: cfg})
 	if err != nil {
 		return err
 	}
 	if !jsonOut() {
 		fmt.Print(n.Summary())
 	}
-	counter, err := glitchsim.DefaultEngine().MeasureDetailed(context.Background(),
+	counter, err := engine.MeasureDetailed(context.Background(),
 		glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(n), Config: cfg})
 	if err != nil {
 		// A budget trip still carries the partial counter: report it,
@@ -138,7 +138,6 @@ func cmdRetime(args []string) error {
 	fmt.Printf("retimed %s: period %d, latency +%d cycles, %d flipflops (was %d)\n\n",
 		n.Name, res.Period, res.Latency, res.Registers, n.NumDFFs())
 	ctx := context.Background()
-	engine := glitchsim.DefaultEngine()
 	before, err := engine.Measure(ctx, glitchsim.MeasureRequest{
 		Circuit: glitchsim.CircuitFromNetlist(n),
 		Config:  glitchsim.Config{Cycles: *cycles, Seed: *seed},

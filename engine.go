@@ -25,13 +25,12 @@ import (
 // periodic checks inside the simulator's event loop.
 //
 // An Engine is safe for concurrent use by any number of goroutines; a
-// long-running service shares one Engine across all requests. The
-// package-level functions (Measure, Table1, …) are thin wrappers over a
-// shared DefaultEngine and remain bit-identical to their historical
-// behaviour.
+// long-running service shares one Engine across all requests. Its
+// configuration is fixed at NewEngine: there are no process-wide
+// defaults, so two Engines in one process never influence each other.
 type Engine struct {
-	workers   int
-	lanes     int // word-parallel stimulus lanes per measurement; 0 tracks DefaultLanes
+	workers   int // worker-pool size; 0 selects GOMAXPROCS
+	lanes     int // word-parallel stimulus lanes per measurement; 0 selects MaxLanes
 	delay     delay.Model
 	tech      power.Tech
 	cacheSize int
@@ -65,8 +64,8 @@ const DefaultCacheSize = 128
 type EngineOption func(*Engine)
 
 // WithWorkers fixes the engine's worker-pool size for batch and sweep
-// measurements. n <= 0 (the default) tracks the process-wide
-// DefaultWorkers value, which the -workers CLI flag sets.
+// measurements. n <= 0 (the default) selects GOMAXPROCS, read when each
+// batch starts. The glitchsim and glitchsimd -workers flags set it.
 func WithWorkers(n int) EngineOption {
 	return func(e *Engine) {
 		if n < 0 {
@@ -119,7 +118,7 @@ func WithCacheSize(n int) EngineOption {
 }
 
 // NewEngine returns an Engine with the given options applied over the
-// defaults: workers tracking DefaultWorkers, unit fallback delay,
+// defaults: GOMAXPROCS workers, MaxLanes lanes, unit fallback delay,
 // DefaultTech technology, DefaultCacheSize cache entries.
 func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{
@@ -160,19 +159,6 @@ func (e *Engine) acquire(ctx context.Context) error {
 
 func (e *Engine) release() { <-e.sem }
 
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the process-wide Engine behind the package-level
-// measurement functions. It is created on first use with all defaults;
-// its worker count follows SetDefaultWorkers.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
-}
-
 // Tech returns the engine's default technology constants.
 func (e *Engine) Tech() power.Tech { return e.tech }
 
@@ -180,7 +166,7 @@ func (e *Engine) Tech() power.Tech { return e.tech }
 func (e *Engine) Workers() int { return e.workerCount(0) }
 
 // workerCount resolves the effective pool size: an explicit per-request
-// count wins, then the engine option, then the process default.
+// count wins, then the engine option, then GOMAXPROCS.
 func (e *Engine) workerCount(request int) int {
 	if request > 0 {
 		return request
@@ -292,8 +278,7 @@ type MeasureRequest struct {
 	// Netlist is the circuit to measure as a raw netlist.
 	//
 	// Deprecated: set Circuit (CircuitFromNetlist wraps an existing
-	// netlist). When both are set, Netlist wins, keeping pre-Circuit
-	// callers bit-identical.
+	// netlist). When both are set, Netlist wins.
 	Netlist *netlist.Netlist
 	// Config controls the run; zero-value fields select the documented
 	// defaults (and the engine's delay model, if one was configured).
@@ -316,10 +301,6 @@ type BatchRequest struct {
 type SeedSweepRequest struct {
 	// Circuit references the circuit to sweep (see MeasureRequest).
 	Circuit Circuit
-	// Netlist is the circuit as a raw netlist.
-	//
-	// Deprecated: set Circuit. When both are set, Netlist wins.
-	Netlist *netlist.Netlist
 	Config  Config
 	Seeds   []uint64
 	// Workers overrides the engine's pool size for this sweep; 0 keeps
@@ -432,22 +413,29 @@ func (e *Engine) MeasureMany(ctx context.Context, req BatchRequest) ([]MeasureRe
 }
 
 // measureMany is the fan-out core behind MeasureMany, MeasureSeeds and
-// the experiment drivers. emit, when non-nil, is called once per
+// the experiment drivers. done, when non-nil, is called once per
 // completed job from the worker goroutines (concurrently, in completion
-// order) — the Session layer streams progress through it.
-func (e *Engine) measureMany(ctx context.Context, jobs []MeasureJob, workers int, emit func(int, *MeasureResult)) ([]MeasureResult, error) {
+// order); the seed sweep and the multiplier tables turn it into Session
+// events.
+func (e *Engine) measureMany(ctx context.Context, jobs []MeasureJob, workers int, done func(int, *MeasureResult)) ([]MeasureResult, error) {
 	results := make([]MeasureResult, len(jobs))
 	if len(jobs) == 0 {
 		return results, ctx.Err()
 	}
 
-	// Materialize Circuit references (on a copy: the caller's slice is
-	// theirs) so the fan-out below only ever sees raw netlists. A job
-	// that fails to resolve carries the error in its result, like any
+	// Resolve and compile each job's circuit up front and serially:
+	// Compile panics on invalid netlists (as Measure does) and the panic
+	// should surface on the caller's goroutine. Each distinct netlist
+	// compiles once, and the cache makes that a lookup for circuits the
+	// engine has seen before. Memory-budget admission happens here too,
+	// before the job's netlist is ever compiled. A job that fails to
+	// resolve or to be admitted carries the error in its result, like any
 	// other per-job failure.
-	jobs = append([]MeasureJob(nil), jobs...)
+	nets := make([]*netlist.Netlist, len(jobs))
+	compiled := make(map[*netlist.Netlist]*sim.Compiled, len(jobs))
 	for i := range jobs {
-		if jobs[i].Netlist != nil || jobs[i].Circuit.IsZero() {
+		if jobs[i].Circuit.IsZero() {
+			results[i].Err = fmt.Errorf("glitchsim: job %d names no circuit", i)
 			continue
 		}
 		nl, err := e.Resolve(jobs[i].Circuit)
@@ -455,50 +443,34 @@ func (e *Engine) measureMany(ctx context.Context, jobs []MeasureJob, workers int
 			results[i].Err = fmt.Errorf("glitchsim: job %d: %w", i, err)
 			continue
 		}
-		jobs[i].Netlist = nl
-	}
-
-	// Resolve each distinct netlist once, up front and serially: Compile
-	// panics on invalid netlists (as Measure does) and the panic should
-	// surface on the caller's goroutine. The cache makes this a lookup
-	// for circuits the engine has seen before. Memory-budget admission
-	// happens here too, before the job's netlist is ever compiled.
-	compiled := make(map[*netlist.Netlist]*sim.Compiled, len(jobs))
-	for i := range jobs {
-		nl := jobs[i].Netlist
-		if nl == nil || results[i].Err != nil {
-			continue
-		}
 		if err := e.admitMemory(nl, e.fillDefaults(jobs[i].Config)); err != nil {
 			results[i].Err = err
 			continue
 		}
+		nets[i] = nl
 		if compiled[nl] == nil {
 			compiled[nl] = e.compiled(nl)
 		}
 	}
 
 	err := parallelEachCtx(ctx, len(jobs), e.workerCount(workers), func(i int) error {
-		job := &jobs[i]
 		if results[i].Err != nil {
-			// Circuit resolution already failed above.
-		} else if job.Netlist == nil {
-			results[i].Err = fmt.Errorf("glitchsim: job %d names no circuit", i)
+			// Resolution or admission already failed above.
 		} else if err := e.acquire(ctx); err != nil {
 			results[i].Err = err
 		} else {
-			cfg := e.fillDefaults(job.Config)
-			counter, err := measureCompiled(ctx, compiled[job.Netlist], cfg, e.laneCount(cfg))
+			cfg := e.fillDefaults(jobs[i].Config)
+			counter, err := measureCompiled(ctx, compiled[nets[i]], cfg, e.laneCount(cfg))
 			e.release()
 			if err != nil {
 				results[i].Err = err
 			} else {
 				results[i].Counter = counter
-				results[i].Activity = summarize(job.Netlist.Name, counter)
+				results[i].Activity = summarize(nets[i].Name, counter)
 			}
 		}
-		if emit != nil {
-			emit(i, &results[i])
+		if done != nil {
+			done(i, &results[i])
 		}
 		return nil // per-job errors live in results, never abort the batch
 	})
@@ -521,43 +493,58 @@ func (e *Engine) measureMany(ctx context.Context, jobs []MeasureJob, workers int
 // Source in the config is ignored (each seed gets its own stream). The
 // merge order is fixed (seed order), so the aggregate is deterministic.
 func (e *Engine) MeasureSeeds(ctx context.Context, req SeedSweepRequest) (*core.Counter, error) {
-	counter, _, err := e.measureSeeds(ctx, req, nil)
-	return counter, err
+	return e.measureSeeds(ctx, req, nil)
 }
 
-// measureSeeds also returns the resolved circuit name, so the Session
-// layer can label its final event without resolving the reference a
-// second time.
-func (e *Engine) measureSeeds(ctx context.Context, req SeedSweepRequest, emit func(int, *MeasureResult)) (*core.Counter, string, error) {
+// measureSeeds runs the seed sweep for Engine.MeasureSeeds (emit nil)
+// and Session.MeasureSeeds, which receives an EventSeed per finished
+// seed and an EventResult with the merged aggregate.
+func (e *Engine) measureSeeds(ctx context.Context, req SeedSweepRequest, emit func(Event)) (*core.Counter, error) {
 	if len(req.Seeds) == 0 {
-		return nil, "", fmt.Errorf("glitchsim: MeasureSeeds needs at least one seed")
+		return nil, fmt.Errorf("glitchsim: MeasureSeeds needs at least one seed")
 	}
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, err := e.requestNetlist(nil, req.Circuit)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
+	circuit := CircuitFromNetlist(nl)
 	jobs := make([]MeasureJob, len(req.Seeds))
 	for i, seed := range req.Seeds {
 		c := req.Config
 		c.Seed = seed
 		c.Source = nil
-		jobs[i] = MeasureJob{Netlist: nl, Config: c}
+		jobs[i] = MeasureJob{Circuit: circuit, Config: c}
 	}
-	res, err := e.measureMany(ctx, jobs, req.Workers, emit)
+	var done func(int, *MeasureResult)
+	if emit != nil {
+		done = func(i int, r *MeasureResult) {
+			ev := Event{Kind: EventSeed, Index: i, Total: len(jobs), Err: r.Err}
+			if r.Err == nil {
+				act := r.Activity
+				ev.Activity = &act
+			}
+			emit(ev)
+		}
+	}
+	res, err := e.measureMany(ctx, jobs, req.Workers, done)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	agg := res[0].Counter
 	for i, r := range res {
 		if r.Err != nil {
-			return nil, "", fmt.Errorf("glitchsim: seed %d: %w", req.Seeds[i], r.Err)
+			return nil, fmt.Errorf("glitchsim: seed %d: %w", req.Seeds[i], r.Err)
 		}
 		if i == 0 {
 			continue
 		}
 		if err := agg.Merge(r.Counter); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
-	return agg, nl.Name, nil
+	if emit != nil {
+		act := summarize(nl.Name, agg)
+		emit(Event{Kind: EventResult, Total: 1, Activity: &act})
+	}
+	return agg, nil
 }

@@ -21,7 +21,7 @@ func TestEngineCacheReusesCompilation(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		// A fresh netlist value every time: pointer identity can't help.
 		if _, err := e.Measure(ctx, glitchsim.MeasureRequest{
-			Netlist: glitchsim.NewRCA(8), Config: glitchsim.Config{Cycles: 20},
+			Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(8)), Config: glitchsim.Config{Cycles: 20},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestEngineCacheEviction(t *testing.T) {
 	circuits := []int{4, 8, 4}
 	for _, w := range circuits {
 		if _, err := e.Measure(ctx, glitchsim.MeasureRequest{
-			Netlist: glitchsim.NewRCA(w), Config: glitchsim.Config{Cycles: 10},
+			Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(w)), Config: glitchsim.Config{Cycles: 10},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestEngineCacheDisabled(t *testing.T) {
 	e := glitchsim.NewEngine(glitchsim.WithCacheSize(0))
 	ctx := context.Background()
 	if _, err := e.Measure(ctx, glitchsim.MeasureRequest{
-		Netlist: glitchsim.NewRCA(4), Config: glitchsim.Config{Cycles: 10},
+		Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(4)), Config: glitchsim.Config{Cycles: 10},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,11 @@ func TestEngineDelayModelOption(t *testing.T) {
 	typ := glitchsim.NewEngine(glitchsim.WithDelayModel(delay.Typical()))
 	nl := glitchsim.NewDirectionDetector(8, false)
 
-	fromOption, err := typ.Measure(ctx, glitchsim.MeasureRequest{Netlist: nl, Config: glitchsim.Config{Cycles: 100}})
+	fromOption, err := typ.Measure(ctx, glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(nl), Config: glitchsim.Config{Cycles: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	explicit, err := glitchsim.Measure(nl, glitchsim.Config{Cycles: 100, Delay: delay.Typical()})
+	explicit, err := glitchsim.NewEngine().Measure(ctx, glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(nl), Config: glitchsim.Config{Cycles: 100, Delay: delay.Typical()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,92 +95,13 @@ func TestEngineDelayModelOption(t *testing.T) {
 	}
 
 	unit, err := typ.Measure(ctx, glitchsim.MeasureRequest{
-		Netlist: nl, Config: glitchsim.Config{Cycles: 100, Delay: delay.Unit()},
+		Circuit: glitchsim.CircuitFromNetlist(nl), Config: glitchsim.Config{Cycles: 100, Delay: delay.Unit()},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if unit == fromOption {
 		t.Error("explicit config delay did not override the engine option")
-	}
-}
-
-// TestEngineGoldenEquivalence: the deprecated package-level wrappers
-// must match direct Engine calls bit-for-bit — same Activity structs,
-// same experiment rows.
-func TestEngineGoldenEquivalence(t *testing.T) {
-	ctx := context.Background()
-	e := glitchsim.NewEngine()
-
-	// Measure.
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	wrapped, err := glitchsim.Measure(glitchsim.NewRCA(8), glitchsim.Config{Cycles: 80, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := e.Measure(ctx, glitchsim.MeasureRequest{
-		Netlist: glitchsim.NewRCA(8), Config: glitchsim.Config{Cycles: 80, Seed: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapped != direct {
-		t.Errorf("Measure wrapper %+v != Engine.Measure %+v", wrapped, direct)
-	}
-
-	// MeasureSeeds.
-	seeds := []uint64{1, 2, 3}
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	aggWrapped, err := glitchsim.MeasureSeeds(glitchsim.NewArrayMultiplier(4), glitchsim.Config{Cycles: 30}, seeds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggDirect, err := e.MeasureSeeds(ctx, glitchsim.SeedSweepRequest{
-		Netlist: glitchsim.NewArrayMultiplier(4), Config: glitchsim.Config{Cycles: 30}, Seeds: seeds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aggWrapped.Totals() != aggDirect.Totals() || aggWrapped.Cycles() != aggDirect.Cycles() {
-		t.Errorf("MeasureSeeds wrapper %+v != engine %+v", aggWrapped.Totals(), aggDirect.Totals())
-	}
-
-	// Table1 experiment rows.
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	rowsWrapped, err := glitchsim.Table1(30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsDirect, err := e.Table1(ctx, glitchsim.ExperimentRequest{Cycles: 30, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rowsWrapped) != len(rowsDirect) {
-		t.Fatalf("row count mismatch: %d vs %d", len(rowsWrapped), len(rowsDirect))
-	}
-	for i := range rowsWrapped {
-		if rowsWrapped[i] != rowsDirect[i] {
-			t.Errorf("Table1 row %d: wrapper %+v != engine %+v", i, rowsWrapped[i], rowsDirect[i])
-		}
-	}
-
-	// MeasurePower with an explicit tech.
-	tech := glitchsim.DefaultTech()
-	//lint:ignore SA1019 deprecated wrappers keep golden coverage
-	bdW, actW, err := glitchsim.MeasurePower(glitchsim.NewDirectionDetector(8, true), glitchsim.Config{Cycles: 50}, tech)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bdD, actD, err := e.MeasurePower(ctx, glitchsim.MeasureRequest{
-		Netlist: glitchsim.NewDirectionDetector(8, true),
-		Config:  glitchsim.Config{Cycles: 50},
-		Tech:    &tech,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bdW != bdD || actW != actD {
-		t.Errorf("MeasurePower wrapper (%+v, %+v) != engine (%+v, %+v)", bdW, actW, bdD, actD)
 	}
 }
 
@@ -203,7 +123,7 @@ func TestEngineMeasureCancellation(t *testing.T) {
 	start := time.Now()
 	// A workload that would take far longer than the promptness bound.
 	_, err := e.Measure(ctx, glitchsim.MeasureRequest{
-		Netlist: glitchsim.NewArrayMultiplier(16),
+		Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewArrayMultiplier(16)),
 		Config:  glitchsim.Config{Cycles: 2_000_000},
 	})
 	elapsed := time.Since(start)
@@ -231,7 +151,7 @@ func TestEngineMeasureSeedsCancellation(t *testing.T) {
 	}()
 	start := time.Now()
 	_, err := e.MeasureSeeds(ctx, glitchsim.SeedSweepRequest{
-		Netlist: glitchsim.NewArrayMultiplier(16),
+		Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewArrayMultiplier(16)),
 		Config:  glitchsim.Config{Cycles: 100_000},
 		Seeds:   seeds,
 	})
@@ -251,8 +171,8 @@ func TestEngineMeasureManyCancelMarksSkipped(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the batch starts
 	jobs := []glitchsim.MeasureJob{
-		{Netlist: glitchsim.NewRCA(4), Config: glitchsim.Config{Cycles: 10}},
-		{Netlist: glitchsim.NewRCA(4), Config: glitchsim.Config{Cycles: 10}},
+		{Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(4)), Config: glitchsim.Config{Cycles: 10}},
+		{Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(4)), Config: glitchsim.Config{Cycles: 10}},
 	}
 	results, err := e.MeasureMany(ctx, glitchsim.BatchRequest{Jobs: jobs})
 	if !errors.Is(err, context.Canceled) {
@@ -274,7 +194,7 @@ func TestEngineMaxConcurrency(t *testing.T) {
 	jobs := make([]glitchsim.MeasureJob, 6)
 	for i := range jobs {
 		jobs[i] = glitchsim.MeasureJob{
-			Netlist: glitchsim.NewRCA(8),
+			Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(8)),
 			Config:  glitchsim.Config{Cycles: 40, Seed: uint64(i + 1)},
 		}
 	}
@@ -336,7 +256,7 @@ func TestEngineBusyClassification(t *testing.T) {
 	holderDone := make(chan error, 1)
 	go func() {
 		_, err := e.Measure(context.Background(), glitchsim.MeasureRequest{
-			Netlist: nl, Config: glitchsim.Config{Cycles: 1, Source: src},
+			Circuit: glitchsim.CircuitFromNetlist(nl), Config: glitchsim.Config{Cycles: 1, Source: src},
 		})
 		holderDone <- err
 	}()
@@ -345,7 +265,7 @@ func TestEngineBusyClassification(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, err := e.Measure(ctx, glitchsim.MeasureRequest{
-		Netlist: glitchsim.NewRCA(8), Config: glitchsim.Config{Cycles: 20},
+		Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(8)), Config: glitchsim.Config{Cycles: 20},
 	})
 	if !errors.Is(err, glitchsim.ErrEngineBusy) {
 		t.Fatalf("slot-starved Measure err = %v, want ErrEngineBusy", err)

@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := glitchsim.Config{Cycles: 500, Seed: 7}
-	engine := glitchsim.DefaultEngine()
+	engine := glitchsim.NewEngine()
 	ctx := context.Background()
 	orig, err := engine.Measure(ctx, glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(mult), Config: cfg})
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 
 func main() {
 	const cycles = 500 // the paper's Table 1 run length
-	engine := glitchsim.DefaultEngine()
+	engine := glitchsim.NewEngine()
 	ctx := context.Background()
 
 	fmt.Println("=== Table 1: architecture comparison, unit delay ===")

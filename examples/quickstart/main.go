@@ -24,7 +24,7 @@ func main() {
 	// 2. Simulate it with unit gate delays under random stimulus and
 	// count transitions, classifying each cycle's count by the parity
 	// rule: odd -> one useful + rest useless, even -> all useless.
-	activity, err := glitchsim.DefaultEngine().Measure(context.Background(), glitchsim.MeasureRequest{
+	activity, err := glitchsim.NewEngine().Measure(context.Background(), glitchsim.MeasureRequest{
 		Circuit: glitchsim.CircuitFromNetlist(adder),
 		Config:  glitchsim.Config{Cycles: cycles, Seed: 2025},
 	})

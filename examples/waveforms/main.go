@@ -72,7 +72,7 @@ func main() {
 	fmt.Printf("\nwrote demo.vcd (%d cycles, %d time units per cycle)\n", cycles, period)
 
 	// 3. Quantify what the waveform shows.
-	act, err := glitchsim.DefaultEngine().Measure(context.Background(), glitchsim.MeasureRequest{
+	act, err := glitchsim.NewEngine().Measure(context.Background(), glitchsim.MeasureRequest{
 		Circuit: glitchsim.CircuitFromNetlist(n),
 		Config: glitchsim.Config{
 			Cycles: 1000,

@@ -19,14 +19,14 @@ import (
 // a context and routes all measurement through the engine's compiled-
 // netlist cache, worker pool and lane decomposition: with the default
 // 64 lanes, a Table 1–3 row's ~500 random vectors run as ⌈500/64⌉
-// word-parallel passes on the bit-parallel kernel (unit-delay rows) or
-// as 64 scalar streams with identical semantics (the delay-imbalance
-// rows), so delay-model comparisons like Table 2's useful-count
-// invariance stay exact. The package-level functions of the same names
-// are deprecated wrappers over DefaultEngine and remain bit-identical
-// to the Engine methods for the arguments they documented; zero-valued
-// cycle/width arguments select each experiment's paper defaults instead
-// of falling through to Config's generic run length.
+// word-parallel passes, on the lockstep kernel for the unit-delay rows
+// and on the lane-masked wide-event kernel for the delay-imbalance rows.
+// Both kernels decompose the vectors into the same lane streams, so
+// delay-model comparisons like Table 2's useful-count invariance stay
+// exact. Zero-valued cycle/width fields select each experiment's paper
+// defaults. The drivers a Session streams (Table1–3, Figure10) each run
+// through one unexported function that takes an emit callback, nil for
+// the Engine method.
 
 // ---------------------------------------------------------------------------
 // E1 — §3.1 / Figure 3: worst-case transition count of a ripple-carry adder.
@@ -101,18 +101,6 @@ func (e *Engine) WorstCase(ctx context.Context, req ExperimentRequest) (WorstCas
 	return res, nil
 }
 
-// WorstCase is the package-level form of Engine.WorstCase.
-//
-// Deprecated: use DefaultEngine().WorstCase with a context.
-func WorstCase(n int) (WorstCaseResult, error) {
-	// The historical function validated n directly; keep rejecting n=0
-	// rather than letting the request default of 4 absorb it.
-	if n < 2 || n > 16 {
-		return WorstCaseResult{}, fmt.Errorf("glitchsim: worst case supports 2..16 bits, got %d", n)
-	}
-	return DefaultEngine().WorstCase(context.Background(), ExperimentRequest{Width: n})
-}
-
 // ---------------------------------------------------------------------------
 // E2 — Figure 5 / §3.2–3.3: per-bit useful and useless transitions of a
 // 16-bit RCA under random inputs, analytic vs. simulated.
@@ -156,7 +144,7 @@ func (e *Engine) Figure5(ctx context.Context, req ExperimentRequest) (Fig5Result
 	pred := analytic.PredictRCA(n, cycles)
 	nl := circuits.NewRCA(n, circuits.Cells)
 	counter, err := e.MeasureDetailed(ctx, MeasureRequest{
-		Netlist: nl, Config: Config{Cycles: cycles, Seed: req.Seed},
+		Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: cycles, Seed: req.Seed},
 	})
 	if err != nil {
 		return Fig5Result{}, err
@@ -184,13 +172,6 @@ func (e *Engine) Figure5(ctx context.Context, req ExperimentRequest) (Fig5Result
 		})
 	}
 	return res, nil
-}
-
-// Figure5 is the package-level form of Engine.Figure5.
-//
-// Deprecated: use DefaultEngine().Figure5 with a context.
-func Figure5(n, cycles int, seed uint64) (Fig5Result, error) {
-	return DefaultEngine().Figure5(context.Background(), ExperimentRequest{Width: n, Cycles: cycles, Seed: seed})
 }
 
 // ---------------------------------------------------------------------------
@@ -222,52 +203,36 @@ type MultRow struct {
 // (default 500, the paper's run length) with unit delays. The four rows
 // are measured in parallel on the engine's worker pool.
 func (e *Engine) Table1(ctx context.Context, req ExperimentRequest) ([]MultRow, error) {
+	return e.table1(ctx, req, nil)
+}
+
+// table1 runs Table 1 for Engine.Table1 and Session.Table1.
+func (e *Engine) table1(ctx context.Context, req ExperimentRequest, emit func(Event)) ([]MultRow, error) {
 	if err := fixedCircuit("Table1", req); err != nil {
 		return nil, err
 	}
-	return e.measureMultipliers(ctx, table1Specs(), req, nil)
-}
-
-// table1Specs returns the Table 1 measurement plan, shared by the Engine
-// and Session drivers so both measure the same rows.
-func table1Specs() []multSpec {
-	return []multSpec{
+	return e.measureMultipliers(ctx, []multSpec{
 		{"array", 8, 1, 1}, {"array", 16, 1, 1},
 		{"wallace", 8, 1, 1}, {"wallace", 16, 1, 1},
-	}
-}
-
-// Table1 is the package-level form of Engine.Table1.
-//
-// Deprecated: use DefaultEngine().Table1 with a context.
-func Table1(cycles int, seed uint64) ([]MultRow, error) {
-	return DefaultEngine().Table1(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
+	}, req, emit)
 }
 
 // Table2 reproduces Table 2: the 8×8 multipliers with dsum = dcarry
 // versus the more realistic dsum = 2·dcarry, measured in parallel on the
 // engine's worker pool.
 func (e *Engine) Table2(ctx context.Context, req ExperimentRequest) ([]MultRow, error) {
+	return e.table2(ctx, req, nil)
+}
+
+// table2 runs Table 2 for Engine.Table2 and Session.Table2.
+func (e *Engine) table2(ctx context.Context, req ExperimentRequest, emit func(Event)) ([]MultRow, error) {
 	if err := fixedCircuit("Table2", req); err != nil {
 		return nil, err
 	}
-	return e.measureMultipliers(ctx, table2Specs(), req, nil)
-}
-
-// table2Specs returns the Table 2 measurement plan, shared by the Engine
-// and Session drivers so both measure the same rows.
-func table2Specs() []multSpec {
-	return []multSpec{
+	return e.measureMultipliers(ctx, []multSpec{
 		{"array", 8, 1, 1}, {"array", 8, 2, 1},
 		{"wallace", 8, 1, 1}, {"wallace", 8, 2, 1},
-	}
-}
-
-// Table2 is the package-level form of Engine.Table2.
-//
-// Deprecated: use DefaultEngine().Table2 with a context.
-func Table2(cycles int, seed uint64) ([]MultRow, error) {
-	return DefaultEngine().Table2(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
+	}, req, emit)
 }
 
 // multSpec names one multiplier measurement of Tables 1 and 2.
@@ -291,34 +256,37 @@ func (sp multSpec) build() (*netlist.Netlist, delay.Model) {
 
 // measureMultipliers measures the given multiplier specs concurrently
 // and returns one row per spec, in spec order. emit, when non-nil,
-// receives each finished row (concurrently, in completion order).
-func (e *Engine) measureMultipliers(ctx context.Context, specs []multSpec, req ExperimentRequest, emit func(int, *MultRow)) ([]MultRow, error) {
+// receives an EventRow per finished row (concurrently, in completion
+// order).
+func (e *Engine) measureMultipliers(ctx context.Context, specs []multSpec, req ExperimentRequest, emit func(Event)) ([]MultRow, error) {
 	jobs := make([]MeasureJob, len(specs))
 	for i, sp := range specs {
 		nl, dm := sp.build()
-		jobs[i] = MeasureJob{Netlist: nl, Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: dm}}
+		jobs[i] = MeasureJob{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: dm}}
 	}
-	rows := make([]MultRow, len(specs))
-	var rowEmit func(int, *MeasureResult)
+	row := func(i int, act Activity) MultRow {
+		sp := specs[i]
+		return MultRow{Arch: sp.arch, Width: sp.width, DSum: sp.dsum, DCarry: sp.dcarry, Activity: act}
+	}
+	var done func(int, *MeasureResult)
 	if emit != nil {
-		rowEmit = func(i int, r *MeasureResult) {
-			if r.Err != nil {
-				return
+		done = func(i int, r *MeasureResult) {
+			if r.Err == nil {
+				mr := row(i, r.Activity)
+				emit(Event{Kind: EventRow, Index: i, Total: len(specs), Mult: &mr})
 			}
-			sp := specs[i]
-			rows[i] = MultRow{Arch: sp.arch, Width: sp.width, DSum: sp.dsum, DCarry: sp.dcarry, Activity: r.Activity}
-			emit(i, &rows[i])
 		}
 	}
-	res, err := e.measureMany(ctx, jobs, 0, rowEmit)
+	res, err := e.measureMany(ctx, jobs, 0, done)
 	if err != nil {
 		return nil, err
 	}
-	for i, sp := range specs {
+	rows := make([]MultRow, len(specs))
+	for i := range specs {
 		if res[i].Err != nil {
 			return nil, res[i].Err
 		}
-		rows[i] = MultRow{Arch: sp.arch, Width: sp.width, DSum: sp.dsum, DCarry: sp.dcarry, Activity: res[i].Activity}
+		rows[i] = row(i, res[i].Activity)
 	}
 	return rows, nil
 }
@@ -346,19 +314,11 @@ func (e *Engine) DirectionDetector42(ctx context.Context, req ExperimentRequest)
 		cycles = 4320
 	}
 	nl := circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
-	act, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: Config{Cycles: cycles, Seed: req.Seed}})
+	act, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: cycles, Seed: req.Seed}})
 	if err != nil {
 		return DirDetResult{}, err
 	}
 	return DirDetResult{Activity: act, BalanceLimit: act.BalanceLimitFactor()}, nil
-}
-
-// DirectionDetector42 is the package-level form of
-// Engine.DirectionDetector42.
-//
-// Deprecated: use DefaultEngine().DirectionDetector42 with a context.
-func DirectionDetector42(cycles int, seed uint64) (DirDetResult, error) {
-	return DefaultEngine().DirectionDetector42(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
 }
 
 // ---------------------------------------------------------------------------
@@ -381,31 +341,13 @@ type Table3Row struct {
 	LOverF       float64
 }
 
-// sweepPlan is a prepared retime-and-measure sweep: the base circuit,
-// its delay model, the retiming period targets and the latency budget.
+// sweepPlan is a retime-and-measure sweep: the base circuit, its delay
+// model, the retiming period targets and the latency budget.
 type sweepPlan struct {
 	base       *netlist.Netlist
 	dm         delay.Model
 	targets    []int
 	maxLatency int
-}
-
-// table3Targets prepares the Table 3 sweep: the input-registered
-// direction detector retimed for four successively higher clock
-// frequencies (chosen like the paper's four layouts: the optimum lies
-// strictly inside the sweep).
-func (e *Engine) table3Targets(req ExperimentRequest) (sweepPlan, error) {
-	base, err := e.sweepSubject(req)
-	if err != nil {
-		return sweepPlan{}, err
-	}
-	dm := delay.Unit()
-	cp := retime.FromNetlist(base, dm, 0).ClockPeriod(nil)
-	return sweepPlan{
-		base: base, dm: dm,
-		targets:    []int{cp, cp * 3 / 7, cp / 3, cp * 3 / 14},
-		maxLatency: 4 * cp,
-	}, nil
 }
 
 // sweepSubject resolves the circuit a retiming power sweep operates on:
@@ -420,41 +362,31 @@ func (e *Engine) sweepSubject(req ExperimentRequest) (*netlist.Netlist, error) {
 	}), nil
 }
 
-// figure10Targets prepares the Figure 10 sweep: Table 3 extended to
-// arbitrary retiming targets (req.Targets; nil selects the default
-// eight-point sweep).
-func (e *Engine) figure10Targets(req ExperimentRequest) (sweepPlan, error) {
-	base, err := e.sweepSubject(req)
-	if err != nil {
-		return sweepPlan{}, err
-	}
-	dm := delay.Unit()
-	cp := retime.FromNetlist(base, dm, 0).ClockPeriod(nil)
-	targets := req.Targets
-	if targets == nil {
-		targets = []int{cp, cp / 2, cp / 3, cp / 4, cp / 5, cp / 7, cp / 9, cp / 12}
-	}
-	return sweepPlan{base: base, dm: dm, targets: targets, maxLatency: 8 * cp}, nil
-}
-
 // Table3 reproduces Table 3: the input-registered direction detector is
 // retimed for four successively higher clock frequencies (shorter
 // retiming periods), and each variant's power is split into logic,
 // flipflop and clock components. The first variant is the original
 // circuit (registers at the inputs, the paper's 48 flipflops).
 func (e *Engine) Table3(ctx context.Context, req ExperimentRequest) ([]Table3Row, error) {
-	plan, err := e.table3Targets(req)
+	return e.table3(ctx, req, nil)
+}
+
+// table3 runs Table 3 for Engine.Table3 and Session.Table3: the subject
+// retimed for four successively higher clock frequencies, chosen like
+// the paper's four layouts so the optimum lies strictly inside the
+// sweep.
+func (e *Engine) table3(ctx context.Context, req ExperimentRequest, emit func(Event)) ([]Table3Row, error) {
+	base, err := e.sweepSubject(req)
 	if err != nil {
 		return nil, err
 	}
-	return e.powerSweep(ctx, plan.base, plan.dm, plan.targets, plan.maxLatency, req, nil)
-}
-
-// Table3 is the package-level form of Engine.Table3.
-//
-// Deprecated: use DefaultEngine().Table3 with a context.
-func Table3(cycles int, seed uint64) ([]Table3Row, error) {
-	return DefaultEngine().Table3(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
+	dm := delay.Unit()
+	cp := retime.FromNetlist(base, dm, 0).ClockPeriod(nil)
+	return e.powerSweep(ctx, sweepPlan{
+		base: base, dm: dm,
+		targets:    []int{cp, cp * 3 / 7, cp / 3, cp * 3 / 14},
+		maxLatency: 4 * cp,
+	}, req, emit, 0)
 }
 
 // Fig10Result is the Figure 10 experiment outcome: the subject circuit
@@ -480,7 +412,7 @@ type Fig10Result struct {
 // pipelines are flushed before counting.
 func (e *Engine) measureUnretimed(ctx context.Context, base *netlist.Netlist, dm delay.Model, req ExperimentRequest) (Table3Row, error) {
 	bd, act, err := e.MeasurePower(ctx, MeasureRequest{
-		Netlist: base,
+		Circuit: CircuitFromNetlist(base),
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
 	})
 	if err != nil {
@@ -508,52 +440,58 @@ func (e *Engine) measureUnretimed(ctx context.Context, base *netlist.Netlist, dm
 // power-versus-flipflops curves of Figure 10 anchored to the unretimed
 // circuit. Points are ordered by increasing flipflop count.
 func (e *Engine) Figure10(ctx context.Context, req ExperimentRequest) (Fig10Result, error) {
-	plan, err := e.figure10Targets(req)
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	before, err := e.measureUnretimed(ctx, plan.base, plan.dm, req)
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	points, err := e.powerSweep(ctx, plan.base, plan.dm, plan.targets, plan.maxLatency, req, nil)
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	return Fig10Result{Subject: plan.base.Name, Before: before, Points: points}, nil
+	return e.figure10(ctx, req, nil)
 }
 
-// Figure10 is the package-level form of Engine.Figure10, returning only
-// the sweep points (the historical shape; the before-retiming row is
-// available from the Engine form's Fig10Result).
-//
-// Deprecated: use DefaultEngine().Figure10 with a context.
-func Figure10(targets []int, cycles int, seed uint64) ([]Table3Row, error) {
-	res, err := DefaultEngine().Figure10(context.Background(), ExperimentRequest{Targets: targets, Cycles: cycles, Seed: seed})
+// figure10 runs Figure 10 for Engine.Figure10 and Session.Figure10. emit,
+// when non-nil, receives the unretimed subject as EventRow 0, then the
+// sweep points at Index i+1; Total counts the before row plus every
+// sweep point.
+func (e *Engine) figure10(ctx context.Context, req ExperimentRequest, emit func(Event)) (Fig10Result, error) {
+	base, err := e.sweepSubject(req)
 	if err != nil {
-		return nil, err
+		return Fig10Result{}, err
 	}
-	return res.Points, nil
+	dm := delay.Unit()
+	cp := retime.FromNetlist(base, dm, 0).ClockPeriod(nil)
+	targets := req.Targets
+	if targets == nil {
+		targets = []int{cp, cp / 2, cp / 3, cp / 4, cp / 5, cp / 7, cp / 9, cp / 12}
+	}
+	before, err := e.measureUnretimed(ctx, base, dm, req)
+	if err != nil {
+		return Fig10Result{}, err
+	}
+	if emit != nil {
+		b := before
+		emit(Event{Kind: EventRow, Index: 0, Total: len(targets) + 1, Row: &b})
+	}
+	points, err := e.powerSweep(ctx, sweepPlan{base: base, dm: dm, targets: targets, maxLatency: 8 * cp}, req, emit, 1)
+	if err != nil {
+		return Fig10Result{}, err
+	}
+	return Fig10Result{Subject: base.Name, Before: before, Points: points}, nil
 }
 
-// powerSweep retimes base for each target period and measures each
-// variant's power breakdown: the shared driver behind Table3 and
-// Figure10. Each variant retimes and measures independently, one worker
-// per sweep point on the engine's pool. emit, when non-nil, receives
-// each finished row (concurrently, in completion order).
-func (e *Engine) powerSweep(ctx context.Context, base *netlist.Netlist, dm delay.Model, targets []int, maxLatency int, req ExperimentRequest, emit func(int, *Table3Row)) ([]Table3Row, error) {
-	rows := make([]Table3Row, len(targets))
-	err := parallelEachCtx(ctx, len(targets), e.workerCount(0), func(i int) error {
-		tgt := targets[i]
+// powerSweep retimes the plan's subject for each target period and
+// measures each variant's power breakdown: the shared driver behind
+// Table3 and Figure10. Each variant retimes and measures independently,
+// one worker per sweep point on the engine's pool. emit, when non-nil,
+// receives an EventRow per finished variant (concurrently, in completion
+// order) at Index first+i, behind the first rows the caller emitted.
+func (e *Engine) powerSweep(ctx context.Context, plan sweepPlan, req ExperimentRequest, emit func(Event), first int) ([]Table3Row, error) {
+	rows := make([]Table3Row, len(plan.targets))
+	err := parallelEachCtx(ctx, len(plan.targets), e.workerCount(0), func(i int) error {
+		tgt := plan.targets[i]
 		if tgt < 1 {
 			tgt = 1
 		}
-		res, err := retime.ForPeriod(base, dm, tgt, maxLatency)
+		res, err := retime.ForPeriod(plan.base, plan.dm, tgt, plan.maxLatency)
 		if err != nil {
 			return fmt.Errorf("glitchsim: retiming target %d: %w", tgt, err)
 		}
 		bd, act, err := e.MeasurePower(ctx, MeasureRequest{
-			Netlist: res.Netlist,
+			Circuit: CircuitFromNetlist(res.Netlist),
 			Config:  Config{Cycles: req.Cycles, Seed: req.Seed, Warmup: res.Latency + 16},
 		})
 		if err != nil {
@@ -574,7 +512,8 @@ func (e *Engine) powerSweep(ctx context.Context, base *netlist.Netlist, dm delay
 			LOverF:       act.LOverF(),
 		}
 		if emit != nil {
-			emit(i, &rows[i])
+			r := rows[i]
+			emit(Event{Kind: EventRow, Index: first + i, Total: first + len(plan.targets), Row: &r})
 		}
 		return nil
 	})
@@ -603,22 +542,15 @@ func (e *Engine) AblationInertial(ctx context.Context, req ExperimentRequest) (A
 		return AblationResult{}, err
 	}
 	nl := circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
-	a, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical()}})
+	a, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical()}})
 	if err != nil {
 		return AblationResult{}, err
 	}
-	b, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical(), Inertial: true}})
+	b, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical(), Inertial: true}})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	return AblationResult{Name: "transport-vs-inertial", A: a, B: b}, nil
-}
-
-// AblationInertial is the package-level form of Engine.AblationInertial.
-//
-// Deprecated: use DefaultEngine().AblationInertial with a context.
-func AblationInertial(cycles int, seed uint64) (AblationResult, error) {
-	return DefaultEngine().AblationInertial(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
 }
 
 // AblationGranularity compares the compound-FA-cell and gate-level
@@ -634,28 +566,20 @@ func (e *Engine) AblationGranularity(ctx context.Context, req ExperimentRequest)
 		w = 8
 	}
 	a, err := e.Measure(ctx, MeasureRequest{
-		Netlist: circuits.NewRCA(w, circuits.Cells),
+		Circuit: CircuitFromNetlist(circuits.NewRCA(w, circuits.Cells)),
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
 	})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	b, err := e.Measure(ctx, MeasureRequest{
-		Netlist: circuits.NewRCA(w, circuits.Gates),
+		Circuit: CircuitFromNetlist(circuits.NewRCA(w, circuits.Gates)),
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
 	})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	return AblationResult{Name: "cells-vs-gates", A: a, B: b}, nil
-}
-
-// AblationGranularity is the package-level form of
-// Engine.AblationGranularity.
-//
-// Deprecated: use DefaultEngine().AblationGranularity with a context.
-func AblationGranularity(width, cycles int, seed uint64) (AblationResult, error) {
-	return DefaultEngine().AblationGranularity(context.Background(), ExperimentRequest{Width: width, Cycles: cycles, Seed: seed})
 }
 
 // ZeroDelayComparison quantifies how much a glitch-blind probabilistic
@@ -693,7 +617,7 @@ func (e *Engine) AblationZeroDelay(ctx context.Context, req ExperimentRequest) (
 	}
 	nl := circuits.NewRCA(w, circuits.Cells)
 	est := analytic.ZeroDelayActivityTotal(nl)
-	act, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
+	act, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
 	if err != nil {
 		return ZeroDelayComparison{}, err
 	}
@@ -703,13 +627,6 @@ func (e *Engine) AblationZeroDelay(ctx context.Context, req ExperimentRequest) (
 		MeasuredPerCycle:  float64(act.Transitions) / float64(act.Cycles),
 		UsefulPerCycle:    float64(act.Useful) / float64(act.Cycles),
 	}, nil
-}
-
-// AblationZeroDelay is the package-level form of Engine.AblationZeroDelay.
-//
-// Deprecated: use DefaultEngine().AblationZeroDelay with a context.
-func AblationZeroDelay(width, cycles int, seed uint64) (ZeroDelayComparison, error) {
-	return DefaultEngine().AblationZeroDelay(context.Background(), ExperimentRequest{Width: width, Cycles: cycles, Seed: seed})
 }
 
 // SeedSweep re-runs the Table 1 array-vs-wallace comparison (8×8) for
@@ -722,13 +639,13 @@ func (e *Engine) SeedSweep(ctx context.Context, req ExperimentRequest) ([]Ablati
 		return nil, err
 	}
 	seeds := req.Seeds
-	array := circuits.NewArrayMultiplier(8, circuits.Cells)
-	wallace := circuits.NewWallaceMultiplier(8, circuits.Cells)
+	array := CircuitFromNetlist(circuits.NewArrayMultiplier(8, circuits.Cells))
+	wallace := CircuitFromNetlist(circuits.NewWallaceMultiplier(8, circuits.Cells))
 	jobs := make([]MeasureJob, 0, 2*len(seeds))
 	for _, seed := range seeds {
 		jobs = append(jobs,
-			MeasureJob{Netlist: array, Config: Config{Cycles: req.Cycles, Seed: seed}},
-			MeasureJob{Netlist: wallace, Config: Config{Cycles: req.Cycles, Seed: seed}},
+			MeasureJob{Circuit: array, Config: Config{Cycles: req.Cycles, Seed: seed}},
+			MeasureJob{Circuit: wallace, Config: Config{Cycles: req.Cycles, Seed: seed}},
 		)
 	}
 	res, err := e.measureMany(ctx, jobs, 0, nil)
@@ -749,13 +666,6 @@ func (e *Engine) SeedSweep(ctx context.Context, req ExperimentRequest) ([]Ablati
 		}
 	}
 	return out, nil
-}
-
-// SeedSweep is the package-level form of Engine.SeedSweep.
-//
-// Deprecated: use DefaultEngine().SeedSweep with a context.
-func SeedSweep(cycles int, seeds []uint64) ([]AblationResult, error) {
-	return DefaultEngine().SeedSweep(context.Background(), ExperimentRequest{Cycles: cycles, Seeds: seeds})
 }
 
 // GraySweep compares random against Gray-code (single-bit-change) and
@@ -781,7 +691,7 @@ func (e *Engine) GraySweep(ctx context.Context, req ExperimentRequest) ([]Activi
 	}
 	jobs := make([]MeasureJob, len(sources))
 	for i, s := range sources {
-		jobs[i] = MeasureJob{Netlist: nl, Config: Config{Cycles: req.Cycles, Source: s.src}}
+		jobs[i] = MeasureJob{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Source: s.src}}
 	}
 	res, err := e.measureMany(ctx, jobs, 0, nil)
 	if err != nil {
@@ -796,11 +706,4 @@ func (e *Engine) GraySweep(ctx context.Context, req ExperimentRequest) ([]Activi
 		out[i].Circuit = nl.Name + "/" + s.name
 	}
 	return out, nil
-}
-
-// GraySweep is the package-level form of Engine.GraySweep.
-//
-// Deprecated: use DefaultEngine().GraySweep with a context.
-func GraySweep(cycles int) ([]Activity, error) {
-	return DefaultEngine().GraySweep(context.Background(), ExperimentRequest{Cycles: cycles})
 }

@@ -24,7 +24,7 @@ import (
 // concrete), the adder-architecture comparison its reference [2]
 // performs, the §4.2 correlation claim, and Verilog interchange. Like
 // the paper experiments, each study is an Engine method taking a
-// context, with a deprecated package-level wrapper over DefaultEngine.
+// context.
 
 // BalanceRow compares one circuit before and after delay balancing.
 type BalanceRow struct {
@@ -75,13 +75,13 @@ func (e *Engine) BalanceStudy(ctx context.Context, req ExperimentRequest) ([]Bal
 			return nil, err
 		}
 		bdBefore, before, err := e.MeasurePower(ctx, MeasureRequest{
-			Netlist: n, Config: Config{Cycles: req.Cycles, Seed: req.Seed},
+			Circuit: CircuitFromNetlist(n), Config: Config{Cycles: req.Cycles, Seed: req.Seed},
 		})
 		if err != nil {
 			return nil, err
 		}
 		counter, err := e.MeasureDetailed(ctx, MeasureRequest{
-			Netlist: res.Netlist, Config: Config{Cycles: req.Cycles, Seed: req.Seed},
+			Circuit: CircuitFromNetlist(res.Netlist), Config: Config{Cycles: req.Cycles, Seed: req.Seed},
 		})
 		if err != nil {
 			return nil, err
@@ -120,13 +120,6 @@ func (e *Engine) BalanceStudy(ctx context.Context, req ExperimentRequest) ([]Bal
 	return rows, nil
 }
 
-// BalanceStudy is the package-level form of Engine.BalanceStudy.
-//
-// Deprecated: use DefaultEngine().BalanceStudy with a context.
-func BalanceStudy(cycles int, seed uint64) ([]BalanceRow, error) {
-	return DefaultEngine().BalanceStudy(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
-}
-
 // AdderRow is one architecture in the adder comparison.
 type AdderRow struct {
 	Arch  string
@@ -154,13 +147,6 @@ func (e *Engine) AdderStudy(ctx context.Context, req ExperimentRequest) ([]Adder
 	})
 }
 
-// AdderStudy is the package-level form of Engine.AdderStudy.
-//
-// Deprecated: use DefaultEngine().AdderStudy with a context.
-func AdderStudy(width, cycles int, seed uint64) ([]AdderRow, error) {
-	return DefaultEngine().AdderStudy(context.Background(), ExperimentRequest{Width: width, Cycles: cycles, Seed: seed})
-}
-
 // MultiplierStudy extends Table 1 with the radix-4 Booth multiplier: a
 // third architecture whose recoding halves the partial products but adds
 // its own reconvergent select logic. Returns rows for array, wallace and
@@ -180,13 +166,6 @@ func (e *Engine) MultiplierStudy(ctx context.Context, req ExperimentRequest) ([]
 	})
 }
 
-// MultiplierStudy is the package-level form of Engine.MultiplierStudy.
-//
-// Deprecated: use DefaultEngine().MultiplierStudy with a context.
-func MultiplierStudy(width, cycles int, seed uint64) ([]AdderRow, error) {
-	return DefaultEngine().MultiplierStudy(context.Background(), ExperimentRequest{Width: width, Cycles: cycles, Seed: seed})
-}
-
 // archBuild names one architecture of an activity comparison study.
 type archBuild struct {
 	arch string
@@ -198,7 +177,7 @@ type archBuild struct {
 func (e *Engine) archStudy(ctx context.Context, req ExperimentRequest, builds []archBuild) ([]AdderRow, error) {
 	jobs := make([]MeasureJob, len(builds))
 	for i, bld := range builds {
-		jobs[i] = MeasureJob{Netlist: bld.n, Config: Config{Cycles: req.Cycles, Seed: req.Seed}}
+		jobs[i] = MeasureJob{Circuit: CircuitFromNetlist(bld.n), Config: Config{Cycles: req.Cycles, Seed: req.Seed}}
 	}
 	res, err := e.measureMany(ctx, jobs, 0, nil)
 	if err != nil {
@@ -241,7 +220,7 @@ func (e *Engine) CompareEstimators(ctx context.Context, req ExperimentRequest) (
 		w = 16
 	}
 	nl := circuits.NewRCA(w, circuits.Cells)
-	act, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
+	act, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
 	if err != nil {
 		return EstimatorComparison{}, err
 	}
@@ -252,13 +231,6 @@ func (e *Engine) CompareEstimators(ctx context.Context, req ExperimentRequest) (
 		Measured:       float64(act.Transitions) / float64(act.Cycles),
 		MeasuredUseful: float64(act.Useful) / float64(act.Cycles),
 	}, nil
-}
-
-// CompareEstimators is the package-level form of Engine.CompareEstimators.
-//
-// Deprecated: use DefaultEngine().CompareEstimators with a context.
-func CompareEstimators(width, cycles int, seed uint64) (EstimatorComparison, error) {
-	return DefaultEngine().CompareEstimators(context.Background(), ExperimentRequest{Width: width, Cycles: cycles, Seed: seed})
 }
 
 // CorrelationRow reports the per-stage signal statistics of the
@@ -276,9 +248,16 @@ type CorrelationRow struct {
 // direction detector's stages under video-like stimulus, quantifying the
 // paper's §4.2 claim that "signal statistics and correlations are almost
 // completely lost immediately after the absolute differences are taken".
+// req.Cycles defaults to 4000 simulated cycles, req.Seed to 1.
 func (e *Engine) CorrelationStudy(ctx context.Context, req ExperimentRequest) ([]CorrelationRow, error) {
 	if err := fixedCircuit("CorrelationStudy", req); err != nil {
 		return nil, err
+	}
+	if req.Cycles == 0 {
+		req.Cycles = 4000
+	}
+	if req.Seed == 0 {
+		req.Seed = 1
 	}
 	n := circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
 	collector := stats.NewCollector(n, nil)
@@ -338,13 +317,6 @@ func (e *Engine) CorrelationStudy(ctx context.Context, req ExperimentRequest) ([
 		rows = append(rows, CorrelationRow{Stage: stage.name, LowBitAutocorr: corr, MeanToggle: tog})
 	}
 	return rows, nil
-}
-
-// CorrelationStudy is the package-level form of Engine.CorrelationStudy.
-//
-// Deprecated: use DefaultEngine().CorrelationStudy with a context.
-func CorrelationStudy(cycles int, seed uint64) ([]CorrelationRow, error) {
-	return DefaultEngine().CorrelationStudy(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
 }
 
 // BalanceNetlist pads a netlist's delay paths with buffers until every

@@ -1,12 +1,14 @@
 package glitchsim
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestBalanceStudy(t *testing.T) {
-	rows, err := BalanceStudy(200, 1)
+	rows, err := NewEngine().BalanceStudy(context.Background(), ExperimentRequest{Cycles: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func TestBalanceStudy(t *testing.T) {
 }
 
 func TestAdderStudy(t *testing.T) {
-	rows, err := AdderStudy(16, 500, 1)
+	rows, err := NewEngine().AdderStudy(context.Background(), ExperimentRequest{Width: 16, Cycles: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestAdderStudy(t *testing.T) {
 }
 
 func TestCorrelationStudy(t *testing.T) {
-	rows, err := CorrelationStudy(3000, 99)
+	rows, err := NewEngine().CorrelationStudy(context.Background(), ExperimentRequest{Cycles: 3000, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +82,28 @@ func TestCorrelationStudy(t *testing.T) {
 	}
 }
 
+// TestCorrelationStudyDefaults: the zero request runs the documented
+// defaults, 4000 cycles of the seed-1 stream, not zero cycles.
+func TestCorrelationStudyDefaults(t *testing.T) {
+	e, ctx := NewEngine(), context.Background()
+	zero, err := e.CorrelationStudy(ctx, ExperimentRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.CorrelationStudy(ctx, ExperimentRequest{Cycles: 4000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(zero, want) {
+		t.Errorf("zero request:\n%+v\nwant the {Cycles: 4000, Seed: 1} rows:\n%+v", zero, want)
+	}
+	if zero[0].LowBitAutocorr <= 0.1 {
+		t.Errorf("zero request: input autocorrelation %v, want > 0.1", zero[0].LowBitAutocorr)
+	}
+}
+
 func TestMultiplierStudy(t *testing.T) {
-	rows, err := MultiplierStudy(8, 400, 1)
+	rows, err := NewEngine().MultiplierStudy(context.Background(), ExperimentRequest{Width: 8, Cycles: 400, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +132,7 @@ func TestMultiplierStudy(t *testing.T) {
 }
 
 func TestCompareEstimators(t *testing.T) {
-	res, err := CompareEstimators(16, 2000, 1)
+	res, err := NewEngine().CompareEstimators(context.Background(), ExperimentRequest{Width: 16, Cycles: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +159,7 @@ func TestBalanceNetlistHelper(t *testing.T) {
 	if buffers == 0 {
 		t.Error("expected buffers")
 	}
-	act, err := Measure(bal, Config{Cycles: 200})
+	act, err := NewEngine().MeasureCircuit(context.Background(), CircuitFromNetlist(bal), Config{Cycles: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +181,12 @@ func TestVerilogExportImport(t *testing.T) {
 	if back.NumCells() != n.NumCells() {
 		t.Errorf("cells %d -> %d", n.NumCells(), back.NumCells())
 	}
-	a1, err := Measure(n, Config{Cycles: 100, Seed: 3})
+	e, ctx := NewEngine(), context.Background()
+	a1, err := e.MeasureCircuit(ctx, CircuitFromNetlist(n), Config{Cycles: 100, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Measure(back, Config{Cycles: 100, Seed: 3})
+	a2, err := e.MeasureCircuit(ctx, CircuitFromNetlist(back), Config{Cycles: 100, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,8 +100,8 @@ type Config struct {
 	// else (the full-adder sum/carry ratios and per-type models of
 	// Tables 2 and 3, zero delay) rides the lane-masked wide-event
 	// kernel; both are bit-identical to running the L streams one after
-	// another on the scalar kernel. 0 selects the engine default
-	// (DefaultLanes, normally MaxLanes); 1 is the historical
+	// another on the scalar kernel. 0 selects the engine's WithLanes
+	// value, MaxLanes without that option; 1 is the historical
 	// single-stream measurement; values are capped at MaxLanes. Ignored
 	// when an explicit Source is set (external sources are inherently
 	// single-stream) or when at most one cycle is measured.
@@ -191,19 +191,6 @@ func warmupSteps(n *netlist.Netlist, cfg Config, lanes int) int {
 	return cfg.Warmup
 }
 
-// MeasureDetailed simulates the netlist under the configuration and
-// returns the attached activity counter with per-net statistics.
-//
-// Deprecated: use DefaultEngine().MeasureDetailed (or your own Engine)
-// to get compiled-netlist caching and context cancellation. This wrapper
-// remains bit-identical to the equivalent Engine call; like every
-// measurement it uses the process-default lane decomposition (see
-// Config.Lanes — SetDefaultLanes(1) restores the pre-lanes
-// single-stream numbers).
-func MeasureDetailed(n *netlist.Netlist, cfg Config) (*core.Counter, error) {
-	return DefaultEngine().MeasureDetailed(context.Background(), MeasureRequest{Netlist: n, Config: cfg})
-}
-
 // measureCompiled is the measurement core shared by the Engine's entry
 // points: the compiled netlist may be shared across goroutines,
 // everything else is per-call state. ctx is checked between cycles and,
@@ -211,8 +198,8 @@ func MeasureDetailed(n *netlist.Netlist, cfg Config) (*core.Counter, error) {
 // so cancellation lands promptly even mid-cycle on large circuits.
 // lanes is the resolved lane count (see Engine.laneCount): seed-driven
 // measurements of more than one cycle decompose into that many parallel
-// stimulus streams, riding the word-parallel kernel when the delay model
-// allows (wide.go); everything else takes the single-stream path.
+// stimulus streams on a word-parallel kernel (measureWide); everything
+// else takes the single-stream path.
 func measureCompiled(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*core.Counter, error) {
 	n := c.Netlist()
 	split := lanes > 1 && cfg.Source == nil
@@ -222,7 +209,8 @@ func measureCompiled(ctx context.Context, c *sim.Compiled, cfg Config, lanes int
 			cfg.Source.Width(), n.Name, n.InputWidth())
 	}
 	if split && cfg.Cycles > 1 {
-		return measureLanes(ctx, c, cfg, lanes)
+		// Never run a lane with nothing to measure.
+		return measureWide(ctx, c, cfg, min(lanes, cfg.Cycles))
 	}
 	if cfg.CheckpointEvery > 0 || cfg.Resume != nil {
 		return nil, fmt.Errorf("%w: circuit %q would run single-stream", ErrCheckpointUnsupported, n.Name)
@@ -231,11 +219,12 @@ func measureCompiled(ctx context.Context, c *sim.Compiled, cfg Config, lanes int
 }
 
 // measureStream measures one stimulus stream on the scalar kernel: the
-// historical single-stream measurement, and the per-lane building block
-// of the scalar fallback in measureLanes. cfg must have its defaults
-// resolved. On a budget trip the partial counter is returned WITH the
-// error: its statistics cover every cycle completed before the trip (a
-// trip during warm-up yields a zero-cycle counter).
+// single-stream measurement (Lanes=1 or an explicit Source), and the
+// per-lane reference the equivalence suites merge in lane order to check
+// measureWide. cfg must have its defaults resolved. On a budget trip the
+// partial counter is returned WITH the error: its statistics cover every
+// cycle completed before the trip (a trip during warm-up yields a
+// zero-cycle counter).
 func measureStream(ctx context.Context, c *sim.Compiled, cfg Config) (*core.Counter, error) {
 	n := c.Netlist()
 	mode := sim.Transport
@@ -278,18 +267,6 @@ func measureStream(ctx context.Context, c *sim.Compiled, cfg Config) (*core.Coun
 	return counter, nil
 }
 
-// Measure runs MeasureDetailed and summarizes the totals.
-//
-// Deprecated: use DefaultEngine().Measure (or your own Engine) to get
-// compiled-netlist caching and context cancellation. This wrapper
-// remains bit-identical to the equivalent Engine call; like every
-// measurement it uses the process-default lane decomposition (see
-// Config.Lanes — SetDefaultLanes(1) restores the pre-lanes
-// single-stream numbers).
-func Measure(n *netlist.Netlist, cfg Config) (Activity, error) {
-	return DefaultEngine().Measure(context.Background(), MeasureRequest{Netlist: n, Config: cfg})
-}
-
 // ActivityFromCounter summarizes a counter's classified totals into an
 // Activity named after circuit — the same reduction every measurement
 // entry point applies. Useful for counters obtained from MeasureDetailed
@@ -309,19 +286,6 @@ func summarize(name string, counter *core.Counter) Activity {
 		Glitches:    t.Glitches,
 		Rising:      t.Rising,
 	}
-}
-
-// MeasurePower measures activity and evaluates the paper's
-// three-component power model on it.
-//
-// Deprecated: use DefaultEngine().MeasurePower (or your own Engine) to
-// get compiled-netlist caching and context cancellation. This wrapper
-// remains bit-identical to the equivalent Engine call; like every
-// measurement it uses the process-default lane decomposition (see
-// Config.Lanes — SetDefaultLanes(1) restores the pre-lanes
-// single-stream numbers).
-func MeasurePower(n *netlist.Netlist, cfg Config, tech power.Tech) (power.Breakdown, Activity, error) {
-	return DefaultEngine().MeasurePower(context.Background(), MeasureRequest{Netlist: n, Config: cfg, Tech: &tech})
 }
 
 // DefaultTech returns the calibrated 0.8 µm / 5 V / 5 MHz technology

@@ -14,8 +14,8 @@
 //     through the Code* taxonomy helpers — no naked http.Error,
 //     WriteHeader(4xx/5xx) or code-less error envelopes.
 //   - ctxbg: context.Background()/context.TODO() are forbidden outside
-//     package main, _test.go files and Deprecated compatibility
-//     wrappers, so cancellation stays plumbed end to end.
+//     package main and _test.go files, so cancellation stays plumbed
+//     end to end.
 //
 // cmd/glitchsim-vet packages the suite as a `go vet -vettool=`
 // multichecker; the analysistest subpackage runs each analyzer over
@@ -108,25 +108,6 @@ func hotPathFuncs(pass *Pass) []*ast.FuncDecl {
 		}
 	}
 	return out
-}
-
-// funcDoc returns the doc comment text of the function declaration
-// enclosing pos, or "".
-func funcDoc(pass *Pass, pos token.Pos) string {
-	for _, f := range pass.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				if fn.Pos() <= pos && pos <= fn.End() {
-					return fn.Doc.Text()
-				}
-			}
-		}
-	}
-	return ""
 }
 
 // calleePkgPath returns the import path of the package a call's callee

@@ -12,15 +12,13 @@ import (
 // is legitimately born:
 //
 //   - package main (process entry points own their root);
-//   - _test.go files (tests are their own entry points);
-//   - functions whose doc comment contains "Deprecated:" (the
-//     compatibility wrappers intentionally predate the context API).
+//   - _test.go files (tests are their own entry points).
 //
 // Everything else must accept a context or take one from an
 // explicitly-configured base (e.g. jobs.Options.BaseContext).
 var CtxBG = &Analyzer{
 	Name: "ctxbg",
-	Doc:  "forbid context.Background/TODO outside main, tests and Deprecated wrappers",
+	Doc:  "forbid context.Background/TODO outside main and tests",
 	Run:  runCtxBG,
 }
 
@@ -41,9 +39,6 @@ func runCtxBG(pass *Pass) error {
 			}
 			pkg, name := calleePkgPath(info, call)
 			if pkg != "context" || (name != "Background" && name != "TODO") {
-				return true
-			}
-			if strings.Contains(funcDoc(pass, call.Pos()), "Deprecated:") {
 				return true
 			}
 			pass.Reportf(call.Pos(), "context.%s() in a library path detaches cancellation; accept a context or use a configured base context", name)

@@ -12,13 +12,6 @@ func alsoBad() context.Context {
 	return context.TODO() // want `context\.TODO\(\) in a library path detaches cancellation`
 }
 
-// oldEntry runs the study with defaults.
-//
-// Deprecated: use NewEntry with an explicit context.
-func oldEntry() context.Context {
-	return context.Background() // Deprecated wrapper: allowed
-}
-
 func plumbed(ctx context.Context) context.Context {
 	return ctx // accepting a context: the point of the rule
 }

@@ -137,14 +137,14 @@ func (s *Server) executeJob(ctx context.Context, rec jobs.Record, h jobs.Hooks) 
 			// snapshots are not resumable, so checkpointing is off.
 			cfg.CheckpointEvery = 0
 		}
-		payload, err = s.measure(ctx, sess, nl, cfg, p.Measure)
+		payload, err = s.measure(sess, nl, cfg, p.Measure)
 		if err != nil && cfg.Resume != nil && errors.Is(err, glitchsim.ErrCheckpointMismatch) {
 			// The persisted snapshot disagrees with the request (a code
 			// or registry change between runs): discard it and rerun the
 			// attempt from zero rather than failing the job.
 			h.Emit(jobs.Event{Kind: "resume-discarded", Error: err.Error()})
 			cfg.Resume = nil
-			payload, err = s.measure(ctx, sess, nl, cfg, p.Measure)
+			payload, err = s.measure(sess, nl, cfg, p.Measure)
 		}
 		if err != nil {
 			if errors.Is(err, glitchsim.ErrCheckpointed) {
@@ -165,7 +165,7 @@ func (s *Server) executeJob(ctx context.Context, rec jobs.Record, h jobs.Hooks) 
 			}
 		}
 		var err error
-		payload, err = s.experiment(ctx, sess, rec.Kind, req)
+		payload, err = s.experiment(sess, rec.Kind, req)
 		if err != nil {
 			return nil, classifyJobError(err)
 		}

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"glitchsim"
-	"glitchsim/internal/core"
 	"glitchsim/internal/jobs"
 	"glitchsim/internal/power"
 	"glitchsim/internal/registry"
@@ -303,20 +302,27 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		s.writeResolveError(w, err)
 		return
 	}
-	ctx := r.Context()
 	cfg := p.config()
 	cfg.CheckpointEvery = 0 // a synchronous reply has nowhere to resume from; jobs own checkpointing
 	if !s.admitMeasure(w, nl, cfg) {
 		return
 	}
+	s.respond(w, r, p.Stream, func(sess *glitchsim.Session) (any, error) {
+		return s.measure(sess, nl, cfg, &p)
+	})
+}
 
-	if p.Stream {
-		s.streamResponse(w, r, func(sess *glitchsim.Session) (any, error) {
-			return s.measure(sess.Context(), sess, nl, cfg, &p)
-		})
+// respond runs fn in a session bound to the request: a streaming one
+// whose events become NDJSON lines, or a func session that discards
+// them before the reply is written as one JSON body.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, stream bool, fn func(*glitchsim.Session) (any, error)) {
+	if stream {
+		s.streamResponse(w, r, fn)
 		return
 	}
-	resp, err := s.measure(ctx, nil, nl, cfg, &p)
+	sess := s.engine.NewSessionFunc(r.Context(), func(glitchsim.Event) {})
+	defer sess.Close()
+	resp, err := fn(sess)
 	if err != nil {
 		s.writeEngineError(w, r, err)
 		return
@@ -324,10 +330,9 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	s.writeOK(w, resp)
 }
 
-// measure runs the measurement described by p, through the session when
-// streaming (sess non-nil, emitting per-seed progress) or directly on
-// the engine.
-func (s *Server) measure(ctx context.Context, sess *glitchsim.Session, nl *netlist.Netlist, cfg glitchsim.Config, p *MeasureParams) (*MeasureResponse, error) {
+// measure runs the measurement described by p through the session,
+// which publishes per-seed progress to its consumer.
+func (s *Server) measure(sess *glitchsim.Session, nl *netlist.Netlist, cfg glitchsim.Config, p *MeasureParams) (*MeasureResponse, error) {
 	if cfg.Budget.IsZero() {
 		cfg.Budget = s.defaultBudget
 	}
@@ -335,19 +340,13 @@ func (s *Server) measure(ctx context.Context, sess *glitchsim.Session, nl *netli
 	// defaults), so the reply can name the kernel without threading it
 	// out of the measurement itself. Seed sweeps run every seed on the
 	// same kernel (the seed never influences selection).
-	kernel, err := s.engine.SelectedKernel(glitchsim.MeasureRequest{Netlist: nl, Config: cfg})
+	circuit := glitchsim.CircuitFromNetlist(nl)
+	kernel, err := s.engine.SelectedKernel(glitchsim.MeasureRequest{Circuit: circuit, Config: cfg})
 	if err != nil {
 		return nil, err
 	}
 	if len(p.Seeds) > 0 {
-		req := glitchsim.SeedSweepRequest{Netlist: nl, Config: cfg, Seeds: p.Seeds}
-		var counter *core.Counter
-		var err error
-		if sess != nil {
-			counter, err = sess.MeasureSeeds(req)
-		} else {
-			counter, err = s.engine.MeasureSeeds(ctx, req)
-		}
+		counter, err := sess.MeasureSeeds(glitchsim.SeedSweepRequest{Circuit: circuit, Config: cfg, Seeds: p.Seeds})
 		if err != nil {
 			return nil, err
 		}
@@ -364,28 +363,16 @@ func (s *Server) measure(ctx context.Context, sess *glitchsim.Session, nl *netli
 		return resp, nil
 	}
 
-	req := glitchsim.MeasureRequest{Netlist: nl, Config: cfg}
+	req := glitchsim.MeasureRequest{Circuit: circuit, Config: cfg}
 	if p.Power {
-		var bd power.Breakdown
-		var act glitchsim.Activity
-		var err error
-		if sess != nil {
-			bd, act, err = sess.MeasurePower(req)
-		} else {
-			bd, act, err = s.engine.MeasurePower(ctx, req)
-		}
+		bd, act, err := sess.MeasurePower(req)
 		if err != nil {
 			return nil, err
 		}
 		pw := PowerFrom(bd)
 		return &MeasureResponse{Activity: ActivityFrom(act), Power: &pw, Kernel: string(kernel)}, nil
 	}
-	var act glitchsim.Activity
-	if sess != nil {
-		act, err = sess.Measure(req)
-	} else {
-		act, err = s.engine.Measure(ctx, req)
-	}
+	act, err := sess.Measure(req)
 	if err != nil {
 		return nil, err
 	}
@@ -430,79 +417,40 @@ func (s *Server) experimentHandler(name string) http.HandlerFunc {
 			}
 			req.Circuit = glitchsim.CircuitFromNetlist(nl)
 		}
-
-		if p.Stream {
-			s.streamResponse(w, r, func(sess *glitchsim.Session) (any, error) {
-				return s.experiment(nil, sess, name, req)
-			})
-			return
-		}
-		resp, err := s.experiment(r.Context(), nil, name, req)
-		if err != nil {
-			s.writeEngineError(w, r, err)
-			return
-		}
-		s.writeOK(w, resp)
+		s.respond(w, r, p.Stream, func(sess *glitchsim.Session) (any, error) {
+			return s.experiment(sess, name, req)
+		})
 	}
 }
 
-// experiment dispatches one experiment by name, through the session when
-// streaming (sess non-nil, emitting per-row progress).
-func (s *Server) experiment(ctx context.Context, sess *glitchsim.Session, name string, req glitchsim.ExperimentRequest) (any, error) {
-	if sess != nil {
-		ctx = sess.Context()
-	}
+// experiment runs one experiment by name through the session, which
+// publishes per-row progress to its consumer.
+func (s *Server) experiment(sess *glitchsim.Session, name string, req glitchsim.ExperimentRequest) (any, error) {
 	switch name {
-	case "table1":
-		rows, err := s.runMult(ctx, sess, req, (*glitchsim.Engine).Table1, (*glitchsim.Session).Table1)
-		if err != nil {
-			return nil, err
+	case "table1", "table2":
+		run := sess.Table1
+		if name == "table2" {
+			run = sess.Table2
 		}
-		return RowsResponse{Rows: MultRowsFrom(rows)}, nil
-	case "table2":
-		rows, err := s.runMult(ctx, sess, req, (*glitchsim.Engine).Table2, (*glitchsim.Session).Table2)
+		rows, err := run(req)
 		if err != nil {
 			return nil, err
 		}
 		return RowsResponse{Rows: MultRowsFrom(rows)}, nil
 	case "table3":
-		rows, err := s.runTable3(ctx, sess, req, (*glitchsim.Engine).Table3, (*glitchsim.Session).Table3)
+		rows, err := sess.Table3(req)
 		if err != nil {
 			return nil, err
 		}
 		return Table3Response{Rows: Table3RowsFrom(rows)}, nil
 	case "figure10":
-		var res glitchsim.Fig10Result
-		var err error
-		if sess != nil {
-			res, err = sess.Figure10(req)
-		} else {
-			res, err = s.engine.Figure10(ctx, req)
-		}
+		res, err := sess.Figure10(req)
 		if err != nil {
 			return nil, err
 		}
 		return Fig10From(res), nil
 	}
 	return nil, fmt.Errorf("unknown experiment %q", name)
-}
-
-func (s *Server) runMult(ctx context.Context, sess *glitchsim.Session, req glitchsim.ExperimentRequest,
-	engineFn func(*glitchsim.Engine, context.Context, glitchsim.ExperimentRequest) ([]glitchsim.MultRow, error),
-	sessFn func(*glitchsim.Session, glitchsim.ExperimentRequest) ([]glitchsim.MultRow, error)) ([]glitchsim.MultRow, error) {
-	if sess != nil {
-		return sessFn(sess, req)
-	}
-	return engineFn(s.engine, ctx, req)
-}
-
-func (s *Server) runTable3(ctx context.Context, sess *glitchsim.Session, req glitchsim.ExperimentRequest,
-	engineFn func(*glitchsim.Engine, context.Context, glitchsim.ExperimentRequest) ([]glitchsim.Table3Row, error),
-	sessFn func(*glitchsim.Session, glitchsim.ExperimentRequest) ([]glitchsim.Table3Row, error)) ([]glitchsim.Table3Row, error) {
-	if sess != nil {
-		return sessFn(sess, req)
-	}
-	return engineFn(s.engine, ctx, req)
 }
 
 // streamResponse runs fn in a Session bound to the request context and

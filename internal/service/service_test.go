@@ -47,7 +47,7 @@ func TestServiceMeasureSmoke(t *testing.T) {
 	}
 	got := decodeBody[MeasureResponse](t, resp)
 
-	want, err := glitchsim.DefaultEngine().Measure(context.Background(), glitchsim.MeasureRequest{
+	want, err := glitchsim.NewEngine().Measure(context.Background(), glitchsim.MeasureRequest{
 		Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(8)),
 		Config:  glitchsim.Config{Cycles: 100, Seed: 7},
 	})
@@ -356,7 +356,7 @@ func TestServiceLanesParam(t *testing.T) {
 	scalar := measure(`{"circuit":"rca8","cycles":100,"seed":7,"lanes":1}`)
 	wide := measure(`{"circuit":"rca8","cycles":100,"seed":7}`)
 
-	want, err := glitchsim.DefaultEngine().Measure(context.Background(), glitchsim.MeasureRequest{
+	want, err := glitchsim.NewEngine().Measure(context.Background(), glitchsim.MeasureRequest{
 		Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(8)),
 		Config:  glitchsim.Config{Cycles: 100, Seed: 7, Lanes: 1},
 	})

@@ -16,8 +16,7 @@ const (
 	// sweep; Index is the position in the request's seed list.
 	EventSeed EventKind = "seed"
 	// EventRow reports one finished row of an experiment (a multiplier
-	// spec of Table 1/2, a retimed variant of Table 3 / Figure 10, a
-	// batch job of MeasureMany).
+	// spec of Table 1/2, a retimed variant of Table 3 / Figure 10).
 	EventRow EventKind = "row"
 	// EventResult carries the final summarized activity of a completed
 	// measurement.
@@ -26,22 +25,23 @@ const (
 
 // Event is one progress update streamed from a Session: per-seed and
 // per-row completions as a sweep runs, then a final result. Exactly one
-// of the payload pointers is set, matching Kind. Events arrive in
-// completion order, which under a parallel sweep is not index order —
-// Index/Total position the event within its request.
+// of the payload pointers is set, matching Kind, except on a failed seed,
+// which carries only Err. Events arrive in completion order, which under
+// a parallel sweep is not index order — Index/Total position the event
+// within its request. Engine methods emit nothing; the same drivers
+// publish these events only when called through a Session.
 type Event struct {
 	Kind  EventKind
 	Index int
 	Total int
-	// Activity is set on EventSeed and EventResult and on EventRow for
-	// batch jobs.
+	// Activity is set on EventSeed and EventResult.
 	Activity *Activity
 	// Mult is set on EventRow for Table 1/2 rows.
 	Mult *MultRow
 	// Row is set on EventRow for Table 3 / Figure 10 rows.
 	Row *Table3Row
-	// Err reports a failed row/seed; the stream continues with the
-	// remaining items.
+	// Err reports a failed seed; the stream continues with the
+	// remaining seeds.
 	Err error
 }
 
@@ -70,13 +70,9 @@ type Session struct {
 // ctx. Cancelling ctx (or calling Close) aborts any in-flight session
 // method promptly.
 func (e *Engine) NewSession(ctx context.Context) *Session {
-	ctx, cancel := context.WithCancel(ctx)
-	return &Session{
-		e:      e,
-		ctx:    ctx,
-		cancel: cancel,
-		events: make(chan Event, 64),
-	}
+	// The buffer lets a parallel sweep run a few rows ahead of a consumer
+	// that is busy writing the previous event to the network.
+	return e.newSession(ctx, nil, 64)
 }
 
 // NewSessionFunc starts a session that delivers its progress events to
@@ -84,13 +80,17 @@ func (e *Engine) NewSession(ctx context.Context) *Session {
 // records progress through without dedicating a consumer goroutine per
 // job. fn is called synchronously from the measurement's worker
 // goroutines, possibly concurrently; it must be safe for concurrent use
-// and return quickly (a slow tap stalls the sweep that called it). The
-// Events channel of a func session carries nothing and is closed by
-// Close as usual.
+// and return quickly (a slow tap stalls the sweep that called it); it
+// must not be nil (pass func(Event) {} to discard events). The Events
+// channel of a func session carries nothing, so it is unbuffered, and
+// Close closes it as usual.
 func (e *Engine) NewSessionFunc(ctx context.Context, fn func(Event)) *Session {
-	s := e.NewSession(ctx)
-	s.fn = fn
-	return s
+	return e.newSession(ctx, fn, 0)
+}
+
+func (e *Engine) newSession(ctx context.Context, fn func(Event), buffer int) *Session {
+	ctx, cancel := context.WithCancel(ctx)
+	return &Session{e: e, ctx: ctx, cancel: cancel, events: make(chan Event, buffer), fn: fn}
 }
 
 // Events returns the session's progress stream. The channel is closed by
@@ -151,65 +151,28 @@ func (s *Session) MeasurePower(req MeasureRequest) (power.Breakdown, Activity, e
 	return bd, act, nil
 }
 
-// MeasureMany measures the batch, emitting an EventRow per finished job
-// in completion order.
-func (s *Session) MeasureMany(req BatchRequest) ([]MeasureResult, error) {
-	total := len(req.Jobs)
-	return s.e.measureMany(s.ctx, req.Jobs, req.Workers, func(i int, r *MeasureResult) {
-		ev := Event{Kind: EventRow, Index: i, Total: total, Err: r.Err}
-		if r.Err == nil {
-			act := r.Activity
-			ev.Activity = &act
-		}
-		s.emit(ev)
-	})
-}
-
 // MeasureSeeds runs the seed sweep, emitting an EventSeed per finished
 // seed in completion order and an EventResult with the merged aggregate.
 func (s *Session) MeasureSeeds(req SeedSweepRequest) (*core.Counter, error) {
-	total := len(req.Seeds)
-	agg, name, err := s.e.measureSeeds(s.ctx, req, func(i int, r *MeasureResult) {
-		ev := Event{Kind: EventSeed, Index: i, Total: total, Err: r.Err}
-		if r.Err == nil {
-			act := r.Activity
-			ev.Activity = &act
-		}
-		s.emit(ev)
-	})
-	if err != nil {
-		return nil, err
-	}
-	act := summarize(name, agg)
-	s.emit(Event{Kind: EventResult, Total: 1, Activity: &act})
-	return agg, nil
+	return s.e.measureSeeds(s.ctx, req, s.emit)
 }
 
 // Table1 runs the Table 1 experiment, emitting an EventRow per finished
 // multiplier measurement.
 func (s *Session) Table1(req ExperimentRequest) ([]MultRow, error) {
-	specs := table1Specs()
-	return s.e.measureMultipliers(s.ctx, specs, req, s.emitMultRow(len(specs)))
+	return s.e.table1(s.ctx, req, s.emit)
 }
 
 // Table2 runs the Table 2 experiment, emitting an EventRow per finished
 // multiplier measurement.
 func (s *Session) Table2(req ExperimentRequest) ([]MultRow, error) {
-	specs := table2Specs()
-	return s.e.measureMultipliers(s.ctx, specs, req, s.emitMultRow(len(specs)))
-}
-
-func (s *Session) emitMultRow(total int) func(int, *MultRow) {
-	return func(i int, row *MultRow) {
-		r := *row
-		s.emit(Event{Kind: EventRow, Index: i, Total: total, Mult: &r})
-	}
+	return s.e.table2(s.ctx, req, s.emit)
 }
 
 // Table3 runs the Table 3 experiment, emitting an EventRow per finished
 // retimed variant.
 func (s *Session) Table3(req ExperimentRequest) ([]Table3Row, error) {
-	return s.powerSweepSession(req, (*Engine).table3Targets)
+	return s.e.table3(s.ctx, req, s.emit)
 }
 
 // Figure10 runs the Figure 10 experiment: the unretimed subject is
@@ -217,37 +180,5 @@ func (s *Session) Table3(req ExperimentRequest) ([]Table3Row, error) {
 // points follow at Index i+1 (completion order). Total counts the
 // before row plus every sweep point.
 func (s *Session) Figure10(req ExperimentRequest) (Fig10Result, error) {
-	plan, err := s.e.figure10Targets(req)
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	total := len(plan.targets) + 1
-	before, err := s.e.measureUnretimed(s.ctx, plan.base, plan.dm, req)
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	b := before
-	s.emit(Event{Kind: EventRow, Index: 0, Total: total, Row: &b})
-	points, err := s.e.powerSweep(s.ctx, plan.base, plan.dm, plan.targets, plan.maxLatency, req, func(i int, row *Table3Row) {
-		r := *row
-		s.emit(Event{Kind: EventRow, Index: i + 1, Total: total, Row: &r})
-	})
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	return Fig10Result{Subject: plan.base.Name, Before: before, Points: points}, nil
-}
-
-// powerSweepSession shares the retime-and-measure sweep between the
-// Table3 and Figure10 session methods.
-func (s *Session) powerSweepSession(req ExperimentRequest, targets func(*Engine, ExperimentRequest) (sweepPlan, error)) ([]Table3Row, error) {
-	plan, err := targets(s.e, req)
-	if err != nil {
-		return nil, err
-	}
-	total := len(plan.targets)
-	return s.e.powerSweep(s.ctx, plan.base, plan.dm, plan.targets, plan.maxLatency, req, func(i int, row *Table3Row) {
-		r := *row
-		s.emit(Event{Kind: EventRow, Index: i, Total: total, Row: &r})
-	})
+	return s.e.figure10(s.ctx, req, s.emit)
 }

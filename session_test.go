@@ -32,7 +32,7 @@ func TestSessionSeedEvents(t *testing.T) {
 
 	seeds := []uint64{1, 2, 3, 4, 5}
 	req := glitchsim.SeedSweepRequest{
-		Netlist: glitchsim.NewRCA(8), Config: glitchsim.Config{Cycles: 30}, Seeds: seeds,
+		Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(8)), Config: glitchsim.Config{Cycles: 30}, Seeds: seeds,
 	}
 	agg, err := sess.MeasureSeeds(req)
 	if err != nil {
@@ -124,7 +124,7 @@ func TestSessionCancelledConsumer(t *testing.T) {
 	cancel() // no consumer ever reads Events()
 
 	_, err := sess.MeasureSeeds(glitchsim.SeedSweepRequest{
-		Netlist: glitchsim.NewRCA(8), Config: glitchsim.Config{Cycles: 30}, Seeds: []uint64{1, 2, 3},
+		Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(8)), Config: glitchsim.Config{Cycles: 30}, Seeds: []uint64{1, 2, 3},
 	})
 	if err == nil {
 		t.Fatal("cancelled session measured successfully")
@@ -148,7 +148,7 @@ func TestSessionFuncTap(t *testing.T) {
 
 	seeds := []uint64{1, 2, 3}
 	if _, err := sess.MeasureSeeds(glitchsim.SeedSweepRequest{
-		Netlist: glitchsim.NewRCA(8), Config: glitchsim.Config{Cycles: 30}, Seeds: seeds,
+		Circuit: glitchsim.CircuitFromNetlist(glitchsim.NewRCA(8)), Config: glitchsim.Config{Cycles: 30}, Seeds: seeds,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"glitchsim/internal/core"
@@ -37,42 +36,18 @@ import (
 // exactly Cycles classified cycles. Only the pairing of consecutive
 // vectors differs from a single-stream run, so lane-decomposed activity
 // numbers are deterministic per (seed, lanes) but differ from the
-// historical Lanes=1 stream. Set Lanes=1 (or SetDefaultLanes(1)) to
-// reproduce pre-lanes measurements exactly.
+// historical Lanes=1 stream. Set Lanes=1 (Config.Lanes or WithLanes)
+// to reproduce pre-lanes measurements exactly.
 
 // MaxLanes is the largest lane count a measurement can request: the
 // 64-lane machine word of the bit-parallel kernel.
 const MaxLanes = sim.MaxLanes
 
-// defaultLanes holds the process-wide lane default; 0 means MaxLanes.
-var defaultLanes atomic.Int32
-
-// SetDefaultLanes sets the lane count used by measurements whose Config
-// and Engine do not specify one: n = 1 restores the historical
-// single-stream behaviour, n <= 0 restores the default of MaxLanes, and
-// n is capped at MaxLanes. The cmd/glitchsim -lanes flag calls this.
-func SetDefaultLanes(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > MaxLanes {
-		n = MaxLanes
-	}
-	defaultLanes.Store(int32(n))
-}
-
-// DefaultLanes returns the current process-wide lane default.
-func DefaultLanes() int {
-	if n := defaultLanes.Load(); n > 0 {
-		return int(n)
-	}
-	return MaxLanes
-}
-
 // WithLanes fixes the engine's lane count for measurements whose Config
-// does not specify one. n <= 0 (the default) tracks the process-wide
-// DefaultLanes value, which the -lanes CLI flag sets; n is capped at
-// MaxLanes.
+// does not specify one: n = 1 selects the historical single-stream
+// measurement on the scalar kernel, n <= 0 (the default) selects
+// MaxLanes, and n is capped at MaxLanes. The glitchsim -lanes flag and
+// the glitchsimd -lanes flag set it.
 func WithLanes(n int) EngineOption {
 	return func(e *Engine) {
 		if n < 0 {
@@ -90,15 +65,14 @@ func WithLanes(n int) EngineOption {
 func (e *Engine) Lanes() int { return e.laneCount(Config{}) }
 
 // laneCount resolves the effective lane count of a measurement: an
-// explicit Config.Lanes wins, then the engine option, then the process
-// default.
+// explicit Config.Lanes wins, then the engine option, then MaxLanes.
 func (e *Engine) laneCount(cfg Config) int {
 	n := cfg.Lanes
 	if n == 0 {
 		n = e.lanes
 	}
 	if n == 0 {
-		n = DefaultLanes()
+		n = MaxLanes
 	}
 	if n < 1 {
 		n = 1
@@ -203,18 +177,6 @@ func (e *Engine) SelectedKernel(req MeasureRequest) (Kernel, error) {
 	return kernelFor(e.compiled(nl), cfg, e.laneCount(cfg)), nil
 }
 
-// measureLanes measures a lane-decomposed configuration (cfg has its
-// defaults resolved; cfg.Source is the unused default stream) on the
-// word-parallel kernel NewWideKernel selects for the delay model. Every
-// delay model runs word-parallel; the scalar kernel only ever simulates
-// single-stream (Lanes=1 / explicit-Source) measurements.
-func measureLanes(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*core.Counter, error) {
-	if cfg.Cycles < lanes {
-		lanes = cfg.Cycles // never run a lane with nothing to measure
-	}
-	return measureWide(ctx, c, cfg, lanes)
-}
-
 // laneMaskOf returns the mask of the first n lanes.
 func laneMaskOf(n int) uint64 {
 	if n >= MaxLanes {
@@ -250,9 +212,12 @@ func (s *wideScratch) grow(lanes, width int) {
 	s.buf = s.buf[:width]
 }
 
-// measureWide runs one word-parallel measurement: lane l simulates the
-// stream of laneSeeds(cfg.Seed)[l] for its quota of measured cycles
-// (quotas are non-increasing; all lanes share the warm-up length). The
+// measureWide runs one word-parallel measurement on the kernel
+// NewWideKernel selects for the delay model (cfg has its defaults
+// resolved, cfg.Source is the unused default stream, and lanes <=
+// cfg.Cycles): lane l simulates the stream of laneSeeds(cfg.Seed)[l]
+// for its quota of measured cycles (quotas are non-increasing; all
+// lanes share the warm-up length). The
 // folded counter is bit-identical to the per-lane scalar measurements
 // merged in lane order, under every delay model, whether the warm-up
 // runs step by step or settles in one step (warmupSteps).

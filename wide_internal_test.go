@@ -233,18 +233,18 @@ func TestLanesOneIsHistoricalStream(t *testing.T) {
 // kernel for everything else.
 func TestSelectedKernel(t *testing.T) {
 	e := NewEngine()
-	nl := circuits.NewArrayMultiplier(8, circuits.Cells)
+	nl := CircuitFromNetlist(circuits.NewArrayMultiplier(8, circuits.Cells))
 	for _, tc := range []struct {
 		name string
 		req  MeasureRequest
 		want Kernel
 	}{
-		{"default-unit", MeasureRequest{Netlist: nl}, KernelWideLockstep},
-		{"faratio", MeasureRequest{Netlist: nl, Config: Config{Delay: delay.FullAdderRatio(2, 1)}}, KernelWideEvent},
-		{"typical-inertial", MeasureRequest{Netlist: nl, Config: Config{Delay: delay.Typical(), Inertial: true}}, KernelWideEvent},
-		{"zero", MeasureRequest{Netlist: nl, Config: Config{Delay: delay.Zero()}}, KernelWideEvent},
-		{"lanes1", MeasureRequest{Netlist: nl, Config: Config{Lanes: 1}}, KernelScalar},
-		{"one-cycle", MeasureRequest{Netlist: nl, Config: Config{Cycles: 1}}, KernelScalar},
+		{"default-unit", MeasureRequest{Circuit: nl}, KernelWideLockstep},
+		{"faratio", MeasureRequest{Circuit: nl, Config: Config{Delay: delay.FullAdderRatio(2, 1)}}, KernelWideEvent},
+		{"typical-inertial", MeasureRequest{Circuit: nl, Config: Config{Delay: delay.Typical(), Inertial: true}}, KernelWideEvent},
+		{"zero", MeasureRequest{Circuit: nl, Config: Config{Delay: delay.Zero()}}, KernelWideEvent},
+		{"lanes1", MeasureRequest{Circuit: nl, Config: Config{Lanes: 1}}, KernelScalar},
+		{"one-cycle", MeasureRequest{Circuit: nl, Config: Config{Cycles: 1}}, KernelScalar},
 	} {
 		got, err := e.SelectedKernel(tc.req)
 		if err != nil {
@@ -257,28 +257,24 @@ func TestSelectedKernel(t *testing.T) {
 }
 
 // TestConfigLanesOverridesEngine: Config.Lanes wins over the engine
-// option, which wins over the process default.
+// option, which wins over the MaxLanes default.
 func TestConfigLanesOverridesEngine(t *testing.T) {
-	e := NewEngine(WithLanes(4))
-	if got := e.laneCount(Config{}); got != 4 {
-		t.Errorf("engine lanes = %d, want 4", got)
-	}
-	if got := e.laneCount(Config{Lanes: 2}); got != 2 {
-		t.Errorf("config lanes = %d, want 2", got)
-	}
-	if got := e.laneCount(Config{Lanes: 999}); got != MaxLanes {
-		t.Errorf("overlarge lanes = %d, want %d", got, MaxLanes)
-	}
-	def := NewEngine()
-	if got := def.laneCount(Config{}); got != DefaultLanes() {
-		t.Errorf("default lanes = %d, want %d", got, DefaultLanes())
-	}
-	SetDefaultLanes(1)
-	if got := def.laneCount(Config{}); got != 1 {
-		t.Errorf("SetDefaultLanes(1): lanes = %d", got)
-	}
-	SetDefaultLanes(0)
-	if got := def.laneCount(Config{}); got != MaxLanes {
-		t.Errorf("SetDefaultLanes(0): lanes = %d, want %d", got, MaxLanes)
+	for _, tc := range []struct {
+		name   string
+		engine *Engine
+		cfg    Config
+		want   int
+	}{
+		{"engine option", NewEngine(WithLanes(4)), Config{}, 4},
+		{"config over option", NewEngine(WithLanes(4)), Config{Lanes: 2}, 2},
+		{"config capped", NewEngine(WithLanes(4)), Config{Lanes: 999}, MaxLanes},
+		{"single stream option", NewEngine(WithLanes(1)), Config{}, 1},
+		{"default", NewEngine(), Config{}, MaxLanes},
+		{"zero option is default", NewEngine(WithLanes(0)), Config{}, MaxLanes},
+		{"option capped", NewEngine(WithLanes(999)), Config{}, MaxLanes},
+	} {
+		if got := tc.engine.laneCount(tc.cfg); got != tc.want {
+			t.Errorf("%s: lanes = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
