@@ -57,9 +57,10 @@ type Budget struct {
 	// the same budget buys proportionally more simulated work there;
 	// budget an estimate from EstimateCost, not a cross-kernel constant.
 	// Warm-up counts against it too, and a lane-decomposed measurement
-	// of a combinational netlist settles its warm-up in one step (see
-	// Config.Warmup), so there the budget buys more measured cycles than
-	// on a single-stream run of the same circuit.
+	// of a netlist without register feedback settles its warm-up in at
+	// most SequentialLevels+1 steps (see Config.Warmup), so there the
+	// budget buys more measured cycles than on a single-stream run of
+	// the same circuit.
 	Events uint64
 	// MemoryBytes bounds the estimated footprint (CostEstimate
 	// .MemoryBytes) of the compiled netlist plus kernel state.
@@ -96,8 +97,9 @@ type CostEstimate struct {
 	Depth, SequentialLevels int
 	// Lanes is the resolved lane decomposition and Steps the number of
 	// kernel steps the run executes, warm-up included (for a scalar run
-	// Lanes is 1 and Steps counts plain cycles; a lane-decomposed
-	// combinational run counts one warm-up step, see Config.Warmup).
+	// Lanes is 1 and Steps counts plain cycles; a lane-decomposed run
+	// without register feedback counts at most SequentialLevels+1
+	// warm-up steps, see Config.Warmup).
 	Lanes, Steps int
 	// EventsPerStep is the heuristic expected event count of one kernel
 	// step: one injection per input plus cell evaluations amplified by
@@ -125,15 +127,16 @@ func estimateCost(n *netlist.Netlist, cfg Config, lanes int) CostEstimate {
 	for i := range n.Cells {
 		pins += len(n.Cells[i].In)
 	}
+	levels, feedback := n.SequentialDepth()
 	est := CostEstimate{
 		Cells:            n.NumCells(),
 		Nets:             n.NumNets(),
 		Pins:             pins,
 		Depth:            n.LogicDepth(),
-		SequentialLevels: n.SequentialLevels(),
+		SequentialLevels: levels,
 		Lanes:            lanes,
 	}
-	est.Steps = warmupSteps(n, cfg, lanes) + (cfg.Cycles+lanes-1)/lanes
+	est.Steps = warmupSteps(levels, feedback, cfg, lanes) + (cfg.Cycles+lanes-1)/lanes
 	// Per step: every input injects one event, and each cell evaluates
 	// with ~50% input activity, amplified by depth-proportional glitching
 	// (the paper's L/F grows with unbalanced path depth). Constants are

@@ -259,8 +259,8 @@ func TestBudgetMemoryAdmissionBatch(t *testing.T) {
 
 // TestEstimateCost: the admission estimate is populated, scales with
 // circuit size, and counts steps as the measurement runs them: by the
-// lane decomposition, with one settling step for a combinational
-// word-parallel warm-up.
+// lane decomposition, with SequentialLevels+1 settling steps for a
+// word-parallel warm-up without register feedback.
 func TestEstimateCost(t *testing.T) {
 	e := NewEngine()
 	small, err := e.EstimateCost(MeasureRequest{Circuit: CircuitNamed("rca8"), Config: Config{Cycles: 640}})
@@ -290,7 +290,11 @@ func TestEstimateCost(t *testing.T) {
 		{"rca8-wide", "rca8", MaxLanes, 1 + 640/MaxLanes},
 		// Lanes=1 runs every warm-up and measured cycle as its own step.
 		{"rca8-scalar", "rca8", 1, 8 + 640},
-		// A sequential warm-up steps through all SequentialLevels+1 cycles.
+		// A feed-forward pipeline settles its 8-vector default warm-up in
+		// SequentialLevels+1 = 5 steps.
+		{"pipemult8-wide", "pipemult8", MaxLanes, 5 + 640/MaxLanes},
+		// Feedback registers warm up step by step: all SequentialLevels+1
+		// default cycles.
 		{"accum16-wide", "accum16", MaxLanes, 17 + 640/MaxLanes},
 	} {
 		est, err := e.EstimateCost(MeasureRequest{Circuit: CircuitNamed(tc.circuit), Config: Config{Cycles: 640, Lanes: tc.lanes}})

@@ -408,9 +408,10 @@ type Fig10Result struct {
 
 // measureUnretimed measures the sweep subject exactly as handed in — the
 // real sequential circuit before retiming — and shapes the result as the
-// sweep's row 0. The default (sequential-aware) warm-up applies, so deep
-// pipelines are flushed before counting.
-func (e *Engine) measureUnretimed(ctx context.Context, base *netlist.Netlist, dm delay.Model, req ExperimentRequest) (Table3Row, error) {
+// sweep's row 0, whose Period is cp, the subject's own clock period. The
+// default (sequential-aware) warm-up applies, so deep pipelines are
+// flushed before counting.
+func (e *Engine) measureUnretimed(ctx context.Context, base *netlist.Netlist, cp int, req ExperimentRequest) (Table3Row, error) {
 	bd, act, err := e.MeasurePower(ctx, MeasureRequest{
 		Circuit: CircuitFromNetlist(base),
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
@@ -421,7 +422,7 @@ func (e *Engine) measureUnretimed(ctx context.Context, base *netlist.Netlist, dm
 	return Table3Row{
 		Circuit:      0,
 		TargetPeriod: 0,
-		Period:       retime.FromNetlist(base, dm, 0).ClockPeriod(nil),
+		Period:       cp,
 		Latency:      0,
 		FFs:          bd.NumFFs,
 		AreaMM2:      bd.AreaMM2,
@@ -458,7 +459,7 @@ func (e *Engine) figure10(ctx context.Context, req ExperimentRequest, emit func(
 	if targets == nil {
 		targets = []int{cp, cp / 2, cp / 3, cp / 4, cp / 5, cp / 7, cp / 9, cp / 12}
 	}
-	before, err := e.measureUnretimed(ctx, base, dm, req)
+	before, err := e.measureUnretimed(ctx, base, cp, req)
 	if err != nil {
 		return Fig10Result{}, err
 	}

@@ -76,12 +76,13 @@ type Config struct {
 	// SequentialLevels+1 when the register pipeline is deeper than that,
 	// so every DFF holds flushed state before counting starts.
 	// ExplicitZero disables warm-up so start-up activity is measured too.
-	// On a combinational netlist the settled state depends on the last
-	// vector alone, so a lane-decomposed measurement simulates only the
-	// last warm-up vector and skips the rest of each lane's stream; the
-	// statistics are those of a full warm-up. Single-stream (Lanes=1 or
-	// explicit Source) and sequential measurements simulate every
-	// warm-up cycle.
+	// When no flipflop feeds back on itself, the settled state depends
+	// on the last SequentialLevels+1 vectors alone (the last vector on a
+	// combinational netlist), so a lane-decomposed measurement simulates
+	// only that many warm-up vectors and skips the rest of each lane's
+	// stream; the statistics are those of a full warm-up. Single-stream
+	// (Lanes=1 or explicit Source) measurements and circuits with
+	// register feedback simulate every warm-up cycle.
 	Warmup int
 	// Seed selects the random stimulus stream (default 1).
 	Seed uint64
@@ -109,9 +110,10 @@ type Config struct {
 	// Lane decomposition keeps stimulus streams invariant across delay
 	// models: Table 2's unit and dsum=2·dcarry rows see identical vector
 	// streams, keeping their useful counts equal. Each lane gets its own
-	// Warmup vectors, all word-parallel: a sequential netlist pays
-	// Warmup kernel steps for them, a combinational one a single
-	// settling step (see Warmup). Set Lanes=1 to reproduce pre-lanes
+	// Warmup vectors, all word-parallel: a netlist with register
+	// feedback pays Warmup kernel steps for them, a feed-forward one at
+	// most SequentialLevels+1 settling steps, one when combinational
+	// (see Warmup). Set Lanes=1 to reproduce pre-lanes
 	// single-stream numbers exactly. Engine.SelectedKernel reports the
 	// resulting kernel choice.
 	Lanes int
@@ -177,16 +179,23 @@ func (c Config) withDefaults(n *netlist.Netlist) Config {
 
 // warmupSteps returns how many kernel steps the warm-up of a resolved
 // configuration costs on the path lanes selects (lanes > 1: the
-// lane-decomposed word-parallel path). There a combinational netlist
-// settles its warm-up in one step: Validate guarantees it is acyclic,
-// so its settled state is a function of the last vector applied alone,
-// and the first Warmup-1 vectors only advance the stimulus streams.
-// Sequential netlists carry state from cycle to cycle and warm up step
-// by step, as does the scalar path, which stays the independent
-// reference the equivalence suites compare against.
-func warmupSteps(n *netlist.Netlist, cfg Config, lanes int) int {
-	if lanes > 1 && n.NumDFFs() == 0 && cfg.Warmup > 1 {
-		return 1
+// lane-decomposed word-parallel path), for a netlist of the given
+// SequentialDepth. There a netlist without register feedback settles
+// its warm-up in at most levels+1 steps, one for a combinational
+// netlist. Validate guarantees acyclic combinational logic, so a
+// settled cycle is a function of the applied vector and the flipflop
+// outputs. By induction on register level, a level-j flipflop holds data
+// derived from the last j vectors alone once j real vectors have been
+// applied, whatever the reset state or an X-hold sample left in it
+// before: all of its inputs are then known. So the settled state after
+// levels+1 steps equals that of the full warm-up, and the first
+// Warmup-levels-1 vectors only advance the stimulus streams. A feedback
+// loop carries state indefinitely, so such netlists warm up step by
+// step, as does the scalar path, which stays the independent reference
+// the equivalence suites compare against.
+func warmupSteps(levels int, feedback bool, cfg Config, lanes int) int {
+	if lanes > 1 && !feedback {
+		return min(cfg.Warmup, levels+1)
 	}
 	return cfg.Warmup
 }

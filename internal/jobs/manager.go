@@ -116,12 +116,34 @@ const maxRecordedEvents = 256
 const subBuffer = 128
 
 // job is the manager's live handle on one record: the Record plus the
-// running attempt's cancel function and the event subscribers. All
-// fields are guarded by the manager's mutex.
+// running attempt's cancel function and the event subscribers. Fields
+// are guarded by the manager's mutex, except storeMu and stored.
 type job struct {
 	rec    Record
 	cancel context.CancelCauseFunc // non-nil while an attempt is running
 	subs   []chan Event
+	// version numbers the snapshots taken for persist, in order.
+	version uint64
+
+	// storeMu orders this job's store writes, outside the manager's
+	// mutex; stored is the version of the last snapshot written.
+	storeMu sync.Mutex
+	stored  uint64
+}
+
+// storeSnapshot is a copy of a job's record taken for persist, numbered so
+// that a job's store writes land in the order their snapshots were
+// taken.
+type storeSnapshot struct {
+	rec     Record
+	version uint64
+}
+
+// snapshotLocked copies the record for persist. The caller holds the
+// manager's mutex, or is the only goroutine that can see j.
+func (j *job) snapshotLocked() storeSnapshot {
+	j.version++
+	return storeSnapshot{rec: j.rec.Clone(), version: j.version}
 }
 
 // Manager owns the job lifecycle: a bounded submission queue feeding a
@@ -191,7 +213,7 @@ func NewManager(exec Executor, opts Options) (*Manager, error) {
 	}
 	m.queue = make(chan *job, depth)
 	for _, j := range pending {
-		m.persist(j.rec.Clone())
+		m.persist(j, j.snapshotLocked())
 		m.queue <- j
 	}
 
@@ -208,12 +230,23 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// persist writes a record snapshot to the store. Store failures degrade
-// durability, never availability: they are logged and the job carries
-// on.
-func (m *Manager) persist(rec Record) {
-	if err := m.opts.Store.Put(rec); err != nil {
-		m.logf("jobs: persisting %s: %v", rec.ID, err)
+// persist writes a record snapshot to the store, unless a newer
+// snapshot of the same job was written first. Snapshots are taken under
+// the manager's mutex but written after it is released (so a slow
+// store never blocks the manager), and the goroutines writing them race
+// to the store: without the version check, a Submit's queued snapshot
+// could land after the worker's terminal one and bring a finished job
+// back to life on restart. Store failures degrade durability, never
+// availability: they are logged and the job carries on.
+func (m *Manager) persist(j *job, s storeSnapshot) {
+	j.storeMu.Lock()
+	defer j.storeMu.Unlock()
+	if s.version <= j.stored {
+		return
+	}
+	j.stored = s.version
+	if err := m.opts.Store.Put(s.rec); err != nil {
+		m.logf("jobs: persisting %s: %v", s.rec.ID, err)
 	}
 }
 
@@ -252,11 +285,11 @@ func (m *Manager) Submit(sub Submission) (Record, error) {
 		return Record{}, ErrQueueFull
 	}
 	m.jobs[j.rec.ID] = j
-	rec := j.rec.Clone()
+	snap := j.snapshotLocked()
 	m.mu.Unlock()
 
-	m.persist(rec)
-	return rec, nil
+	m.persist(j, snap)
+	return snap.rec, nil
 }
 
 // Get returns a snapshot of the record for id.
@@ -328,10 +361,10 @@ func (m *Manager) Cancel(id string) (Record, error) {
 		return rec, ErrFinished
 	}
 	if j.rec.State == StateQueued {
-		rec := m.finishLocked(j, StateCanceled, nil, errCanceled, "")
+		snap := m.finishLocked(j, StateCanceled, nil, errCanceled, "")
 		m.mu.Unlock()
-		m.persist(rec)
-		return rec, nil
+		m.persist(j, snap)
+		return snap.rec, nil
 	}
 	cancel := j.cancel
 	rec := j.rec.Clone()
@@ -449,10 +482,10 @@ func (m *Manager) run(j *job) {
 	j.cancel = cancel
 	j.rec.State = StateRunning
 	j.rec.StartedAt = time.Now()
-	rec := j.rec.Clone()
+	snap := j.snapshotLocked()
 	m.emitLocked(j, Event{Kind: "state", State: StateRunning})
 	m.mu.Unlock()
-	m.persist(rec)
+	m.persist(j, snap)
 	defer func() {
 		stopTimer()
 		cancel(nil)
@@ -552,9 +585,9 @@ func (m *Manager) storeCheckpoint(j *job, snapshot json.RawMessage, cycle int) {
 	j.rec.Checkpoint = append(json.RawMessage(nil), snapshot...)
 	j.rec.CheckpointCycle = cycle
 	m.emitLocked(j, Event{Kind: "checkpoint", Index: cycle})
-	rec := j.rec.Clone()
+	snap := j.snapshotLocked()
 	m.mu.Unlock()
-	m.persist(rec)
+	m.persist(j, snap)
 }
 
 // panicError carries a recovered panic value and its stack through the
@@ -621,12 +654,12 @@ func appendEvent(events []Event, ev Event) []Event {
 // closes subscribers and persists the record.
 func (m *Manager) finish(j *job, state State, result json.RawMessage, err error, stack string) {
 	m.mu.Lock()
-	rec := m.finishLocked(j, state, result, err, stack)
+	snap := m.finishLocked(j, state, result, err, stack)
 	m.mu.Unlock()
-	m.persist(rec)
+	m.persist(j, snap)
 }
 
-func (m *Manager) finishLocked(j *job, state State, result json.RawMessage, err error, stack string) Record {
+func (m *Manager) finishLocked(j *job, state State, result json.RawMessage, err error, stack string) storeSnapshot {
 	j.rec.State = state
 	j.rec.FinishedAt = time.Now()
 	j.rec.Result = result
@@ -652,7 +685,7 @@ func (m *Manager) finishLocked(j *job, state State, result json.RawMessage, err 
 		close(ch)
 	}
 	j.subs = nil
-	return j.rec.Clone()
+	return j.snapshotLocked()
 }
 
 // checkpoint parks a drained-but-unfinished job back to queued in the
@@ -674,7 +707,7 @@ func (m *Manager) checkpoint(j *job) {
 		close(ch)
 	}
 	j.subs = nil
-	rec := j.rec.Clone()
+	snap := j.snapshotLocked()
 	m.mu.Unlock()
-	m.persist(rec)
+	m.persist(j, snap)
 }

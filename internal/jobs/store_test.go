@@ -300,6 +300,48 @@ func TestDrainCheckpointAndRestartRecovery(t *testing.T) {
 	waitState(t, m2, queued.ID, StateSucceeded)
 }
 
+// slowQueuedStore delays every Put of a queued record, as a slow disk
+// might delay Submit's write while a worker already runs the job.
+type slowQueuedStore struct {
+	Store
+	delay time.Duration
+}
+
+func (s slowQueuedStore) Put(rec Record) error {
+	if rec.State == StateQueued {
+		time.Sleep(s.delay)
+	}
+	return s.Store.Put(rec)
+}
+
+// TestSlowQueuedPutKeepsTerminalRecord pins that a job's store writes
+// land in lifecycle order: a job that finishes before Submit's queued
+// record reaches the store must stay stored as succeeded, or a restart
+// would run it again and lose its result.
+func TestSlowQueuedPutKeepsTerminalRecord(t *testing.T) {
+	st := NewMemStore()
+	m, err := NewManager(okExec(), Options{
+		BaseContext: context.Background(), Workers: 1,
+		Store: slowQueuedStore{Store: st, delay: 20 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := m.Submit(Submission{Kind: "measure"})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, m, rec.ID, StateSucceeded)
+	drainNow(t, m)
+	got, ok, err := st.Get(rec.ID)
+	if err != nil || !ok {
+		t.Fatalf("store.Get(%s): ok=%v err=%v", rec.ID, ok, err)
+	}
+	if got.State != StateSucceeded || string(got.Result) != `{"ok":true}` {
+		t.Fatalf("store has %s in state %q with result %s, want succeeded with its result", rec.ID, got.State, got.Result)
+	}
+}
+
 // TestRecoverRunningAsQueued pins that a record persisted as "running"
 // (a crash, not a graceful drain) is recovered as queued and re-run —
 // and that the attempt count survives the restart: a crash must not

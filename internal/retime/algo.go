@@ -76,10 +76,8 @@ func (g *Graph) ClockPeriod(r []int) int {
 // retiming is normalized so r[Host] = 0: I/O latency is preserved, and
 // pipelining is only introduced through FromNetlist's latency parameter.
 func (g *Graph) Feasible(c int) (r []int, ok bool) {
-	for _, d := range g.d {
-		if d > c {
-			return nil, false // a single cell already exceeds the period
-		}
+	if !g.cellsFit(c) {
+		return nil, false
 	}
 	r = make([]int, g.V)
 	for iter := 0; iter < g.V-1; iter++ {
@@ -114,6 +112,17 @@ func (g *Graph) Feasible(c int) (r []int, ok bool) {
 		r[v] -= h
 	}
 	return r, true
+}
+
+// cellsFit reports whether every vertex's own delay fits in period c:
+// no retiming or pipelining can speed up a single cell.
+func (g *Graph) cellsFit(c int) bool {
+	for _, d := range g.d {
+		if d > c {
+			return false
+		}
+	}
+	return true
 }
 
 // MinPeriod binary-searches the smallest feasible clock period and

@@ -12,6 +12,7 @@ package retime
 
 import (
 	"fmt"
+	"math"
 
 	"glitchsim/internal/delay"
 	"glitchsim/netlist"
@@ -176,6 +177,83 @@ func FromNetlist(n *netlist.Netlist, dm delay.Model, latency int) *Graph {
 
 // Latency returns the explicit pipeline depth the graph was built with.
 func (g *Graph) Latency() int { return g.latency }
+
+// setLatency re-weights the host's outgoing edges for an explicit
+// pipeline depth of k, leaving the graph equal to FromNetlist(n, dm, k).
+func (g *Graph) setLatency(k int) {
+	for _, ei := range g.out[g.Host] {
+		g.Edges[ei].W += k - g.latency
+	}
+	g.latency = k
+}
+
+// latencyBound returns a lower bound on the explicit pipeline depth at
+// which period c > 0 can be feasible. A host→host path p with total
+// vertex delay L_p and w_p registers at depth 0 carries w_p+k registers
+// at depth k under every retiming, so it splits into at most w_p+k+1
+// register-free segments, each of delay at most c: w_p+k+1 ≥ ⌈L_p/c⌉.
+// Hence k ≥ ⌈M/c⌉−1 with M = max_p (L_p − c·w_p), found by one
+// longest-path pass in topological order. That pass needs the graph to
+// be acyclic apart from the host; with register feedback the bound is 0.
+func (g *Graph) latencyBound(c int) int {
+	if c <= 0 {
+		return 0
+	}
+	indeg := make([]int, g.V)
+	for _, e := range g.Edges {
+		if e.From != g.Host && e.To != g.Host {
+			indeg[e.To]++
+		}
+	}
+	order := make([]int, 0, g.V)
+	for v := 0; v < g.Host; v++ {
+		if indeg[v] == 0 {
+			order = append(order, v)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, ei := range g.out[order[i]] {
+			if to := g.Edges[ei].To; to != g.Host {
+				if indeg[to]--; indeg[to] == 0 {
+					order = append(order, to)
+				}
+			}
+		}
+	}
+	if len(order) < g.Host {
+		return 0 // register feedback
+	}
+
+	// gain[v] is the largest L − c·w over host→v paths, v's delay
+	// included; none marks vertices the host does not reach.
+	const none = math.MinInt
+	gain := make([]int, g.V)
+	for v := range gain {
+		gain[v] = none
+	}
+	m := none
+	relax := func(from, base int) {
+		for _, ei := range g.out[from] {
+			e := &g.Edges[ei]
+			val := base - c*e.W
+			if e.To == g.Host {
+				m = max(m, val)
+			} else {
+				gain[e.To] = max(gain[e.To], val+g.d[e.To])
+			}
+		}
+	}
+	relax(g.Host, 0)
+	for _, v := range order {
+		if gain[v] != none {
+			relax(v, gain[v])
+		}
+	}
+	if m <= 0 {
+		return 0
+	}
+	return (m+c-1)/c - 1
+}
 
 // Registers returns the total register count of the graph under a
 // retiming (nil means the identity), accounting for fanout sharing: a

@@ -75,15 +75,25 @@ func Pipeline(n *netlist.Netlist, dm delay.Model, stages int) (Result, error) {
 // ForPeriod finds the smallest pipeline depth at which the target period
 // becomes feasible and returns that retiming: "retimed for a different
 // clock frequency" (paper §5). maxStages bounds the search.
+//
+// The graph is built once; each depth only re-weights the host's
+// outgoing edges. The search starts at a proven lower bound on the depth
+// (see latencyBound) and gives up at once when a single cell is slower
+// than the period, which no depth can fix. Feasible returns only
+// retimings it has verified, so no depth below the bound succeeds, and
+// the first success is the smallest feasible depth.
 func ForPeriod(n *netlist.Netlist, dm delay.Model, period, maxStages int) (Result, error) {
 	if dm == nil {
 		dm = delay.Unit()
 	}
-	for k := 0; k <= maxStages; k++ {
-		g := FromNetlist(n, dm, k)
-		if r, ok := g.Feasible(period); ok {
-			out := g.Apply(r, fmt.Sprintf("%s_t%d", n.Name, period))
-			return Result{Netlist: out, Period: g.ClockPeriod(r), Latency: k, Registers: out.NumDFFs()}, nil
+	g := FromNetlist(n, dm, 0)
+	if g.cellsFit(period) {
+		for k := g.latencyBound(period); k <= maxStages; k++ {
+			g.setLatency(k)
+			if r, ok := g.Feasible(period); ok {
+				out := g.Apply(r, fmt.Sprintf("%s_t%d", n.Name, period))
+				return Result{Netlist: out, Period: g.ClockPeriod(r), Latency: k, Registers: out.NumDFFs()}, nil
+			}
 		}
 	}
 	return Result{}, fmt.Errorf("retime: period %d not reachable for %s within %d pipeline stages",

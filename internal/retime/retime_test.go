@@ -1,6 +1,9 @@
 package retime
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strconv"
 	"testing"
 
 	"glitchsim/internal/circuits"
@@ -93,6 +96,65 @@ func TestDeepPipelineReachesUnitPeriod(t *testing.T) {
 		t.Errorf("period %d, want 1", res.Period)
 	}
 	equivalent(t, n, res.Netlist, res.Latency, 120, 3)
+}
+
+// sinkDigest hashes every net's sink list in order, which Fingerprint
+// leaves out.
+func sinkDigest(n *netlist.Netlist) string {
+	h := sha256.New()
+	for i := range n.Nets {
+		for _, s := range n.Nets[i].Sinks {
+			h.Write([]byte(strconv.Itoa(int(s.Cell)) + "/" + strconv.Itoa(s.Port) + ","))
+		}
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestDefaultSweepRetimingsPinned pins the twelve retimings of the
+// default Table 3 (maxStages 4·cp) and Figure 10 (8·cp) sweeps of the
+// input-registered direction detector: depth, period, register count,
+// the retimed netlist's fingerprint and its per-net sink order. The
+// values were recorded from the linear depth search that rebuilt the
+// graph for every depth, so they hold the bounded search and the
+// rebuild to the same answers.
+func TestDefaultSweepRetimingsPinned(t *testing.T) {
+	n, cp := sweepSubject()
+	if cp != 71 {
+		t.Fatalf("subject clock period %d, want 71", cp)
+	}
+	for _, tc := range []struct {
+		stagesPerCP, target, latency, period, registers int
+		fingerprint, sinks                              string
+	}{
+		{4, 71, 0, 71, 48, "fe263a66e4e31e46657e01b719cbe0a263610ddb2b1770fe8dae54ca2121c716", "16bab37ae4bcd499"},
+		{4, 30, 2, 30, 156, "b61960c0e9cd8dd02070899d9fc58d7a24ce6b8448ff382debc814a046970030", "d4a1a62c9088a313"},
+		{4, 23, 3, 23, 195, "404a8181ab3950e6514c4f5ecfb580c0e793409abf74ce7a2c7d18d1959abb06", "7373be2efb68bc7f"},
+		{4, 15, 4, 15, 285, "e1020eeac69337d5e21cdb6dfce548028c70c64a6215616f863580b7f2d89df1", "70b895a67a8b142d"},
+		{8, 71, 0, 71, 48, "fe263a66e4e31e46657e01b719cbe0a263610ddb2b1770fe8dae54ca2121c716", "16bab37ae4bcd499"},
+		{8, 35, 2, 35, 136, "80b51104b37642082b41f460d38b2a293ba4d40a87ab072f208f463994d8b18d", "29dd8c99eb9db2c9"},
+		{8, 23, 3, 23, 195, "404a8181ab3950e6514c4f5ecfb580c0e793409abf74ce7a2c7d18d1959abb06", "7373be2efb68bc7f"},
+		{8, 17, 4, 17, 267, "78ffa8b69f94806cbfc409660f3233641f5d6dcd70eff0ebce5a6c2bda3fa31f", "858ec32c0bddb047"},
+		{8, 14, 5, 14, 295, "eb4094bf3f807a10cbe1e34b2c5ff32e8b4f7a269ee6c457ae9ca2160c4f099b", "9a816f0624db0b56"},
+		{8, 10, 7, 10, 428, "7bfed61de5704785f9e1af94ea8cf2a93c82450c11777dd8ba2c1cdffdd3582c", "8a6971e7e47061ad"},
+		{8, 7, 10, 7, 598, "c0b0590d773a873412702d446fb5ec1dc72fa0f9cbc25e89b854ac9af3e85f3c", "302ed05ac8c3969c"},
+		{8, 5, 14, 5, 856, "5b79007548451b167c9db8d5fa695738bfd5addb269378188ba9ea3f93d7575a", "a8f762f05d955575"},
+	} {
+		res, err := ForPeriod(n, delay.Unit(), tc.target, tc.stagesPerCP*cp)
+		if err != nil {
+			t.Fatalf("target %d: %v", tc.target, err)
+		}
+		if res.Latency != tc.latency || res.Period != tc.period || res.Registers != tc.registers {
+			t.Errorf("target %d: latency/period/registers %d/%d/%d, want %d/%d/%d",
+				tc.target, res.Latency, res.Period, res.Registers, tc.latency, tc.period, tc.registers)
+		}
+		if got := res.Netlist.Fingerprint(); got != tc.fingerprint {
+			t.Errorf("target %d: fingerprint %s, want %s", tc.target, got, tc.fingerprint)
+		}
+		if got := sinkDigest(res.Netlist); got != tc.sinks {
+			t.Errorf("target %d: sink order digest %s, want %s", tc.target, got, tc.sinks)
+		}
+	}
 }
 
 func TestForPeriodInfeasible(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"glitchsim/internal/delay"
 	"glitchsim/internal/stimulus"
 	"glitchsim/internal/testutil"
+	"glitchsim/netlist"
 )
 
 func TestWDMatricesRCA(t *testing.T) {
@@ -91,6 +92,59 @@ func TestPropertyFEASMatchesWDOracle(t *testing.T) {
 		if got := g.ClockPeriod(rWD); got > cWD {
 			t.Fatalf("trial %d: WD min-period retiming does not achieve its period", trial)
 		}
+	}
+}
+
+// TestPropertyForPeriodDepthMinimal: on random netlists, with and
+// without flipflops, under unit and typical delay, the depth ForPeriod
+// settles on is the smallest the W/D oracle accepts, and its lower
+// bound never exceeds it. When ForPeriod gives up, the oracle finds no
+// retiming at the deepest allowed depth either (feasibility only grows
+// with depth).
+func TestPropertyForPeriodDepthMinimal(t *testing.T) {
+	rng := stimulus.NewPRNG(2718)
+	oracle := func(n *netlist.Netlist, dm delay.Model, k, c int) bool {
+		g := FromNetlist(n, dm, k)
+		_, ok := g.FeasibleWD(g.ComputeWD(), c)
+		return ok
+	}
+	found := 0
+	for trial := 0; trial < 24; trial++ {
+		n := testutil.RandomNetlist(rng, testutil.RandConfig{
+			Inputs:       3 + int(rng.Uintn(3)),
+			Gates:        8 + int(rng.Uintn(25)),
+			Outputs:      2,
+			WithDFFs:     trial%2 == 0,
+			WithCompound: trial%3 == 0,
+		})
+		for _, dm := range []delay.Model{delay.Unit(), delay.Typical()} {
+			g := FromNetlist(n, dm, 0)
+			cp := g.ClockPeriod(nil)
+			const maxStages = 6
+			for _, c := range []int{cp, cp / 2, cp / 3, cp / 5, 1} {
+				res, err := ForPeriod(n, dm, c, maxStages)
+				if err != nil {
+					if g.cellsFit(c) && oracle(n, dm, maxStages, c) {
+						t.Fatalf("trial %d period %d: ForPeriod failed (%v), oracle feasible at depth %d", trial, c, err, maxStages)
+					}
+					continue
+				}
+				found++
+				k := res.Latency
+				if !oracle(n, dm, k, c) {
+					t.Fatalf("trial %d period %d: oracle rejects depth %d", trial, c, k)
+				}
+				if k > 0 && oracle(n, dm, k-1, c) {
+					t.Fatalf("trial %d period %d: depth %d not minimal, oracle accepts %d", trial, c, k, k-1)
+				}
+				if lb := g.latencyBound(c); lb > k {
+					t.Fatalf("trial %d period %d: lower bound %d exceeds depth %d", trial, c, lb, k)
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no period was reachable")
 	}
 }
 

@@ -47,6 +47,11 @@ type Compiled struct {
 	initVals []logic.V
 
 	maxIn int // widest cell input count, sizes the eval scratch buffer
+
+	// seqLevels and seqFeedback are the netlist's SequentialDepth,
+	// computed once here rather than per measurement.
+	seqLevels   int
+	seqFeedback bool
 }
 
 // outputsPerCell is the per-cell stride of the outNets array (the widest
@@ -103,6 +108,9 @@ func Compile(n *netlist.Netlist) *Compiled {
 		}
 	}
 	c.inStart[nc] = int32(len(c.inNets))
+	if len(c.dffCells) > 0 {
+		c.seqLevels, c.seqFeedback = n.SequentialDepth()
+	}
 
 	// Fanout CSR, deduplicating cells that read the same net on several
 	// pins (the epoch check in applyBatch would skip the repeat anyway,
@@ -150,6 +158,13 @@ func Compile(n *netlist.Netlist) *Compiled {
 
 // Netlist returns the netlist this compilation was built from.
 func (c *Compiled) Netlist() *netlist.Netlist { return c.n }
+
+// SequentialDepth returns the netlist's SequentialDepth (register
+// levels, and whether any flipflop sits on a feedback loop), computed
+// once at Compile.
+func (c *Compiled) SequentialDepth() (levels int, feedback bool) {
+	return c.seqLevels, c.seqFeedback
+}
 
 // visitDelays resolves the delay model on every connected output pin of
 // every combinational cell, in cell/pin order, calling f with the

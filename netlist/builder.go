@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Builder incrementally constructs a Netlist. All helper methods panic on
 // structural misuse (wrong pin counts, duplicate names, foreign nets);
@@ -32,7 +35,7 @@ func (b *Builder) checkOpen() {
 func (b *Builder) newNet(name string) NetID {
 	b.checkOpen()
 	if name == "" {
-		name = fmt.Sprintf("n%d", b.autoNets)
+		name = autoName("n", b.autoNets)
 		b.autoNets++
 	}
 	if _, dup := b.n.netByName[name]; dup {
@@ -42,6 +45,13 @@ func (b *Builder) newNet(name string) NetID {
 	b.n.Nets = append(b.n.Nets, Net{ID: id, Name: name, Driver: NoCell})
 	b.n.netByName[name] = id
 	return id
+}
+
+// autoName returns prefix followed by i in decimal, allocating only the
+// result.
+func autoName(prefix string, i int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(i), 10))
 }
 
 func (b *Builder) checkNet(id NetID) {
@@ -62,7 +72,7 @@ func (b *Builder) Input(name string) NetID {
 func (b *Builder) InputBus(name string, n int) []NetID {
 	ids := make([]NetID, n)
 	for i := range ids {
-		ids[i] = b.Input(fmt.Sprintf("%s[%d]", name, i))
+		ids[i] = b.Input(name + "[" + strconv.Itoa(i) + "]")
 	}
 	b.n.Buses[name] = append([]NetID(nil), ids...)
 	return ids
@@ -108,7 +118,7 @@ func (b *Builder) AddCell(t CellType, name string, ins ...NetID) []NetID {
 	}
 	cid := CellID(len(b.n.Cells))
 	if name == "" {
-		name = fmt.Sprintf("%s%d", t, cid)
+		name = autoName(t.String(), int(cid))
 	}
 	outs := make([]NetID, t.Outputs())
 	for i := range outs {
@@ -222,7 +232,7 @@ func (b *Builder) AddCellDriving(t CellType, name string, ins, outs []NetID) Cel
 	}
 	cid := CellID(len(b.n.Cells))
 	if name == "" {
-		name = fmt.Sprintf("%s%d", t, cid)
+		name = autoName(t.String(), int(cid))
 	}
 	for pin, o := range outs {
 		b.checkNet(o)
@@ -278,15 +288,22 @@ func (b *Builder) Rewire(cell CellID, port int, net NetID) {
 	if old == net {
 		return
 	}
-	sinks := b.n.Nets[old].Sinks[:0]
-	for _, s := range b.n.Nets[old].Sinks {
-		if !(s.Cell == cell && s.Port == port) {
-			sinks = append(sinks, s)
+	pin := Pin{Cell: cell, Port: port}
+	if sinks := b.n.Nets[old].Sinks; len(sinks) > 0 && sinks[0] == pin {
+		// Ports wired to a placeholder are usually rewired in the order
+		// they were added: drop the head without copying the rest.
+		b.n.Nets[old].Sinks = sinks[1:]
+	} else {
+		kept := sinks[:0]
+		for _, s := range sinks {
+			if s != pin {
+				kept = append(kept, s)
+			}
 		}
+		b.n.Nets[old].Sinks = kept
 	}
-	b.n.Nets[old].Sinks = sinks
 	c.In[port] = net
-	b.n.Nets[net].Sinks = append(b.n.Nets[net].Sinks, Pin{Cell: cell, Port: port})
+	b.n.Nets[net].Sinks = append(b.n.Nets[net].Sinks, pin)
 }
 
 // Build validates the netlist and returns it. The builder cannot be used

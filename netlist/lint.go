@@ -235,51 +235,13 @@ func (n *Netlist) lintCombLoop() []Finding {
 
 // lintFeedback reports flipflops on sequential feedback loops: DFFs
 // whose D input transitively depends on their own Q output through
-// combinational logic and other DFFs. Uses the same DFF-predecessor
-// graph as SequentialLevels, then marks every DFF inside a strongly
-// connected component (or with a self edge).
+// combinational logic and other DFFs, as found by the same
+// register-graph pass as SequentialLevels.
 func (n *Netlist) lintFeedback() []Finding {
-	var dffs []CellID
-	cellToDFF := make([]int, len(n.Cells))
-	for i := range n.Cells {
-		cellToDFF[i] = -1
-		if n.Cells[i].Type == DFF {
-			cellToDFF[i] = len(dffs)
-			dffs = append(dffs, CellID(i))
-		}
-	}
-	if len(dffs) == 0 {
-		return nil
-	}
-	preds := n.dffPreds(dffs, cellToDFF)
-
-	// Tarjan-style SCC via iterative Kosaraju would be overkill here:
-	// DFF counts are small. Mark feedback DFFs as those that can reach
-	// themselves through the predecessor graph (preds is a reachability
-	// question in either direction around a cycle).
-	inLoop := make([]bool, len(dffs))
-	mark := make([]int, len(dffs))
-	var stack []int
-	for di := range dffs {
-		epoch := di + 1
-		stack = append(stack[:0], preds[di]...)
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if p == di {
-				inLoop[di] = true
-				break
-			}
-			if mark[p] == epoch {
-				continue
-			}
-			mark[p] = epoch
-			stack = append(stack, preds[p]...)
-		}
-	}
+	rg := n.registerGraph()
 	var names []string
-	for di, cid := range dffs {
-		if inLoop[di] {
+	for di, cid := range rg.dffs {
+		if rg.inLoop[di] {
 			names = append(names, cellLabel(&n.Cells[cid]))
 		}
 	}
@@ -291,42 +253,6 @@ func (n *Netlist) lintFeedback() []Finding {
 		Message: fmt.Sprintf("%d flipflop(s) sit on sequential feedback loops: %s", len(names), joinCapped(names)),
 		Cells:   capped(names),
 	}}
-}
-
-// dffPreds builds, for each DFF, the list of DFFs whose Q reaches its D
-// input through combinational logic — the SequentialLevels dependency
-// graph.
-func (n *Netlist) dffPreds(dffs []CellID, cellToDFF []int) [][]int {
-	preds := make([][]int, len(dffs))
-	netMark := make([]int, len(n.Nets))
-	predMark := make([]int, len(dffs))
-	var stack []NetID
-	for di, cid := range dffs {
-		epoch := di + 1
-		stack = append(stack[:0], n.Cells[cid].In[0])
-		for len(stack) > 0 {
-			net := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if net < 0 || int(net) >= len(n.Nets) || netMark[net] == epoch {
-				continue
-			}
-			netMark[net] = epoch
-			d := n.Nets[net].Driver
-			if d == NoCell || int(d) >= len(n.Cells) {
-				continue
-			}
-			if n.Cells[d].Type == DFF {
-				if p := cellToDFF[d]; predMark[p] != epoch {
-					predMark[p] = epoch
-					preds[di] = append(preds[di], p)
-				}
-				continue
-			}
-			stack = append(stack, n.Cells[d].In...)
-		}
-		sort.Ints(preds[di])
-	}
-	return preds
 }
 
 // lintFanout reports the fanout profile of driven nets.

@@ -10,15 +10,18 @@ package glitchsim
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
-	"glitchsim/internal/core"
 	"glitchsim/internal/delay"
+	"glitchsim/internal/logic"
 	"glitchsim/internal/registry"
 	"glitchsim/internal/retime"
 	"glitchsim/internal/sim"
+	"glitchsim/internal/stimulus"
 	"glitchsim/netlist"
 	"glitchsim/verilog"
 )
@@ -74,18 +77,27 @@ func TestDFFRoundTrip(t *testing.T) {
 }
 
 // TestSequentialLevels: the register-depth metric behind the warm-up
-// default. The accumulators' self-loops must not diverge; their carry
-// chain q[0]→q[15] is the depth that counts.
+// default and warm-up rule. The accumulators' self-loops must not
+// diverge; their carry chain q[0]→q[15] is the depth that counts, and
+// their feedback keeps them off the levels+1 warm-up.
 func TestSequentialLevels(t *testing.T) {
-	for name, want := range map[string]int{
-		"rca16":     0,  // combinational
-		"dirdet8r":  1,  // input registers only
-		"pipemult8": 4,  // 3 stage cuts + output register
-		"accum16":   16, // carry chain across the feedback registers
-		"accum16cg": 16,
+	for name, want := range map[string]struct {
+		levels   int
+		feedback bool
+	}{
+		"rca16":     {0, false}, // combinational
+		"dirdet8r":  {1, false}, // input registers only
+		"pipemult8": {4, false}, // 3 stage cuts + output register
+		"accum16":   {16, true}, // carry chain across the feedback registers
+		"accum16cg": {16, true},
 	} {
-		if got := buildRegistry(t, name).SequentialLevels(); got != want {
-			t.Errorf("%s: SequentialLevels = %d, want %d", name, got, want)
+		nl := buildRegistry(t, name)
+		if got := nl.SequentialLevels(); got != want.levels {
+			t.Errorf("%s: SequentialLevels = %d, want %d", name, got, want.levels)
+		}
+		levels, feedback := sim.Compile(nl).SequentialDepth()
+		if levels != want.levels || feedback != want.feedback {
+			t.Errorf("%s: compiled SequentialDepth = (%d, %v), want (%d, %v)", name, levels, feedback, want.levels, want.feedback)
 		}
 	}
 }
@@ -114,69 +126,113 @@ func TestSequentialWarmupDefault(t *testing.T) {
 	}
 }
 
+// retimedDirdet returns the Figure 10 subject retimed for period 14:
+// a feed-forward pipeline of latency 5 whose register depth is 6.
+func retimedDirdet(t *testing.T) *netlist.Netlist {
+	t.Helper()
+	res, err := retime.ForPeriod(buildRegistry(t, "dirdet8r"), delay.Unit(), 14, 8*71)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Netlist
+}
+
 // TestSequentialMeasureLanes: the full Measure-layer lane decomposition
 // on sequential circuits — per-lane register state, warm-up flushes and
 // quota retirement — must be bit-identical to measuring the lanes one
 // stream at a time, under uniform (lockstep kernel) and non-uniform
-// (wide-event kernel) delay models.
+// (wide-event kernel) delay models, for every warm-up length. The
+// scalar reference simulates every warm-up step, so on the feed-forward
+// pipelines (pipemult8, retimed dirdet8r) this checks warmupSteps'
+// levels+1 rule against the full warm-up, below, at and above the
+// register depth D.
 func TestSequentialMeasureLanes(t *testing.T) {
 	ctx := context.Background()
+	rt := retimedDirdet(t)
 	for _, tc := range []struct {
-		name    string
-		circuit string
-		cycles  int
-		lanes   int
-		dm      delay.Model
+		name     string
+		nl       *netlist.Netlist
+		cycles   int
+		lanes    int
+		dm       delay.Model
+		inertial bool
 	}{
-		{"pipemult8-unit-64", "pipemult8", 80, 64, delay.Unit()},
-		{"pipemult8-faratio-64", "pipemult8", 60, 64, delay.FullAdderRatio(2, 1)},
-		{"accum16-unit-64", "accum16", 80, 64, delay.Unit()},
-		{"accum16-typical-23", "accum16", 70, 23, delay.Typical()},
-		{"accum16cg-faratio-64", "accum16cg", 60, 64, delay.FullAdderRatio(3, 1)},
+		{"pipemult8-unit-64", buildRegistry(t, "pipemult8"), 80, 64, delay.Unit(), false},
+		{"pipemult8-faratio-64", buildRegistry(t, "pipemult8"), 60, 64, delay.FullAdderRatio(2, 1), false},
+		{"accum16-unit-64", buildRegistry(t, "accum16"), 80, 64, delay.Unit(), false},
+		{"accum16-typical-23", buildRegistry(t, "accum16"), 70, 23, delay.Typical(), false},
+		{"accum16cg-faratio-64", buildRegistry(t, "accum16cg"), 60, 64, delay.FullAdderRatio(3, 1), false},
+		{"dirdet8r-t14-unit-64", rt, 70, 64, delay.Unit(), false},
+		{"dirdet8r-t14-typical-inertial-23", rt, 50, 23, delay.Typical(), true},
 	} {
-		nl := buildRegistry(t, tc.circuit)
+		nl := tc.nl
 		c := sim.Compile(nl)
-		cfg := Config{Cycles: tc.cycles, Seed: 9, Delay: tc.dm}.withDefaults(nl)
-
-		lanes := tc.lanes
-		if cfg.Cycles < lanes {
-			lanes = cfg.Cycles
-		}
-		seeds := laneSeeds(cfg.Seed, lanes)
-		quotas := laneQuotas(cfg.Cycles, lanes)
-
-		wide, err := measureWide(ctx, c, cfg, lanes)
-		if err != nil {
-			t.Fatalf("%s: wide: %v", tc.name, err)
-		}
-
-		var agg *core.Counter
-		for l, seed := range seeds {
-			lcfg := cfg
-			lcfg.Seed = seed
-			lcfg.Cycles = quotas[l]
-			lcfg.Source = nil
-			lcfg = lcfg.withDefaults(nl)
-			counter, err := measureStream(ctx, c, lcfg)
+		d := nl.SequentialLevels()
+		for _, warmup := range []int{1, 2, d, d + 1, 37, 0, ExplicitZero} {
+			name := fmt.Sprintf("%s/warmup=%d", tc.name, warmup)
+			cfg := Config{Cycles: tc.cycles, Seed: 9, Delay: tc.dm, Inertial: tc.inertial, Warmup: warmup}.withDefaults(nl)
+			lanes := min(tc.lanes, cfg.Cycles)
+			wide, err := measureWide(ctx, c, cfg, lanes)
 			if err != nil {
-				t.Fatalf("%s: scalar lane %d: %v", tc.name, l, err)
+				t.Fatalf("%s: wide: %v", name, err)
 			}
-			if agg == nil {
-				agg = counter
-			} else if err := agg.Merge(counter); err != nil {
+			agg := mergedLaneStreams(t, c, cfg, lanes)
+			if wide.Cycles() != agg.Cycles() || wide.Cycles() != tc.cycles {
+				t.Fatalf("%s: cycles wide=%d scalar=%d want %d", name, wide.Cycles(), agg.Cycles(), tc.cycles)
+			}
+			assertSameStats(t, name, nl, wide, agg)
+		}
+	}
+}
+
+// TestFeedforwardWarmupSettlesInDepthSteps: a lane-decomposed
+// measurement of a pipeline without register feedback simulates only
+// the last SequentialLevels+1 of its 40 warm-up vectors, so it completes
+// under an event budget just below what a step-by-step warm-up costs,
+// with statistics equal to the scalar lane streams that do simulate
+// every warm-up step. accum16's feedback loops keep the step-by-step
+// warm-up, which trips the same budget.
+func TestFeedforwardWarmupSettlesInDepthSteps(t *testing.T) {
+	const warmup, lanes = 40, MaxLanes
+	for _, tc := range []struct {
+		name  string
+		nl    *netlist.Netlist
+		trips bool
+	}{
+		{"pipemult8", buildRegistry(t, "pipemult8"), false},
+		{"dirdet8r-t14", retimedDirdet(t), false},
+		{"accum16", buildRegistry(t, "accum16"), true},
+	} {
+		nl := tc.nl
+		c := sim.Compile(nl)
+		cfg := Config{Cycles: 2 * lanes, Warmup: warmup, Seed: 3}.withDefaults(nl)
+
+		// The budget: one event short of a step-by-step warm-up.
+		ws := sim.NewWideKernel(c, sim.Options{})
+		src := stimulus.NewWideRandom(nl.InputWidth(), laneSeeds(cfg.Seed, lanes))
+		buf := make([]logic.W, nl.InputWidth())
+		for i := 0; i < warmup; i++ {
+			if err := ws.Step(src.NextWide(buf)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		bcfg := cfg
+		bcfg.Budget = Budget{Events: ws.Events() - 1}
 
-		if wide.Cycles() != agg.Cycles() || wide.Cycles() != tc.cycles {
-			t.Fatalf("%s: cycles wide=%d scalar=%d want %d", tc.name, wide.Cycles(), agg.Cycles(), tc.cycles)
-		}
-		for i := 0; i < nl.NumNets(); i++ {
-			id := netlist.NetID(i)
-			if got, want := wide.Stats(id), agg.Stats(id); got != want {
-				t.Fatalf("%s: net %s stats differ\nwide:   %+v\nscalar: %+v", tc.name, nl.Nets[i].Name, got, want)
+		wide, err := measureWide(context.Background(), c, bcfg, lanes)
+		if tc.trips {
+			if !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("%s: err = %v, want the %d-event budget exceeded during warm-up", tc.name, err, bcfg.Budget.Events)
 			}
+			continue
 		}
+		if err != nil {
+			t.Fatalf("%s: %v, want completion within %d events", tc.name, err, bcfg.Budget.Events)
+		}
+		if wide.Cycles() != cfg.Cycles {
+			t.Fatalf("%s: measured %d cycles, want %d", tc.name, wide.Cycles(), cfg.Cycles)
+		}
+		assertSameStats(t, tc.name, nl, wide, mergedLaneStreams(t, c, cfg, lanes))
 	}
 }
 

@@ -16,15 +16,15 @@ import (
 // Lane decomposition: the measurement-layer face of the word-parallel
 // kernels. A measurement with L lanes distributes its Cycles random
 // vectors over L independent seeded stimulus streams (each with its own
-// warm-up, settled in one step on combinational netlists; see
-// warmupSteps) instead of one long stream, and all L streams advance in
-// ONE word-parallel simulation, evaluating every gate for up to 64
-// patterns per visit — under every delay model. Uniform models with
-// delay >= 1 (the paper's unit-delay experiments; inertial and
-// transport coincide there) ride the lockstep wavefront kernel;
-// everything else (full-adder sum/carry ratios, per-type delays, zero
-// delay, and inertial runs on those models) rides the lane-masked
-// wide-event kernel. Both are
+// warm-up, settled in SequentialLevels+1 steps when no register feeds
+// back on itself; see warmupSteps) instead of one long stream, and all
+// L streams advance in ONE word-parallel simulation, evaluating every
+// gate for up to 64 patterns per visit — under every delay model.
+// Uniform models with delay >= 1 (the paper's unit-delay experiments;
+// inertial and transport coincide there) ride the lockstep wavefront
+// kernel; everything else (full-adder sum/carry ratios, per-type
+// delays, zero delay, and inertial runs on those models) rides the
+// lane-masked wide-event kernel. Both are
 // bit-identical to L scalar runs merged in lane order by construction
 // (TestWideKernelEquivalence, TestWideEventKernelEquivalence and
 // TestMeasureLanesScalarWideAgree enforce it), so the delay model
@@ -220,7 +220,7 @@ func (s *wideScratch) grow(lanes, width int) {
 // lanes share the warm-up length). The
 // folded counter is bit-identical to the per-lane scalar measurements
 // merged in lane order, under every delay model, whether the warm-up
-// runs step by step or settles in one step (warmupSteps).
+// runs step by step or settles in fewer steps (warmupSteps).
 //
 // On a budget trip after k completed measured steps, the partial
 // counter is returned WITH the error and its statistics equal the
@@ -283,10 +283,11 @@ func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*
 		// When warmupSteps settles the warm-up in fewer steps, the skipped
 		// vectors are fast-forwarded, and the kernel keeps its reset state
 		// but takes the cycle count the skipped steps would have reached:
-		// the settling step is kernel cycle Warmup-1, and measured cycles
-		// (BudgetError.Cycle, checkpoints) are numbered as after a
+		// the last settling step is kernel cycle Warmup-1, and measured
+		// cycles (BudgetError.Cycle, checkpoints) are numbered as after a
 		// step-by-step warm-up.
-		steps := warmupSteps(n, cfg, lanes)
+		levels, feedback := c.SequentialDepth()
+		steps := warmupSteps(levels, feedback, cfg, lanes)
 		if skip := cfg.Warmup - steps; skip > 0 {
 			src.Skip(skip)
 			scratch.state = ws.ExportState(scratch.state[:0])
