@@ -128,18 +128,43 @@ func BenchmarkDirectionDetector(b *testing.B) {
 	b.ReportMetric(last.BalanceLimit, "balance_limit")
 }
 
+// benchEngines runs one experiment driver call per iteration as two
+// sub-benchmarks: warm shares one Engine, filled by an untimed first
+// call, so it times what a repeated request costs (only the
+// measurements, since the Engine memoizes the circuits and retimings);
+// cold builds a fresh Engine per iteration and times a first request,
+// building, retiming and compiling included.
+func benchEngines(b *testing.B, run func(*glitchsim.Engine)) {
+	for _, mode := range []string{"warm", "cold"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			e := glitchsim.NewEngine()
+			if mode == "warm" {
+				run(e)
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				if mode == "cold" {
+					e = glitchsim.NewEngine()
+				}
+				run(e)
+			}
+		})
+	}
+}
+
 // BenchmarkTable3 regenerates Table 3: four retimed direction-detector
 // variants with the three-component power breakdown.
 func BenchmarkTable3(b *testing.B) {
-	e, ctx := glitchsim.NewEngine(), context.Background()
+	ctx := context.Background()
 	var rows []glitchsim.Table3Row
-	for i := 0; i < b.N; i++ {
+	benchEngines(b, func(e *glitchsim.Engine) {
 		var err error
 		rows, err = e.Table3(ctx, glitchsim.ExperimentRequest{Cycles: 200, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
+	})
 	for _, r := range rows {
 		b.ReportMetric(r.TotalMW, fmt.Sprintf("c%d_total_mW", r.Circuit))
 		b.ReportMetric(float64(r.FFs), fmt.Sprintf("c%d_ffs", r.Circuit))
@@ -149,15 +174,15 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkFig10 regenerates the Figure 10 sweep and reports the
 // optimum point.
 func BenchmarkFig10(b *testing.B) {
-	e, ctx := glitchsim.NewEngine(), context.Background()
+	ctx := context.Background()
 	var rows []glitchsim.Table3Row
-	for i := 0; i < b.N; i++ {
+	benchEngines(b, func(e *glitchsim.Engine) {
 		res, err := e.Figure10(ctx, glitchsim.ExperimentRequest{Cycles: 100, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		rows = res.Points
-	}
+	})
 	best := rows[0]
 	for _, r := range rows {
 		if r.TotalMW < best.TotalMW {

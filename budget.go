@@ -163,7 +163,7 @@ func estimateCost(n *netlist.Netlist, cfg Config, lanes int) CostEstimate {
 // anything. The service's admission layer calls this on every incoming
 // measure request.
 func (e *Engine) EstimateCost(req MeasureRequest) (CostEstimate, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, _, err := e.requestNetlist(req.Netlist, req.Circuit)
 	if err != nil {
 		return CostEstimate{}, err
 	}

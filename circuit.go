@@ -35,6 +35,9 @@ type Circuit struct {
 	name    string
 	netlist *netlist.Netlist
 	memo    *circuitMemo
+	// fingerprint is netlist's fingerprint when the engine computed it
+	// already (see fingerprinted); "" means unknown.
+	fingerprint string
 }
 
 type circuitFormat uint8
@@ -83,6 +86,14 @@ func CircuitNamed(name string) Circuit {
 // result of a netlist.Builder.
 func CircuitFromNetlist(n *netlist.Netlist) Circuit {
 	return Circuit{format: circuitNetlist, netlist: n}
+}
+
+// fingerprinted references a netlist whose fingerprint the engine has
+// computed, so the compiled-cache lookup does not hash it again. Only
+// the engine builds these, for netlists it shares read-only (the
+// experiment memo's) or has just hashed.
+func fingerprinted(n *netlist.Netlist, fp string) Circuit {
+	return Circuit{format: circuitNetlist, netlist: n, fingerprint: fp}
 }
 
 // CircuitFromVerilog references a circuit described as structural
@@ -240,15 +251,17 @@ func BuiltinCircuits() []string { return registry.Names() }
 
 // requestNetlist resolves the circuit a request names: MeasureRequest's
 // deprecated explicit *netlist.Netlist wins when set, otherwise the
-// Circuit reference is resolved through the engine.
-func (e *Engine) requestNetlist(nl *netlist.Netlist, c Circuit) (*netlist.Netlist, error) {
+// Circuit reference is resolved through the engine. fp is the
+// netlist's fingerprint when the reference carries it, else "".
+func (e *Engine) requestNetlist(nl *netlist.Netlist, c Circuit) (n *netlist.Netlist, fp string, err error) {
 	if nl != nil {
-		return nl, nil
+		return nl, "", nil
 	}
 	if c.IsZero() {
-		return nil, fmt.Errorf("glitchsim: request names no circuit")
+		return nil, "", fmt.Errorf("glitchsim: request names no circuit")
 	}
-	return c.resolve(e)
+	n, err = c.resolve(e)
+	return n, c.fingerprint, err
 }
 
 // MeasureCircuit measures a circuit reference under the configuration:

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"glitchsim/internal/core"
 	"glitchsim/internal/delay"
@@ -17,12 +18,20 @@ import (
 
 // Engine is the execution core of the package: it owns a worker pool
 // configuration, an engine-wide simulation concurrency bound
-// (WithMaxConcurrency), default delay/technology models, and a cache of
-// compiled netlists keyed by structural identity, so repeated
-// measurements of the same circuit — across calls, goroutines and
-// service requests — pay for compilation once. All measurement entry
-// points take a context.Context and honour cancellation promptly, with
-// periodic checks inside the simulator's event loop.
+// (WithMaxConcurrency), default delay/technology models, and two
+// bounded caches. The compiled-netlist cache is keyed by structural
+// fingerprint, so repeated measurements of the same circuit — across
+// calls, goroutines and service requests — pay for compilation once.
+// The experiment memo holds what the paper's drivers derive without
+// looking at a request's seed or cycle count: the fixed circuits they
+// measure (built once and hashed once), the retiming sweep subject's
+// clock period, and every retiming of a subject, keyed by the subject's
+// fingerprint, target period and latency budget. A repeated sweep
+// therefore only measures. Both caches are LRUs bounded by
+// WithCacheSize, and the netlists they hold are shared read-only. All
+// measurement entry points take a context.Context and honour
+// cancellation promptly, with periodic checks inside the simulator's
+// event loop.
 //
 // An Engine is safe for concurrent use by any number of goroutines; a
 // long-running service shares one Engine across all requests. Its
@@ -38,26 +47,96 @@ type Engine struct {
 	sem       chan struct{}   // engine-wide simulation slots, cap = maxConc
 	sources   []CircuitSource // name-resolution chain ahead of the registry
 
-	mu        sync.Mutex
-	lru       *list.List // of *cacheEntry; front = most recently used
-	entries   map[string]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	cache *memo[*sim.Compiled] // compiled netlists by fingerprint
+	memo  *memo[derived]       // experiment circuits, clock periods, retimings
+
+	// hashes counts the netlists hashed for cache keys (fingerprint)
+	// and retimings the retime.ForPeriod searches run (retimed), so
+	// tests can prove a warm sweep does neither.
+	hashes, retimings atomic.Uint64
 }
 
-// cacheEntry is one compiled netlist in the Engine's cache. Compilation
-// happens inside the entry's once, outside the cache lock, so concurrent
-// first requests for the same circuit do not serialize the whole engine
-// and do not compile twice.
-type cacheEntry struct {
+// memo is a bounded LRU of values computed once per key: the structure
+// behind both Engine caches. A value is computed inside its entry's
+// once, outside the memo's lock, so concurrent first requests for one
+// key compute it once without serializing other keys. A computation
+// that panics is never cached: the panic reaches the goroutine that ran
+// it, the entry is dropped, and goroutines that waited on it compute
+// afresh (and so report the panic too). capacity <= 0 disables the
+// memo: get computes every time.
+type memo[V any] struct {
+	capacity int
+
+	mu                      sync.Mutex
+	lru                     *list.List // of *memoEntry[V]; front = most recently used
+	entries                 map[string]*list.Element
+	hits, misses, evictions uint64
+}
+
+type memoEntry[V any] struct {
 	key  string
 	once sync.Once
-	c    *sim.Compiled
+	ok   bool // the computation returned
+	v    V
 }
 
-// DefaultCacheSize is the number of distinct compiled netlists an Engine
-// retains when WithCacheSize is not given.
+func newMemo[V any](capacity int) *memo[V] {
+	return &memo[V]{capacity: capacity, lru: list.New(), entries: make(map[string]*list.Element)}
+}
+
+// get returns the value memoized under key, computing it on a miss.
+func (m *memo[V]) get(key string, compute func() V) V {
+	if m.capacity <= 0 {
+		return compute()
+	}
+	m.mu.Lock()
+	el, hit := m.entries[key]
+	if hit {
+		m.lru.MoveToFront(el)
+		m.hits++
+	} else {
+		el = m.lru.PushFront(&memoEntry[V]{key: key})
+		m.entries[key] = el
+		m.misses++
+		if m.lru.Len() > m.capacity {
+			oldest := m.lru.Back()
+			m.lru.Remove(oldest)
+			delete(m.entries, oldest.Value.(*memoEntry[V]).key)
+			m.evictions++
+		}
+	}
+	ent := el.Value.(*memoEntry[V])
+	m.mu.Unlock()
+
+	defer func() {
+		if !ent.ok {
+			m.drop(el)
+		}
+	}()
+	ent.once.Do(func() {
+		ent.v = compute()
+		ent.ok = true
+	})
+	if !ent.ok {
+		return compute()
+	}
+	return ent.v
+}
+
+// drop removes el unless its key has since been taken by a newer entry.
+func (m *memo[V]) drop(el *list.Element) {
+	key := el.Value.(*memoEntry[V]).key
+	m.mu.Lock()
+	if cur, ok := m.entries[key]; ok && cur == el {
+		m.lru.Remove(el)
+		delete(m.entries, key)
+	}
+	m.mu.Unlock()
+}
+
+// DefaultCacheSize is the number of distinct compiled netlists, and of
+// experiment memo entries, an Engine retains when WithCacheSize is not
+// given.
 const DefaultCacheSize = 128
 
 // EngineOption configures an Engine at construction.
@@ -105,9 +184,12 @@ func WithMaxConcurrency(n int) EngineOption {
 	}
 }
 
-// WithCacheSize bounds the compiled-netlist cache to n distinct
-// circuits (LRU eviction). n <= 0 disables caching entirely: every
-// measurement compiles its netlist, as the pre-Engine API did.
+// WithCacheSize bounds each of the engine's two caches (LRU eviction):
+// the compiled-netlist cache to n distinct circuits, and the experiment
+// memo to n derived entries (fixed circuits, clock periods and
+// retimings). n <= 0 disables both: every measurement compiles its
+// netlist, as the pre-Engine API did, and every experiment driver call
+// rebuilds and retimes its circuits.
 func WithCacheSize(n int) EngineOption {
 	return func(e *Engine) {
 		if n < 0 {
@@ -124,12 +206,12 @@ func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{
 		tech:      power.Default08um(),
 		cacheSize: DefaultCacheSize,
-		lru:       list.New(),
-		entries:   make(map[string]*list.Element),
 	}
 	for _, o := range opts {
 		o(e)
 	}
+	e.cache = newMemo[*sim.Compiled](e.cacheSize)
+	e.memo = newMemo[derived](e.cacheSize)
 	if e.maxConc <= 0 {
 		e.maxConc = runtime.GOMAXPROCS(0)
 	}
@@ -198,72 +280,41 @@ type CacheStats struct {
 	Hits, Misses, Evictions uint64
 }
 
-// CacheStats returns a snapshot of the cache counters.
+// CacheStats returns a snapshot of the compiled-netlist cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	m := e.cache
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return CacheStats{
-		Size:      e.lru.Len(),
-		Capacity:  e.cacheSize,
-		Hits:      e.hits,
-		Misses:    e.misses,
-		Evictions: e.evictions,
+		Size:      m.lru.Len(),
+		Capacity:  m.capacity,
+		Hits:      m.hits,
+		Misses:    m.misses,
+		Evictions: m.evictions,
 	}
 }
 
 // compiled returns the compiled form of n, from cache when possible.
 // The cache key is the netlist's structural fingerprint, so separately
-// built instances of the same circuit share one compilation. Compile
-// panics on invalid netlists (matching the historical Measure
-// behaviour); a panicked compilation never poisons the cache.
-func (e *Engine) compiled(n *netlist.Netlist) *sim.Compiled {
-	if e.cacheSize <= 0 {
+// built instances of the same circuit share one compilation; fp is that
+// fingerprint when the caller already knows it (a memoized netlist), ""
+// to hash n here. Compile panics on invalid netlists (matching the
+// historical Measure behaviour); a panicked compilation never poisons
+// the cache.
+func (e *Engine) compiled(n *netlist.Netlist, fp string) *sim.Compiled {
+	if e.cache.capacity <= 0 {
 		return sim.Compile(n)
 	}
-	key := n.Fingerprint()
-
-	e.mu.Lock()
-	if el, ok := e.entries[key]; ok {
-		e.lru.MoveToFront(el)
-		ent := el.Value.(*cacheEntry)
-		e.hits++
-		e.mu.Unlock()
-		ent.once.Do(func() { ent.c = sim.Compile(n) })
-		if c := ent.c; c != nil {
-			return c
-		}
-		// The goroutine that owned the once panicked in Compile (invalid
-		// netlist). Drop the poisoned entry and report on this caller too.
-		e.dropEntry(key)
-		return sim.Compile(n)
+	if fp == "" {
+		fp = e.fingerprint(n)
 	}
-	ent := &cacheEntry{key: key}
-	e.entries[key] = e.lru.PushFront(ent)
-	e.misses++
-	if e.lru.Len() > e.cacheSize {
-		oldest := e.lru.Back()
-		e.lru.Remove(oldest)
-		delete(e.entries, oldest.Value.(*cacheEntry).key)
-		e.evictions++
-	}
-	e.mu.Unlock()
-
-	defer func() {
-		if ent.c == nil {
-			e.dropEntry(key) // Compile panicked: do not cache the failure
-		}
-	}()
-	ent.once.Do(func() { ent.c = sim.Compile(n) })
-	return ent.c
+	return e.cache.get(fp, func() *sim.Compiled { return sim.Compile(n) })
 }
 
-func (e *Engine) dropEntry(key string) {
-	e.mu.Lock()
-	if el, ok := e.entries[key]; ok {
-		e.lru.Remove(el)
-		delete(e.entries, key)
-	}
-	e.mu.Unlock()
+// fingerprint hashes n for a cache key, counting the hash.
+func (e *Engine) fingerprint(n *netlist.Netlist) string {
+	e.hashes.Add(1)
+	return n.Fingerprint()
 }
 
 // ---------------------------------------------------------------------------
@@ -337,13 +388,14 @@ type ExperimentRequest struct {
 
 // measureNetlist is the single-measurement core: admit (the memory
 // budget is checked against the cost estimate before anything is
-// compiled), compile (cached), claim an engine slot, simulate.
-func (e *Engine) measureNetlist(ctx context.Context, nl *netlist.Netlist, cfg Config) (*core.Counter, error) {
+// compiled), compile (cached; fp as for compiled), claim an engine
+// slot, simulate.
+func (e *Engine) measureNetlist(ctx context.Context, nl *netlist.Netlist, fp string, cfg Config) (*core.Counter, error) {
 	cfg = e.fillDefaults(cfg)
 	if err := e.admitMemory(nl, cfg); err != nil {
 		return nil, err
 	}
-	c := e.compiled(nl)
+	c := e.compiled(nl, fp)
 	if err := e.acquire(ctx); err != nil {
 		return nil, err
 	}
@@ -358,11 +410,11 @@ func (e *Engine) measureNetlist(ctx context.Context, nl *netlist.Netlist, cfg Co
 // WITH the error: its statistics are well defined through the cycle
 // boundary recorded in the *BudgetError.
 func (e *Engine) MeasureDetailed(ctx context.Context, req MeasureRequest) (*core.Counter, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, fp, err := e.requestNetlist(req.Netlist, req.Circuit)
 	if err != nil {
 		return nil, err
 	}
-	return e.measureNetlist(ctx, nl, req.Config)
+	return e.measureNetlist(ctx, nl, fp, req.Config)
 }
 
 // Measure runs MeasureDetailed and summarizes the totals. On a budget
@@ -370,11 +422,11 @@ func (e *Engine) MeasureDetailed(ctx context.Context, req MeasureRequest) (*core
 // the partial statistics through the last completed cycle boundary,
 // alongside the error.
 func (e *Engine) Measure(ctx context.Context, req MeasureRequest) (Activity, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, fp, err := e.requestNetlist(req.Netlist, req.Circuit)
 	if err != nil {
 		return Activity{}, err
 	}
-	counter, err := e.measureNetlist(ctx, nl, req.Config)
+	counter, err := e.measureNetlist(ctx, nl, fp, req.Config)
 	if err != nil {
 		if counter != nil {
 			return summarize(nl.Name, counter), err
@@ -386,15 +438,19 @@ func (e *Engine) Measure(ctx context.Context, req MeasureRequest) (Activity, err
 
 // MeasurePower measures activity and evaluates the paper's
 // three-component power model on it, using the request's technology
-// constants or the engine default.
+// constants or the engine default. Power is a per-cycle average, so a
+// request that measures no cycles (Cycles: ExplicitZero) fails.
 func (e *Engine) MeasurePower(ctx context.Context, req MeasureRequest) (power.Breakdown, Activity, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, fp, err := e.requestNetlist(req.Netlist, req.Circuit)
 	if err != nil {
 		return power.Breakdown{}, Activity{}, err
 	}
-	counter, err := e.measureNetlist(ctx, nl, req.Config)
+	counter, err := e.measureNetlist(ctx, nl, fp, req.Config)
 	if err != nil {
 		return power.Breakdown{}, Activity{}, err
+	}
+	if counter.Cycles() == 0 {
+		return power.Breakdown{}, Activity{}, fmt.Errorf("glitchsim: power of %q needs at least one measured cycle", nl.Name)
 	}
 	tech := e.tech
 	if req.Tech != nil {
@@ -449,7 +505,7 @@ func (e *Engine) measureMany(ctx context.Context, jobs []MeasureJob, workers int
 		}
 		nets[i] = nl
 		if compiled[nl] == nil {
-			compiled[nl] = e.compiled(nl)
+			compiled[nl] = e.compiled(nl, jobs[i].Circuit.fingerprint)
 		}
 	}
 
@@ -503,11 +559,11 @@ func (e *Engine) measureSeeds(ctx context.Context, req SeedSweepRequest, emit fu
 	if len(req.Seeds) == 0 {
 		return nil, fmt.Errorf("glitchsim: MeasureSeeds needs at least one seed")
 	}
-	nl, err := e.requestNetlist(nil, req.Circuit)
+	nl, fp, err := e.requestNetlist(nil, req.Circuit)
 	if err != nil {
 		return nil, err
 	}
-	circuit := CircuitFromNetlist(nl)
+	circuit := fingerprinted(nl, fp)
 	jobs := make([]MeasureJob, len(req.Seeds))
 	for i, seed := range req.Seeds {
 		c := req.Config

@@ -3,6 +3,7 @@ package glitchsim
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"glitchsim/internal/analytic"
 	"glitchsim/internal/circuits"
@@ -27,6 +28,89 @@ import (
 // defaults. The drivers a Session streams (Table1–3, Figure10) each run
 // through one unexported function that takes an emit callback, nil for
 // the Engine method.
+//
+// What a driver derives without looking at the request's seed or cycle
+// count comes from the Engine's experiment memo: every fixed circuit
+// (experimentCircuit), the sweep subject's clock period and each of its
+// retimings. A repeated request therefore only measures.
+
+// ---------------------------------------------------------------------------
+// The experiment memo.
+
+// derived is one entry of the Engine's experiment memo: a circuit the
+// drivers measure (a fixed circuit or a retiming, with its
+// fingerprint), a sweep subject's clock period, or a retiming's achieved
+// period and pipeline latency, or the error ForPeriod returned for it.
+type derived struct {
+	circuit         Circuit
+	period, latency int
+	err             error
+}
+
+// The families of the drivers' fixed circuits, in full-adder cells
+// unless named otherwise.
+const (
+	rcaCells         = "rca"
+	rcaGates         = "rca-gates"
+	arrayMult        = "array"   // MultRow.Arch
+	wallaceMult      = "wallace" // MultRow.Arch
+	dirDet           = "dirdet"  // the §4.2 direction detector
+	dirDetRegistered = "dirdet-registered"
+)
+
+// experimentCircuit returns the engine's shared instance of a fixed
+// experiment circuit, one family at one width, built and fingerprinted
+// once per engine. Callers must not modify it.
+func (e *Engine) experimentCircuit(family string, width int) Circuit {
+	return e.memo.get("circuit/"+family+"/"+strconv.Itoa(width), func() derived {
+		var n *netlist.Netlist
+		switch family {
+		case rcaCells:
+			n = circuits.NewRCA(width, circuits.Cells)
+		case rcaGates:
+			n = circuits.NewRCA(width, circuits.Gates)
+		case arrayMult:
+			n = circuits.NewArrayMultiplier(width, circuits.Cells)
+		case wallaceMult:
+			n = circuits.NewWallaceMultiplier(width, circuits.Cells)
+		case dirDet, dirDetRegistered:
+			n = circuits.NewDirectionDetector(circuits.DirDetConfig{
+				Width: width, Style: circuits.Cells, RegisterInputs: family == dirDetRegistered,
+			})
+		default:
+			panic("glitchsim: unknown experiment circuit family " + family)
+		}
+		return derived{circuit: fingerprinted(n, e.fingerprint(n))}
+	}).circuit
+}
+
+// Both retiming sweeps run under unit delay, so the delay model is not
+// part of the memo keys below. Should it become a parameter, it joins
+// them through its sim.DelayTable digest, never its Name: delay.Func
+// lets two different models share a name.
+
+// clockPeriod returns the sweep subject's clock period, memoized by the
+// subject's fingerprint.
+func (e *Engine) clockPeriod(subject Circuit) int {
+	return e.memo.get("period/"+subject.fingerprint, func() derived {
+		return derived{period: retime.FromNetlist(subject.netlist, delay.Unit(), 0).ClockPeriod(nil)}
+	}).period
+}
+
+// retimed returns retime.ForPeriod's retiming of the sweep subject for
+// the target period within maxLatency pipeline stages, memoized with
+// its error by (subject fingerprint, target, maxLatency).
+func (e *Engine) retimed(subject Circuit, target, maxLatency int) derived {
+	key := "retime/" + subject.fingerprint + "/" + strconv.Itoa(target) + "/" + strconv.Itoa(maxLatency)
+	return e.memo.get(key, func() derived {
+		e.retimings.Add(1)
+		res, err := retime.ForPeriod(subject.netlist, delay.Unit(), target, maxLatency)
+		if err != nil {
+			return derived{err: err}
+		}
+		return derived{circuit: fingerprinted(res.Netlist, e.fingerprint(res.Netlist)), period: res.Period, latency: res.Latency}
+	})
+}
 
 // ---------------------------------------------------------------------------
 // E1 — §3.1 / Figure 3: worst-case transition count of a ripple-carry adder.
@@ -78,10 +162,11 @@ func (e *Engine) WorstCase(ctx context.Context, req ExperimentRequest) (WorstCas
 	res.TimelineSumTransitions = sums[n-1]
 	res.TimelineCarryTransitions = carries[n-1]
 
-	nl := circuits.NewRCA(n, circuits.Cells)
+	rca := e.experimentCircuit(rcaCells, n)
+	nl := rca.netlist
 	sumNet := nl.Bus("sum")[n-1]
 	carryNet := nl.Bus("carry")[n-1]
-	s := sim.NewFromCompiled(e.compiled(nl), sim.Options{Delay: delay.Unit()})
+	s := sim.NewFromCompiled(e.compiled(nl, rca.fingerprint), sim.Options{Delay: delay.Unit()})
 	pi := make(logic.Vector, nl.InputWidth())
 	apply := func(a, b uint64) error {
 		copy(pi[:n], logic.VectorFromUint(a, n))
@@ -142,14 +227,14 @@ func (e *Engine) Figure5(ctx context.Context, req ExperimentRequest) (Fig5Result
 		cycles = 4000
 	}
 	pred := analytic.PredictRCA(n, cycles)
-	nl := circuits.NewRCA(n, circuits.Cells)
+	rca := e.experimentCircuit(rcaCells, n)
 	counter, err := e.MeasureDetailed(ctx, MeasureRequest{
-		Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: cycles, Seed: req.Seed},
+		Circuit: rca, Config: Config{Cycles: cycles, Seed: req.Seed},
 	})
 	if err != nil {
 		return Fig5Result{}, err
 	}
-	res := Fig5Result{N: n, Cycles: cycles, Sim: summarize(nl.Name, counter)}
+	res := Fig5Result{N: n, Cycles: cycles, Sim: summarize(rca.netlist.Name, counter)}
 	res.AnalyticTotal, res.AnalyticUseful, res.AnalyticUseless = pred.RoundedTotals()
 	sumBits := counter.BusBitStats("sum")
 	carryBits := counter.BusBitStats("carry")
@@ -212,8 +297,8 @@ func (e *Engine) table1(ctx context.Context, req ExperimentRequest, emit func(Ev
 		return nil, err
 	}
 	return e.measureMultipliers(ctx, []multSpec{
-		{"array", 8, 1, 1}, {"array", 16, 1, 1},
-		{"wallace", 8, 1, 1}, {"wallace", 16, 1, 1},
+		{arrayMult, 8, 1, 1}, {arrayMult, 16, 1, 1},
+		{wallaceMult, 8, 1, 1}, {wallaceMult, 16, 1, 1},
 	}, req, emit)
 }
 
@@ -230,28 +315,16 @@ func (e *Engine) table2(ctx context.Context, req ExperimentRequest, emit func(Ev
 		return nil, err
 	}
 	return e.measureMultipliers(ctx, []multSpec{
-		{"array", 8, 1, 1}, {"array", 8, 2, 1},
-		{"wallace", 8, 1, 1}, {"wallace", 8, 2, 1},
+		{arrayMult, 8, 1, 1}, {arrayMult, 8, 2, 1},
+		{wallaceMult, 8, 1, 1}, {wallaceMult, 8, 2, 1},
 	}, req, emit)
 }
 
 // multSpec names one multiplier measurement of Tables 1 and 2.
 type multSpec struct {
-	arch         string
+	arch         string // arrayMult or wallaceMult
 	width        int
 	dsum, dcarry int
-}
-
-func (sp multSpec) build() (*netlist.Netlist, delay.Model) {
-	nl := circuits.NewArrayMultiplier(sp.width, circuits.Cells)
-	if sp.arch == "wallace" {
-		nl = circuits.NewWallaceMultiplier(sp.width, circuits.Cells)
-	}
-	var dm delay.Model = delay.Unit()
-	if sp.dsum != sp.dcarry {
-		dm = delay.FullAdderRatio(sp.dsum, sp.dcarry)
-	}
-	return nl, dm
 }
 
 // measureMultipliers measures the given multiplier specs concurrently
@@ -261,8 +334,11 @@ func (sp multSpec) build() (*netlist.Netlist, delay.Model) {
 func (e *Engine) measureMultipliers(ctx context.Context, specs []multSpec, req ExperimentRequest, emit func(Event)) ([]MultRow, error) {
 	jobs := make([]MeasureJob, len(specs))
 	for i, sp := range specs {
-		nl, dm := sp.build()
-		jobs[i] = MeasureJob{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: dm}}
+		var dm delay.Model = delay.Unit()
+		if sp.dsum != sp.dcarry {
+			dm = delay.FullAdderRatio(sp.dsum, sp.dcarry)
+		}
+		jobs[i] = MeasureJob{Circuit: e.experimentCircuit(sp.arch, sp.width), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: dm}}
 	}
 	row := func(i int, act Activity) MultRow {
 		sp := specs[i]
@@ -313,8 +389,7 @@ func (e *Engine) DirectionDetector42(ctx context.Context, req ExperimentRequest)
 	if cycles == 0 {
 		cycles = 4320
 	}
-	nl := circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
-	act, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: cycles, Seed: req.Seed}})
+	act, err := e.Measure(ctx, MeasureRequest{Circuit: e.experimentCircuit(dirDet, 8), Config: Config{Cycles: cycles, Seed: req.Seed}})
 	if err != nil {
 		return DirDetResult{}, err
 	}
@@ -341,32 +416,38 @@ type Table3Row struct {
 	LOverF       float64
 }
 
-// sweepPlan is a retime-and-measure sweep: the base circuit, its delay
-// model, the retiming period targets and the latency budget.
+// sweepPlan is a retime-and-measure sweep under unit delay: the base
+// circuit, the retiming period targets and the latency budget.
 type sweepPlan struct {
-	base       *netlist.Netlist
-	dm         delay.Model
+	base       Circuit // fingerprinted
 	targets    []int
 	maxLatency int
 }
 
 // sweepSubject resolves the circuit a retiming power sweep operates on:
-// the request's Circuit reference, defaulting to the paper's
-// input-registered direction detector.
-func (e *Engine) sweepSubject(req ExperimentRequest) (*netlist.Netlist, error) {
-	if !req.Circuit.IsZero() {
-		return e.Resolve(req.Circuit)
+// the request's Circuit reference, fingerprinted here so its retimings
+// are memoized by structure (never by name, and a netlist its caller
+// mutated gets new keys), defaulting to the paper's input-registered
+// direction detector.
+func (e *Engine) sweepSubject(req ExperimentRequest) (Circuit, error) {
+	if req.Circuit.IsZero() {
+		return e.experimentCircuit(dirDetRegistered, 8), nil
 	}
-	return circuits.NewDirectionDetector(circuits.DirDetConfig{
-		Width: 8, Style: circuits.Cells, RegisterInputs: true,
-	}), nil
+	nl, err := e.Resolve(req.Circuit)
+	if err != nil {
+		return Circuit{}, err
+	}
+	return fingerprinted(nl, e.fingerprint(nl)), nil
 }
 
 // Table3 reproduces Table 3: the input-registered direction detector is
 // retimed for four successively higher clock frequencies (shorter
 // retiming periods), and each variant's power is split into logic,
 // flipflop and clock components. The first variant is the original
-// circuit (registers at the inputs, the paper's 48 flipflops).
+// circuit (registers at the inputs, the paper's 48 flipflops). The
+// subject, its clock period and its retimings come from the engine's
+// experiment memo, so only the first request per engine (and subject)
+// builds and retimes; later ones only measure.
 func (e *Engine) Table3(ctx context.Context, req ExperimentRequest) ([]Table3Row, error) {
 	return e.table3(ctx, req, nil)
 }
@@ -380,10 +461,9 @@ func (e *Engine) table3(ctx context.Context, req ExperimentRequest, emit func(Ev
 	if err != nil {
 		return nil, err
 	}
-	dm := delay.Unit()
-	cp := retime.FromNetlist(base, dm, 0).ClockPeriod(nil)
+	cp := e.clockPeriod(base)
 	return e.powerSweep(ctx, sweepPlan{
-		base: base, dm: dm,
+		base:       base,
 		targets:    []int{cp, cp * 3 / 7, cp / 3, cp * 3 / 14},
 		maxLatency: 4 * cp,
 	}, req, emit, 0)
@@ -411,9 +491,9 @@ type Fig10Result struct {
 // sweep's row 0, whose Period is cp, the subject's own clock period. The
 // default (sequential-aware) warm-up applies, so deep pipelines are
 // flushed before counting.
-func (e *Engine) measureUnretimed(ctx context.Context, base *netlist.Netlist, cp int, req ExperimentRequest) (Table3Row, error) {
+func (e *Engine) measureUnretimed(ctx context.Context, base Circuit, cp int, req ExperimentRequest) (Table3Row, error) {
 	bd, act, err := e.MeasurePower(ctx, MeasureRequest{
-		Circuit: CircuitFromNetlist(base),
+		Circuit: base,
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
 	})
 	if err != nil {
@@ -439,7 +519,10 @@ func (e *Engine) measureUnretimed(ctx context.Context, base *netlist.Netlist, cp
 // Table 3 sweep extended to arbitrary retiming targets (req.Targets; nil
 // selects the default eight-point sweep), producing the
 // power-versus-flipflops curves of Figure 10 anchored to the unretimed
-// circuit. Points are ordered by increasing flipflop count.
+// circuit. Points are ordered by increasing flipflop count. As for
+// Table3, the subject's clock period and each retiming come from the
+// engine's experiment memo, keyed by the subject's fingerprint, target
+// period and latency budget.
 func (e *Engine) Figure10(ctx context.Context, req ExperimentRequest) (Fig10Result, error) {
 	return e.figure10(ctx, req, nil)
 }
@@ -453,8 +536,7 @@ func (e *Engine) figure10(ctx context.Context, req ExperimentRequest, emit func(
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	dm := delay.Unit()
-	cp := retime.FromNetlist(base, dm, 0).ClockPeriod(nil)
+	cp := e.clockPeriod(base)
 	targets := req.Targets
 	if targets == nil {
 		targets = []int{cp, cp / 2, cp / 3, cp / 4, cp / 5, cp / 7, cp / 9, cp / 12}
@@ -467,11 +549,11 @@ func (e *Engine) figure10(ctx context.Context, req ExperimentRequest, emit func(
 		b := before
 		emit(Event{Kind: EventRow, Index: 0, Total: len(targets) + 1, Row: &b})
 	}
-	points, err := e.powerSweep(ctx, sweepPlan{base: base, dm: dm, targets: targets, maxLatency: 8 * cp}, req, emit, 1)
+	points, err := e.powerSweep(ctx, sweepPlan{base: base, targets: targets, maxLatency: 8 * cp}, req, emit, 1)
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	return Fig10Result{Subject: base.Name, Before: before, Points: points}, nil
+	return Fig10Result{Subject: base.netlist.Name, Before: before, Points: points}, nil
 }
 
 // powerSweep retimes the plan's subject for each target period and
@@ -487,13 +569,13 @@ func (e *Engine) powerSweep(ctx context.Context, plan sweepPlan, req ExperimentR
 		if tgt < 1 {
 			tgt = 1
 		}
-		res, err := retime.ForPeriod(plan.base, plan.dm, tgt, plan.maxLatency)
-		if err != nil {
-			return fmt.Errorf("glitchsim: retiming target %d: %w", tgt, err)
+		rt := e.retimed(plan.base, tgt, plan.maxLatency)
+		if rt.err != nil {
+			return fmt.Errorf("glitchsim: retiming target %d: %w", tgt, rt.err)
 		}
 		bd, act, err := e.MeasurePower(ctx, MeasureRequest{
-			Circuit: CircuitFromNetlist(res.Netlist),
-			Config:  Config{Cycles: req.Cycles, Seed: req.Seed, Warmup: res.Latency + 16},
+			Circuit: rt.circuit,
+			Config:  Config{Cycles: req.Cycles, Seed: req.Seed, Warmup: rt.latency + 16},
 		})
 		if err != nil {
 			return err
@@ -501,8 +583,8 @@ func (e *Engine) powerSweep(ctx context.Context, plan sweepPlan, req ExperimentR
 		rows[i] = Table3Row{
 			Circuit:      i + 1,
 			TargetPeriod: tgt,
-			Period:       res.Period,
-			Latency:      res.Latency,
+			Period:       rt.period,
+			Latency:      rt.latency,
 			FFs:          bd.NumFFs,
 			AreaMM2:      bd.AreaMM2,
 			ClockCapPF:   bd.ClockCapF * 1e12,
@@ -542,12 +624,12 @@ func (e *Engine) AblationInertial(ctx context.Context, req ExperimentRequest) (A
 	if err := fixedCircuit("AblationInertial", req); err != nil {
 		return AblationResult{}, err
 	}
-	nl := circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
-	a, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical()}})
+	dd := e.experimentCircuit(dirDet, 8)
+	a, err := e.Measure(ctx, MeasureRequest{Circuit: dd, Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical()}})
 	if err != nil {
 		return AblationResult{}, err
 	}
-	b, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical(), Inertial: true}})
+	b, err := e.Measure(ctx, MeasureRequest{Circuit: dd, Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical(), Inertial: true}})
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -567,14 +649,14 @@ func (e *Engine) AblationGranularity(ctx context.Context, req ExperimentRequest)
 		w = 8
 	}
 	a, err := e.Measure(ctx, MeasureRequest{
-		Circuit: CircuitFromNetlist(circuits.NewRCA(w, circuits.Cells)),
+		Circuit: e.experimentCircuit(rcaCells, w),
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
 	})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	b, err := e.Measure(ctx, MeasureRequest{
-		Circuit: CircuitFromNetlist(circuits.NewRCA(w, circuits.Gates)),
+		Circuit: e.experimentCircuit(rcaGates, w),
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
 	})
 	if err != nil {
@@ -616,14 +698,14 @@ func (e *Engine) AblationZeroDelay(ctx context.Context, req ExperimentRequest) (
 	if w == 0 {
 		w = 16
 	}
-	nl := circuits.NewRCA(w, circuits.Cells)
-	est := analytic.ZeroDelayActivityTotal(nl)
-	act, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
+	rca := e.experimentCircuit(rcaCells, w)
+	est := analytic.ZeroDelayActivityTotal(rca.netlist)
+	act, err := e.Measure(ctx, MeasureRequest{Circuit: rca, Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
 	if err != nil {
 		return ZeroDelayComparison{}, err
 	}
 	return ZeroDelayComparison{
-		Circuit:           nl.Name,
+		Circuit:           rca.netlist.Name,
 		EstimatedPerCycle: est,
 		MeasuredPerCycle:  float64(act.Transitions) / float64(act.Cycles),
 		UsefulPerCycle:    float64(act.Useful) / float64(act.Cycles),
@@ -640,8 +722,8 @@ func (e *Engine) SeedSweep(ctx context.Context, req ExperimentRequest) ([]Ablati
 		return nil, err
 	}
 	seeds := req.Seeds
-	array := CircuitFromNetlist(circuits.NewArrayMultiplier(8, circuits.Cells))
-	wallace := CircuitFromNetlist(circuits.NewWallaceMultiplier(8, circuits.Cells))
+	array := e.experimentCircuit(arrayMult, 8)
+	wallace := e.experimentCircuit(wallaceMult, 8)
 	jobs := make([]MeasureJob, 0, 2*len(seeds))
 	for _, seed := range seeds {
 		jobs = append(jobs,
@@ -677,8 +759,8 @@ func (e *Engine) GraySweep(ctx context.Context, req ExperimentRequest) ([]Activi
 	if err := fixedCircuit("GraySweep", req); err != nil {
 		return nil, err
 	}
-	nl := circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
-	w := nl.InputWidth()
+	dd := e.experimentCircuit(dirDet, 8)
+	w := dd.netlist.InputWidth()
 	sources := []struct {
 		name string
 		src  stimulus.Source
@@ -692,7 +774,7 @@ func (e *Engine) GraySweep(ctx context.Context, req ExperimentRequest) ([]Activi
 	}
 	jobs := make([]MeasureJob, len(sources))
 	for i, s := range sources {
-		jobs[i] = MeasureJob{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Source: s.src}}
+		jobs[i] = MeasureJob{Circuit: dd, Config: Config{Cycles: req.Cycles, Source: s.src}}
 	}
 	res, err := e.measureMany(ctx, jobs, 0, nil)
 	if err != nil {
@@ -704,7 +786,7 @@ func (e *Engine) GraySweep(ctx context.Context, req ExperimentRequest) ([]Activi
 			return nil, res[i].Err
 		}
 		out[i] = res[i].Activity
-		out[i].Circuit = nl.Name + "/" + s.name
+		out[i].Circuit = dd.netlist.Name + "/" + s.name
 	}
 	return out, nil
 }

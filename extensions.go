@@ -265,7 +265,7 @@ func (e *Engine) CorrelationStudy(ctx context.Context, req ExperimentRequest) ([
 	if ctx.Done() != nil {
 		opts.Cancel = ctx.Err
 	}
-	c := e.compiled(n)
+	c := e.compiled(n, "")
 	if err := e.acquire(ctx); err != nil {
 		return nil, err
 	}

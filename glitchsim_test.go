@@ -392,6 +392,23 @@ func TestMeasurePowerConsistency(t *testing.T) {
 	}
 }
 
+// TestMeasurePowerZeroCycles: power over no measured cycles is an error
+// from MeasurePower and from the power sweeps, which evaluate it on
+// worker goroutines where a panic would end the process.
+func TestMeasurePowerZeroCycles(t *testing.T) {
+	e, ctx := NewEngine(), context.Background()
+	zero := Config{Cycles: ExplicitZero}
+	if _, _, err := e.MeasurePower(ctx, MeasureRequest{Circuit: CircuitFromNetlist(NewRCA(4)), Config: zero}); err == nil {
+		t.Error("MeasurePower over zero cycles succeeded")
+	}
+	if _, err := e.Table3(ctx, ExperimentRequest{Cycles: ExplicitZero}); err == nil {
+		t.Error("Table3 over zero cycles succeeded")
+	}
+	if _, err := e.Figure10(ctx, ExperimentRequest{Cycles: ExplicitZero}); err == nil {
+		t.Error("Figure10 over zero cycles succeeded")
+	}
+}
+
 func TestInertialOptionReachesSimulator(t *testing.T) {
 	// Same seed, inertial vs transport under heterogeneous delays must
 	// differ (under pure unit delay the modes coincide by construction).

@@ -284,6 +284,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
+	if p.Kind != "measure" && p.Experiment != nil {
+		if err := p.Experiment.validate(); err != nil {
+			s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+			return
+		}
+	}
 	switch p.Kind {
 	case "measure":
 		if p.Measure == nil || p.Measure.Circuit == "" {

@@ -182,8 +182,9 @@ type MeasureParams struct {
 	// registry.Names) or the fingerprint of an uploaded circuit (POST
 	// /v1/circuits).
 	Circuit string `json:"circuit"`
-	// Cycles: omitted = 500, explicit 0 = measure nothing. Negative
-	// counts (here and in Warmup, Lanes, CheckpointEvery) answer 400.
+	// Cycles: omitted = 500, explicit 0 = measure nothing (400 with
+	// Power, which averages over measured cycles). Negative counts (here
+	// and in Warmup, Lanes, CheckpointEvery) answer 400.
 	Cycles *int `json:"cycles,omitempty"`
 	// Warmup: omitted = 8, explicit 0 = measure from reset.
 	Warmup *int `json:"warmup,omitempty"`
@@ -253,7 +254,9 @@ func (p *MeasureParams) config() glitchsim.Config {
 
 // validate rejects negative counts. The Config sentinels would coerce
 // them silently (a negative cycles or warmup to ExplicitZero, negative
-// lanes to a single-stream run), so the wire refuses them instead.
+// lanes to a single-stream run), so the wire refuses them instead. It
+// also refuses power over zero measured cycles, which the engine
+// cannot evaluate.
 func (p *MeasureParams) validate() error {
 	for _, f := range []struct {
 		name string
@@ -267,6 +270,9 @@ func (p *MeasureParams) validate() error {
 		if f.v != nil && *f.v < 0 {
 			return fmt.Errorf("%s must not be negative, got %d", f.name, *f.v)
 		}
+	}
+	if p.Power && p.Cycles != nil && *p.Cycles == 0 {
+		return fmt.Errorf("power needs at least one measured cycle, got cycles 0")
 	}
 	return nil
 }
@@ -382,7 +388,8 @@ func (s *Server) measure(sess *glitchsim.Session, nl *netlist.Netlist, cfg glitc
 // ExperimentParams is the request body (or query string) of the
 // /v1/experiments endpoints.
 type ExperimentParams struct {
-	// Cycles per measured point (omitted = the experiment's default).
+	// Cycles per measured point (omitted or 0 = the experiment's
+	// default; negative answers 400).
 	Cycles int `json:"cycles,omitempty"`
 	// Seed selects the stimulus stream (omitted = 1).
 	Seed uint64 `json:"seed,omitempty"`
@@ -396,11 +403,24 @@ type ExperimentParams struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
+// validate rejects a negative cycle count, which the engine would read
+// as ExplicitZero: no measured cycles, all-zero rows and no power.
+func (p *ExperimentParams) validate() error {
+	if p.Cycles < 0 {
+		return fmt.Errorf("cycles must not be negative, got %d", p.Cycles)
+	}
+	return nil
+}
+
 // experimentHandler builds the handler for one experiment endpoint.
 func (s *Server) experimentHandler(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var p ExperimentParams
 		if !s.decodeParams(w, r, &p) {
+			return
+		}
+		if err := p.validate(); err != nil {
+			s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 			return
 		}
 		req := glitchsim.ExperimentRequest{Cycles: p.Cycles, Seed: p.Seed, Targets: p.Targets}

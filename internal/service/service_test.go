@@ -411,3 +411,42 @@ func TestServiceRejectsNegativeCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceRejectsZeroCycleExperiments: a negative experiment cycle
+// count answers 400 bad_request on every experiment endpoint, in the
+// JSON body and the query string, and at job submission, instead of
+// measuring zero cycles (a Table 3 worker then crashed the daemon on the
+// power model). Power over an explicit zero cycles answers 400 too.
+func TestServiceRejectsZeroCycleExperiments(t *testing.T) {
+	_, ts := newJobServer(t, glitchsim.NewEngine(), jobs.Options{})
+	check := func(what string, resp *http.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", what, resp.StatusCode)
+		}
+		if e := decodeBody[ErrorResponse](t, resp); e.Code != CodeBadRequest || !strings.Contains(e.Error, "cycles") {
+			t.Errorf("%s: code %q error %q, want %q naming cycles", what, e.Code, e.Error, CodeBadRequest)
+		}
+	}
+	for _, name := range []string{"table3", "figure10", "table1", "table2"} {
+		resp, err := http.Post(ts.URL+"/v1/experiments/"+name, "application/json", strings.NewReader(`{"cycles":-1}`))
+		check(name+" json", resp, err)
+		resp, err = http.Get(ts.URL + "/v1/experiments/" + name + "?cycles=-1")
+		check(name+" query", resp, err)
+		resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"kind":"`+name+`","experiment":{"cycles":-1}}`))
+		check(name+" job", resp, err)
+	}
+	for _, body := range []string{
+		`{"circuit":"rca4","cycles":0,"power":true}`,
+		`{"circuit":"rca4","cycles":0,"power":true,"seeds":[1,2]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(body))
+		check("measure "+body, resp, err)
+		resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"kind":"measure","measure":`+body+`}`))
+		check("job "+body, resp, err)
+	}
+}

@@ -169,12 +169,12 @@ func kernelFor(c *sim.Compiled, cfg Config, lanes int) Kernel {
 // resolved configuration and the engine's lane/delay defaults — so the
 // prediction is exact.
 func (e *Engine) SelectedKernel(req MeasureRequest) (Kernel, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, fp, err := e.requestNetlist(req.Netlist, req.Circuit)
 	if err != nil {
 		return "", err
 	}
 	cfg := e.fillDefaults(req.Config)
-	return kernelFor(e.compiled(nl), cfg, e.laneCount(cfg)), nil
+	return kernelFor(e.compiled(nl, fp), cfg, e.laneCount(cfg)), nil
 }
 
 // laneMaskOf returns the mask of the first n lanes.
