@@ -116,13 +116,8 @@ type CostEstimate struct {
 // estimateCost computes the estimate for a config whose engine-level
 // defaults are already applied and a resolved lane count.
 func estimateCost(n *netlist.Netlist, cfg Config, lanes int) CostEstimate {
-	if cfg.Source != nil || cfg.Cycles == 1 {
-		lanes = 1 // single-stream paths never decompose
-	}
+	lanes = splitLanes(cfg, lanes)
 	cfg = cfg.withDefaults(n)
-	if cfg.Cycles < lanes {
-		lanes = max(cfg.Cycles, 1)
-	}
 	pins := 0
 	for i := range n.Cells {
 		pins += len(n.Cells[i].In)

@@ -148,12 +148,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults(n *netlist.Netlist) Config {
-	switch {
-	case c.Cycles == 0:
-		c.Cycles = 500
-	case c.Cycles < 0: // ExplicitZero
-		c.Cycles = 0
-	}
+	c.Cycles = c.measuredCycles()
 	switch {
 	case c.Warmup == 0:
 		c.Warmup = 8
@@ -175,6 +170,18 @@ func (c Config) withDefaults(n *netlist.Netlist) Config {
 		c.Source = stimulus.NewRandom(n.InputWidth(), c.Seed)
 	}
 	return c
+}
+
+// measuredCycles resolves Cycles: 0 selects the default of 500,
+// ExplicitZero (any negative value) none.
+func (c Config) measuredCycles() int {
+	switch {
+	case c.Cycles == 0:
+		return 500
+	case c.Cycles < 0:
+		return 0
+	}
+	return c.Cycles
 }
 
 // warmupSteps returns how many kernel steps the warm-up of a resolved
@@ -205,21 +212,20 @@ func warmupSteps(levels int, feedback bool, cfg Config, lanes int) int {
 // everything else is per-call state. ctx is checked between cycles and,
 // through the kernel's Cancel hook, periodically inside the event loop,
 // so cancellation lands promptly even mid-cycle on large circuits.
-// lanes is the resolved lane count (see Engine.laneCount): seed-driven
-// measurements of more than one cycle decompose into that many parallel
-// stimulus streams on a word-parallel kernel (measureWide); everything
-// else takes the single-stream path.
+// lanes is the resolved lane count (see Engine.laneCount); splitLanes
+// decides how many parallel stimulus streams the measurement runs on a
+// word-parallel kernel (measureWide). A single lane takes the
+// single-stream path.
 func measureCompiled(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*core.Counter, error) {
 	n := c.Netlist()
-	split := lanes > 1 && cfg.Source == nil
+	lanes = splitLanes(cfg, lanes)
 	cfg = cfg.withDefaults(n)
 	if cfg.Source.Width() != n.InputWidth() {
 		return nil, fmt.Errorf("glitchsim: stimulus width %d, circuit %q has %d inputs",
 			cfg.Source.Width(), n.Name, n.InputWidth())
 	}
-	if split && cfg.Cycles > 1 {
-		// Never run a lane with nothing to measure.
-		return measureWide(ctx, c, cfg, min(lanes, cfg.Cycles))
+	if lanes > 1 {
+		return measureWide(ctx, c, cfg, lanes)
 	}
 	if cfg.CheckpointEvery > 0 || cfg.Resume != nil {
 		return nil, fmt.Errorf("%w: circuit %q would run single-stream", ErrCheckpointUnsupported, n.Name)

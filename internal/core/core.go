@@ -26,7 +26,6 @@ import (
 	"sort"
 
 	"glitchsim/internal/logic"
-	"glitchsim/internal/sim"
 	"glitchsim/netlist"
 )
 
@@ -123,25 +122,6 @@ func (c *Counter) OnChange(net netlist.NetID, _, _ int, old, new logic.V) {
 	p.n++
 	if new == logic.L1 {
 		p.rise++
-	}
-}
-
-// OnChangeBatch implements sim.BatchMonitor: one dispatch per time
-// instant instead of one per transition.
-func (c *Counter) OnChangeBatch(_, _ int, changes []sim.Change) {
-	for i := range changes {
-		ch := &changes[i]
-		if !c.include[ch.Net] || !ch.Old.Known() || !ch.New.Known() {
-			continue
-		}
-		p := &c.cur[ch.Net]
-		if p.n == 0 {
-			c.dirty = append(c.dirty, ch.Net)
-		}
-		p.n++
-		if ch.New == logic.L1 {
-			p.rise++
-		}
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 
+	"glitchsim"
 	"glitchsim/internal/registry"
 	"glitchsim/netlist"
 	"glitchsim/verilog"
@@ -176,10 +178,14 @@ func (e *unknownCircuitError) Error() string {
 	return fmt.Sprintf("unknown circuit %q (available: %s)", e.name, strings.Join(e.available, ", "))
 }
 
-// resolveCircuit maps a request's circuit identifier to a netlist:
-// upload fingerprints first (they are self-certifying 64-hex handles),
-// then built-in registry names, then uploaded module names (most recent
-// upload wins a name collision).
+// resolveCircuit maps a request's circuit identifier to a netlist, for
+// the synchronous endpoints and jobs alike: upload fingerprints first
+// (they are self-certifying 64-hex handles), then the Engine's source
+// chain (custom CircuitSources, then the built-in registry), then
+// uploaded module names (most recent upload wins a name collision). A
+// source that knows the name but fails returns its error, which is not
+// an unknown circuit: the fault propagates (and a test can inject one
+// through a faulty CircuitSource).
 //
 // The upload store is deliberately NOT registered as a
 // glitchsim.CircuitSource on the Engine: the Engine is constructed by
@@ -190,8 +196,12 @@ func (s *Server) resolveCircuit(name string) (*netlist.Netlist, error) {
 	if n, ok := s.uploads.byFingerprint(name); ok {
 		return n, nil
 	}
-	if n, err := registry.Build(name); err == nil {
+	n, err := s.engine.Resolve(glitchsim.CircuitNamed(name))
+	if err == nil {
 		return n, nil
+	}
+	if !errors.Is(err, glitchsim.ErrUnknownCircuit) {
+		return nil, err
 	}
 	if n, ok := s.uploads.byName(name); ok {
 		return n, nil
@@ -199,11 +209,11 @@ func (s *Server) resolveCircuit(name string) (*netlist.Netlist, error) {
 	return nil, &unknownCircuitError{name: name, available: s.availableCircuits()}
 }
 
-// availableCircuits lists every identifier resolveCircuit accepts:
-// registry names plus the fingerprints (and distinct module names) of
-// current uploads.
+// availableCircuits lists every identifier resolveCircuit accepts: the
+// Engine's circuit names plus the fingerprints (and distinct module
+// names) of current uploads.
 func (s *Server) availableCircuits() []string {
-	names := registry.Names()
+	names := s.engine.CircuitNames()
 	seen := make(map[string]bool, len(names))
 	for _, n := range names {
 		seen[n] = true

@@ -106,15 +106,15 @@ func (s *Server) writeBodyError(w http.ResponseWriter, err error) {
 
 // writeResolveError maps circuit-resolution failures onto status codes:
 // an unknown circuit reference is the client naming something that is
-// not there (404, with the resolvable identifiers in the message);
-// anything else is a bad request.
+// not there (404, with the resolvable identifiers in the message); a
+// circuit source that knew the name but failed to produce it is the
+// server's fault (500).
 func (s *Server) writeResolveError(w http.ResponseWriter, err error) {
-	var unknown *unknownCircuitError
-	if errors.As(err, &unknown) {
+	if isUnknownCircuit(err) {
 		s.writeError(w, http.StatusNotFound, CodeUnknownCircuit, err)
 		return
 	}
-	s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+	s.writeError(w, http.StatusInternalServerError, CodeInternal, err)
 }
 
 // writeEngineError maps engine failures onto the taxonomy. A cancelled

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -557,5 +558,76 @@ func TestJobsServiceExperiment(t *testing.T) {
 	got := decodeBody[RowsResponse](t, rr)
 	if len(got.Rows) != 4 {
 		t.Errorf("table1 job returned %d rows, want 4", len(got.Rows))
+	}
+}
+
+// shadowSource serves custom8, an 8-bit ripple-carry adder, and shadows
+// the built-in rca8 with a 4-bit one.
+type shadowSource struct{}
+
+func (shadowSource) Resolve(name string) (*netlist.Netlist, bool, error) {
+	switch name {
+	case "custom8":
+		return glitchsim.NewRCA(8), true, nil
+	case "rca8":
+		return glitchsim.NewRCA(4), true, nil
+	}
+	return nil, false, nil
+}
+
+func (shadowSource) Names() []string { return []string{"custom8", "rca8"} }
+
+// compactBody reads a JSON reply and returns it compacted.
+func compactBody(t *testing.T, resp *http.Response) []byte {
+	t.Helper()
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, raw); err != nil {
+		t.Fatalf("reply is not JSON: %v\n%s", err, raw)
+	}
+	return buf.Bytes()
+}
+
+// TestCircuitSourceSyncMatchesJob: the synchronous endpoints resolve
+// names through the Engine's circuit sources exactly as jobs do — a
+// name only a source knows, and a source shadowing a built-in, measure
+// the same circuit on /v1/measure as in a job, and an experiment takes
+// a source's circuit as its subject.
+func TestCircuitSourceSyncMatchesJob(t *testing.T) {
+	e := glitchsim.NewEngine(glitchsim.WithCircuitSource(shadowSource{}))
+	_, ts := newJobServer(t, e, jobs.Options{})
+	for _, name := range []string{"custom8", "rca8"} {
+		body := fmt.Sprintf(`{"circuit":%q,"cycles":10}`, name)
+		sr, err := http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sync := compactBody(t, sr)
+		if sr.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /v1/measure answered %d: %s", name, sr.StatusCode, sync)
+		}
+		sub := submitJob(t, ts, fmt.Sprintf(`{"kind":"measure","measure":%s}`, body))
+		if final := pollJob(t, ts, sub.ID); final.State != string(jobs.StateSucceeded) {
+			t.Fatalf("%s: job state %q, error %q", name, final.State, final.Error)
+		}
+		jr, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if async := compactBody(t, jr); !bytes.Equal(async, sync) {
+			t.Errorf("%s: job result %s, /v1/measure %s", name, async, sync)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/experiments/table3", "application/json",
+		strings.NewReader(`{"circuit":"custom8","cycles":10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := compactBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("table3 on custom8 answered %d: %s", resp.StatusCode, body)
 	}
 }

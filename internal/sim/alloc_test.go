@@ -31,9 +31,9 @@ func TestStepAllocFree(t *testing.T) {
 		name string
 		opts sim.Options
 	}{
-		{"wave-unit", sim.Options{Delay: delay.Unit()}},
+		{"calendar-unit", sim.Options{Delay: delay.Unit()}},
 		{"calendar-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
-		{"heap-unit", sim.Options{Delay: delay.Unit(), Scheduler: sim.SchedulerHeap}},
+		{"heap-huge", sim.Options{Delay: hugeDelays(), MaxTimePerCycle: hugeGuard}},
 	} {
 		s := sim.NewFromCompiled(comp, tc.opts)
 		counter := core.NewCounter(nl)
@@ -98,7 +98,7 @@ func TestWideEventStepAllocFree(t *testing.T) {
 		{"calendar-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
 		{"calendar-typical", sim.Options{Delay: delay.Typical()}},
 		{"calendar-zeroish", sim.Options{Delay: zeroish}},
-		{"heap-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1), Scheduler: sim.SchedulerHeap}},
+		{"heap-huge", sim.Options{Delay: hugeDelays(), MaxTimePerCycle: hugeGuard}},
 		{"inertial-typical", sim.Options{Delay: delay.Typical(), Mode: sim.Inertial}},
 	} {
 		ws := sim.NewWideEvent(comp, tc.opts)

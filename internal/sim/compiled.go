@@ -46,8 +46,6 @@ type Compiled struct {
 	// steady state. Simulators start from a copy of this.
 	initVals []logic.V
 
-	maxIn int // widest cell input count, sizes the eval scratch buffer
-
 	// seqLevels and seqFeedback are the netlist's SequentialDepth,
 	// computed once here rather than per measurement.
 	seqLevels   int
@@ -86,9 +84,6 @@ func Compile(n *netlist.Netlist) *Compiled {
 		c.cellType[i] = cell.Type
 		c.inStart[i] = int32(len(c.inNets))
 		c.inNets = append(c.inNets, cell.In...)
-		if len(cell.In) > c.maxIn {
-			c.maxIn = len(cell.In)
-		}
 		if len(cell.Out) > outputsPerCell {
 			panic(fmt.Sprintf("sim: cell %s has %d output pins, kernel supports at most %d",
 				cell.Name, len(cell.Out), outputsPerCell))
@@ -186,7 +181,7 @@ func (c *Compiled) visitDelays(dm delay.Model, f func(key, d int)) {
 
 // DelayTable is a delay model compiled against one netlist: the
 // per-cell-output delays in a flat array indexed by cell-output key,
-// plus the min/max bounds the kernels select their schedulers by. Both
+// plus the min/max bounds the kernels size their event queues by. Both
 // the scalar and the word-parallel kernels consume the same table, built
 // once at construction (or earlier, via Options.Delays, when a
 // measurement wants to share one table across several kernels), so no

@@ -107,16 +107,8 @@ func (s *Simulator) evalCell(cid netlist.CellID) (o0, o1 logic.V, twoOut bool) {
 	case netlist.Const1:
 		return logic.L1, 0, false
 	default:
-		// Reference fallback for any future cell type.
-		ins := s.evalIn[:0]
-		for _, id := range in {
-			ins = append(ins, v[id])
-		}
-		outs := s.evalOut[:c.outLen[cid]]
-		netlist.Eval(c.cellType[cid], ins, outs)
-		if c.outLen[cid] == 2 {
-			return outs[0], outs[1], true
-		}
-		return outs[0], 0, false
+		// Compile keeps DFFs out of every fanout list, and every
+		// combinational type has a case above.
+		panic("sim: evalCell on a cell type without a case")
 	}
 }

@@ -12,10 +12,11 @@ import (
 	"glitchsim/internal/stimulus"
 )
 
-// BenchmarkKernel compares the three event schedulers on the 16x16
-// array multiplier with the activity counter attached — the same
-// workload as the root package's BenchmarkSimulatorThroughput, but
-// compiled once and broken out per kernel. events/s counts scheduler
+// BenchmarkKernel runs the scalar kernel on the 16x16 array multiplier
+// with the activity counter attached — the same workload as the root
+// package's BenchmarkSimulatorThroughput, but compiled once — with the
+// event queue in calendar mode (unit and full-adder-ratio delays) and
+// in heap mode (delays beyond the calendar window). events/s counts
 // events actually processed (Simulator.Events).
 func BenchmarkKernel(b *testing.B) {
 	nl := circuits.NewArrayMultiplier(16, circuits.Cells)
@@ -24,10 +25,9 @@ func BenchmarkKernel(b *testing.B) {
 		name string
 		opts sim.Options
 	}{
-		{"wave-unit", sim.Options{Delay: delay.Unit()}},
+		{"calendar-unit", sim.Options{Delay: delay.Unit()}},
 		{"calendar-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
-		{"calendar-unit", sim.Options{Delay: delay.Unit(), Scheduler: sim.SchedulerCalendar}},
-		{"heap-unit", sim.Options{Delay: delay.Unit(), Scheduler: sim.SchedulerHeap}},
+		{"heap-huge", sim.Options{Delay: hugeDelays(), MaxTimePerCycle: hugeGuard}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			s := sim.NewFromCompiled(comp, tc.opts)

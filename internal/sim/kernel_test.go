@@ -1,142 +1,80 @@
 package sim_test
 
-// Cross-kernel equivalence: the calendar/wave schedulers must produce
-// bit-identical simulation results to the reference binary heap — same
-// per-net activity statistics (transition, useful/useless, glitch and
-// rising counts), same settled values, same settle times — on every
-// built-in circuit, under transport and inertial modes, several delay
-// models and several stimulus seeds. This is the test that licenses the
-// O(1) schedulers to replace the heap on the hot path.
+// Heap-mode checks: a delay model whose per-hop delays exceed the
+// calendar window cap runs the event queue as a binary heap. The queue's
+// own order test (TestEventQueueOrder) pins that both modes pop in the
+// same order; these tests pin what the kernels make of it.
 
 import (
-	"fmt"
 	"testing"
 
 	"glitchsim/internal/circuits"
 	"glitchsim/internal/core"
 	"glitchsim/internal/delay"
+	"glitchsim/internal/logic"
 	"glitchsim/internal/sim"
 	"glitchsim/internal/stimulus"
 	"glitchsim/netlist"
 )
 
-// kernelRun simulates cycles of random stimulus and returns the counter
-// plus the final settled net values and last settle time.
-func kernelRun(t *testing.T, n *netlist.Netlist, opts sim.Options, seed uint64, cycles int) (*core.Counter, []int, int) {
-	t.Helper()
-	s := sim.New(n, opts)
-	counter := core.NewCounter(n)
-	s.AttachMonitor(counter)
-	src := stimulus.NewRandom(n.InputWidth(), seed)
-	for i := 0; i < cycles; i++ {
-		if err := s.Step(src.Next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	vals := make([]int, n.NumNets())
-	for i := range vals {
-		vals[i] = int(s.Value(netlist.NetID(i)))
-	}
-	return counter, vals, s.SettleTime()
-}
-
-func TestKernelEquivalence(t *testing.T) {
-	builds := []struct {
-		name  string
-		build func() *netlist.Netlist
-	}{
-		{"rca8-cells", func() *netlist.Netlist { return circuits.NewRCA(8, circuits.Cells) }},
-		{"rca8-gates", func() *netlist.Netlist { return circuits.NewRCA(8, circuits.Gates) }},
-		{"array8", func() *netlist.Netlist { return circuits.NewArrayMultiplier(8, circuits.Cells) }},
-		{"wallace8", func() *netlist.Netlist { return circuits.NewWallaceMultiplier(8, circuits.Cells) }},
-		{"dirdet8", func() *netlist.Netlist {
-			return circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
-		}},
-		{"dirdet8-reg", func() *netlist.Netlist {
-			return circuits.NewDirectionDetector(circuits.DirDetConfig{
-				Width: 8, Style: circuits.Cells, RegisterInputs: true,
-			})
-		}},
-	}
-	models := []delay.Model{
-		delay.Unit(),               // uniform: wave kernel under SchedulerAuto
-		delay.Zero(),               // uniform zero delay: wave kernel, coalescing path
-		delay.Uniform(3),           // uniform: wave kernel
-		delay.FullAdderRatio(2, 1), // mixed: calendar kernel
-		delay.Typical(),            // heterogeneous incl. 0-delay constants: calendar, coalescing
-	}
-	modes := []sim.Mode{sim.Transport, sim.Inertial}
-	seeds := []uint64{1, 2, 99}
-
-	const cycles = 40
-	for _, b := range builds {
-		nl := b.build()
-		for _, dm := range models {
-			for _, mode := range modes {
-				for _, seed := range seeds {
-					name := fmt.Sprintf("%s/%s/%v/seed%d", b.name, dm.Name(), mode, seed)
-					ref, refVals, refSettle := kernelRun(t, nl,
-						sim.Options{Delay: dm, Mode: mode, Scheduler: sim.SchedulerHeap}, seed, cycles)
-					fast, fastVals, fastSettle := kernelRun(t, nl,
-						sim.Options{Delay: dm, Mode: mode}, seed, cycles)
-					cal, calVals, calSettle := kernelRun(t, nl,
-						sim.Options{Delay: dm, Mode: mode, Scheduler: sim.SchedulerCalendar}, seed, cycles)
-
-					if fastSettle != refSettle || calSettle != refSettle {
-						t.Fatalf("%s: settle times heap=%d auto=%d calendar=%d",
-							name, refSettle, fastSettle, calSettle)
-					}
-					for i := range refVals {
-						if fastVals[i] != refVals[i] || calVals[i] != refVals[i] {
-							t.Fatalf("%s: net %s values heap=%d auto=%d calendar=%d",
-								name, nl.Nets[i].Name, refVals[i], fastVals[i], calVals[i])
-						}
-					}
-					for i := 0; i < nl.NumNets(); i++ {
-						id := netlist.NetID(i)
-						want := ref.Stats(id)
-						if got := fast.Stats(id); got != want {
-							t.Fatalf("%s: net %s stats differ (auto scheduler)\nheap: %+v\nauto: %+v",
-								name, nl.Nets[i].Name, want, got)
-						}
-						if got := cal.Stats(id); got != want {
-							t.Fatalf("%s: net %s stats differ (calendar scheduler)\nheap: %+v\ncal:  %+v",
-								name, nl.Nets[i].Name, want, got)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestKernelEquivalenceHugeDelays forces the auto scheduler onto its
-// heap fallback (per-hop delay beyond the calendar window cap) and
-// checks the explicitly grown calendar still matches.
-func TestKernelEquivalenceHugeDelays(t *testing.T) {
-	nl := circuits.NewRCA(6, circuits.Cells)
-	dm := delay.Func{F: func(c *netlist.Cell, pin int) int {
+// hugeDelays returns a delay model beyond the calendar window cap (4096
+// time units): full-adder sums take 6000, everything else 7. The event
+// kernels run it on the heap; hugeGuard is a settle guard it fits under.
+func hugeDelays() delay.Model {
+	return delay.Func{F: func(c *netlist.Cell, pin int) int {
 		if c.Type == netlist.FA && pin == netlist.PinSum {
-			return 6000 // beyond the auto calendar window cap
+			return 6000
 		}
 		return 7
 	}, N: "huge"}
-	opts := func(sched sim.Scheduler) sim.Options {
-		return sim.Options{Delay: dm, Scheduler: sched, MaxTimePerCycle: 1 << 20}
-	}
-	ref, refVals, _ := kernelRun(t, nl, opts(sim.SchedulerHeap), 5, 25)
-	auto, autoVals, _ := kernelRun(t, nl, opts(sim.SchedulerAuto), 5, 25)
-	cal, calVals, _ := kernelRun(t, nl, opts(sim.SchedulerCalendar), 5, 25)
-	for i := range refVals {
-		if autoVals[i] != refVals[i] || calVals[i] != refVals[i] {
-			t.Fatalf("net %d: values heap=%d auto=%d calendar=%d",
-				i, refVals[i], autoVals[i], calVals[i])
+}
+
+const hugeGuard = 1 << 22
+
+// TestKernelEquivalenceHugeDelays: on the heap, every cycle of the
+// scalar kernel settles at the zero-delay reference values of
+// netlist.EvalOutputs, and its statistics equal a one-lane wide-event
+// run's.
+func TestKernelEquivalenceHugeDelays(t *testing.T) {
+	nl := circuits.NewRCA(6, circuits.Cells)
+	c := sim.Compile(nl)
+	opts := sim.Options{Delay: hugeDelays(), MaxTimePerCycle: hugeGuard}
+	const seed, cycles = 5, 25
+
+	s := sim.NewFromCompiled(c, opts)
+	counter := core.NewCounter(nl)
+	s.AttachMonitor(counter)
+	src := stimulus.NewRandom(nl.InputWidth(), seed)
+	ref := make([]logic.V, nl.NumNets())
+	settle := 0
+	for cy := 0; cy < cycles; cy++ {
+		pi := src.Next()
+		if err := s.Step(pi); err != nil {
+			t.Fatal(err)
 		}
+		settle = max(settle, s.SettleTime())
+		for i, id := range nl.PIs {
+			ref[id] = pi[i]
+		}
+		nl.EvalOutputs(ref)
+		for i, want := range ref {
+			if got := s.Value(netlist.NetID(i)); got != want {
+				t.Fatalf("cycle %d: net %s settled at %v, reference %v", cy, nl.Nets[i].Name, got, want)
+			}
+		}
+	}
+	if settle < 6000 {
+		t.Fatalf("largest settle time %d: the huge delays never applied", settle)
+	}
+
+	wide, _ := wideEventRun(t, c, opts, []uint64{seed}, cycles)
+	if wide.Cycles() != counter.Cycles() {
+		t.Fatalf("wide-event cycles %d, scalar %d", wide.Cycles(), counter.Cycles())
 	}
 	for i := 0; i < nl.NumNets(); i++ {
 		id := netlist.NetID(i)
-		if auto.Stats(id) != ref.Stats(id) || cal.Stats(id) != ref.Stats(id) {
-			t.Fatalf("net %d: stats differ across kernels", i)
+		if got, want := wide.Stats(id), counter.Stats(id); got != want {
+			t.Fatalf("net %s: wide-event stats %+v, scalar %+v", nl.Nets[i].Name, got, want)
 		}
 	}
 }

@@ -1,96 +1,105 @@
 package sim
 
-import (
-	"glitchsim/internal/logic"
-	"glitchsim/netlist"
-)
-
-// The simulator's pending-event queue. Three implementations coexist
-// behind a common method set (push / empty / nextTime / popBatch /
-// reset / clear), selected at construction and dispatched through nil
-// checks on the concrete types so the O(1) operations inline into the
-// event loop:
+// The event kernels' pending-event queue: one type, generic over the
+// element it carries. The scalar kernel stores its events directly; the
+// word-parallel event kernel stores arena indices (its events are wide
+// and live in a per-cycle arena, where inertial cancellation edits them
+// in place). The lockstep wide kernel needs no queue: its two wave
+// slices are its schedule.
 //
-//   - waveQueue: for uniform delay models, where all in-flight events
-//     share one absolute time. Push is a bare append, pop a slice swap.
-//   - calendarQueue: a ring of per-time-slot FIFO buckets indexed by
-//     t mod window. Cell delays are small bounded integers, so push and
-//     pop are O(1); within one time slot events pop in push (= serial)
-//     order, which is exactly the (time, serial) order the heap produces.
-//   - heapQueue: the classic binary min-heap ordered by (time, serial),
-//     kept as the fallback for delay models whose per-hop delays exceed
-//     the calendar window.
+// Events pop in (time, push order). Both kernels push exactly once per
+// scheduled event, so push order is the scalar kernel's serial order
+// and the wide-event kernel's arena order.
 //
-// All implementations deliver events in identical order, so the choice
-// of scheduler never changes observable simulation results (the
-// cross-kernel equivalence test in kernel_test.go enforces this).
-
-type event struct {
-	serial uint64
-	time   int32
-	net    netlist.NetID
-	key    int32 // cell-output key for inertial cancellation; -1 for injections
-	val    logic.V
-}
-
-// The queue contract shared by both implementations:
+// Contract:
 //
-//   - push enqueues an event; its time must be >= the time of the last
-//     batch popped since the last reset (events never travel backwards).
-//   - nextTime returns the earliest pending event time and must only be
+//   - push enqueues an element at time t; t must be >= the time of the
+//     last batch popped since the last reset (events never travel
+//     backwards).
+//   - nextTime returns the earliest pending time and must only be
 //     called when the queue is non-empty.
-//   - popBatch removes and returns every event queued at time t (the
-//     value nextTime just returned), in serial order; the returned slice
+//   - popBatch removes and returns every element queued at time t (the
+//     value nextTime just returned), in push order; the returned slice
 //     is only valid until the next popBatch call.
 //   - reset rewinds the time origin to 0 and is only legal when empty;
-//     clear additionally discards all pending events.
+//     clear additionally discards all pending elements.
 
-// calendarQueue is the O(1) scheduler: a power-of-two ring of event
-// buckets where an event at absolute time t lives in bucket t&mask. It
-// is generic over the element type: the scalar kernel stores events
-// directly, the word-parallel event kernel stores arena indices (its
-// events are wide and live in a per-cycle arena).
+// maxCalendarWindow caps the calendar ring a queue allocates; delay
+// models with larger per-hop delays run the queue as a heap.
+const maxCalendarWindow = 1 << 12
+
+// eventQueue is a calendar ring: a power-of-two array of per-time FIFO
+// buckets where an element at absolute time t lives in bucket t&mask.
+// Cell delays are small bounded integers, so push and pop are O(1).
 //
-// Invariant: all in-flight event times span less than window time units
-// (guaranteed by construction: the window exceeds the largest per-hop
-// delay of the simulator's delay model, and events are only pushed at or
-// after the time of the batch being processed). Each bucket therefore
-// holds events of a single absolute time, and a forward scan from cur
+// Invariant: all in-flight times span less than the window (it exceeds
+// the delay model's largest per-hop delay, and elements are only pushed
+// at or after the time of the batch being processed). Each bucket
+// therefore holds a single absolute time, and a forward scan from cur
 // finds the earliest one.
-type calendarQueue[E any] struct {
+//
+// When the largest per-hop delay does not fit under maxCalendarWindow
+// the queue runs keyed instead, as a binary min-heap ordered by (time,
+// push order) with no bound on delays. The ring then has one bucket,
+// which holds the pending elements in push order, and the heap orders
+// 64-bit keys: the time in the high half, the element's index in that
+// bucket — its push order — in the low half. The bucket empties only
+// with the queue, so it holds one cycle's events for the kernels. push
+// only appends the key; nextTime sifts the new keys into the heap. That
+// keeps push small enough to inline into the kernels in both modes.
+type eventQueue[E any] struct {
+	size    int
 	buckets [][]E
 	mask    int
 	cur     int // absolute time the next-bucket scan starts from
-	size    int
-	spare   []E // previous popBatch result, recycled as a fresh bucket
+	spare   []E // previous popBatch result, recycled
+
+	// Keyed (heap) mode.
+	keyed   bool
+	keys    []uint64 // time<<32 | index into buckets[0]
+	ordered int      // keys[:ordered] is a heap; later keys wait for nextTime
 }
 
-// newCalendarQueue returns a calendar queue whose window is the smallest
-// power of two that can hold per-hop delays up to maxDelay.
-func newCalendarQueue[E any](maxDelay int) *calendarQueue[E] {
+// newEventQueue returns a queue for per-hop delays up to maxDelay: a
+// calendar whose window is the smallest power of two above maxDelay+1,
+// or a keyed heap when that window would exceed maxCalendarWindow.
+func newEventQueue[E any](maxDelay int) eventQueue[E] {
+	if maxDelay+2 > maxCalendarWindow {
+		return eventQueue[E]{buckets: make([][]E, 1), keyed: true}
+	}
 	w := 4
 	for w < maxDelay+2 {
 		w <<= 1
 	}
-	return &calendarQueue[E]{buckets: make([][]E, w), mask: w - 1}
+	return eventQueue[E]{buckets: make([][]E, w), mask: w - 1}
 }
 
-func (q *calendarQueue[E]) push(t int, e E) {
+func (q *eventQueue[E]) push(t int, e E) {
 	i := t & q.mask
+	if q.keyed {
+		q.keys = append(q.keys, uint64(t)<<32|uint64(len(q.buckets[0])))
+	}
 	q.buckets[i] = append(q.buckets[i], e)
 	q.size++
 }
 
-func (q *calendarQueue[E]) empty() bool { return q.size == 0 }
+func (q *eventQueue[E]) empty() bool { return q.size == 0 }
 
-func (q *calendarQueue[E]) nextTime() int {
+func (q *eventQueue[E]) nextTime() int {
+	if q.keyed {
+		q.order()
+		return int(q.keys[0] >> 32)
+	}
 	for len(q.buckets[q.cur&q.mask]) == 0 {
 		q.cur++
 	}
 	return q.cur
 }
 
-func (q *calendarQueue[E]) popBatch(t int) []E {
+func (q *eventQueue[E]) popBatch(t int) []E {
+	if q.keyed {
+		return q.popKeyed(t)
+	}
 	i := t & q.mask
 	b := q.buckets[i]
 	q.buckets[i] = q.spare[:0]
@@ -99,121 +108,78 @@ func (q *calendarQueue[E]) popBatch(t int) []E {
 	return b
 }
 
-func (q *calendarQueue[E]) reset() { q.cur = 0 }
+func (q *eventQueue[E]) reset() { q.cur = 0 }
 
-func (q *calendarQueue[E]) clear() {
+func (q *eventQueue[E]) clear() {
 	for i := range q.buckets {
 		q.buckets[i] = q.buckets[i][:0]
 	}
+	q.keys = q.keys[:0]
+	q.ordered = 0
 	q.cur = 0
 	q.size = 0
 }
 
-// waveQueue is the degenerate calendar for uniform delay models (every
-// combinational output has the same delay d, e.g. the paper's unit-delay
-// experiments): all events in flight share one absolute time, so the
-// queue is a single FIFO wave at time t and the next wave at t+d. Push
-// is a bare append, pop swaps two slices.
-//
-// The uniform-delay invariant makes this exact: every push between two
-// popBatch calls carries the same time (t+d during evaluation at t, or 0
-// for the cycle-start injections into an empty queue).
-type waveQueue struct {
-	t     int // time of the pending wave (valid when non-empty)
-	wave  []event
-	spare []event // previous popBatch result, recycled as the next wave
-}
-
-func newWaveQueue() *waveQueue { return &waveQueue{} }
-
-func (q *waveQueue) push(e event) {
-	if len(q.wave) == 0 {
-		q.t = int(e.time)
+// order sifts the keys pushed since the last nextTime into the heap.
+func (q *eventQueue[E]) order() {
+	h := q.keys
+	for j := q.ordered; j < len(h); j++ {
+		key := h[j]
+		i := j
+		for i > 0 {
+			p := (i - 1) / 2
+			if h[p] <= key {
+				break
+			}
+			h[i] = h[p]
+			i = p
+		}
+		h[i] = key
 	}
-	q.wave = append(q.wave, e)
+	q.ordered = len(h)
 }
 
-func (q *waveQueue) empty() bool   { return len(q.wave) == 0 }
-func (q *waveQueue) nextTime() int { return q.t }
-
-func (q *waveQueue) popBatch(int) []event {
-	b := q.wave
-	q.wave = q.spare[:0]
+// popKeyed pops every element at time t off the heap, in push order.
+// The bucket of pending elements is emptied once the queue is.
+func (q *eventQueue[E]) popKeyed(t int) []E {
+	q.order()
+	pending := q.buckets[0]
+	b := q.spare[:0]
+	for len(q.keys) > 0 && int(q.keys[0]>>32) == t {
+		b = append(b, pending[uint32(q.keys[0])])
+		q.heapPop()
+	}
 	q.spare = b
+	q.ordered = len(q.keys)
+	if q.size -= len(b); q.size == 0 {
+		q.buckets[0] = pending[:0]
+	}
 	return b
 }
 
-func (q *waveQueue) reset() {}
-
-func (q *waveQueue) clear() { q.wave = q.wave[:0] }
-
-// heapQueue is the fallback scheduler: a binary min-heap ordered by
-// (time, serial), with no bound on per-hop delays.
-type heapQueue struct {
-	h     eventHeap
-	batch []event
-}
-
-func newHeapQueue() *heapQueue { return &heapQueue{} }
-
-func (q *heapQueue) push(e event)  { q.h.push(e) }
-func (q *heapQueue) empty() bool   { return len(q.h) == 0 }
-func (q *heapQueue) nextTime() int { return int(q.h[0].time) }
-func (q *heapQueue) reset()        {}
-func (q *heapQueue) clear()        { q.h = q.h[:0] }
-
-func (q *heapQueue) popBatch(t int) []event {
-	q.batch = q.batch[:0]
-	for len(q.h) > 0 && int(q.h[0].time) == t {
-		q.batch = append(q.batch, q.h.pop())
-	}
-	return q.batch
-}
-
-// eventHeap is a binary min-heap ordered by (time, serial).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].serial < h[j].serial
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h).less(p, i) {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	*h = old[:last]
+// heapPop removes the smallest key from the ordered heap.
+func (q *eventQueue[E]) heapPop() {
+	h := q.keys
+	last := len(h) - 1
+	key := h[last]
+	h = h[:last]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && (*h).less(l, small) {
-			small = l
-		}
-		if r < last && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
+		small := 2*i + 1
+		if small >= last {
 			break
 		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
+		if r := small + 1; r < last && h[r] < h[small] {
+			small = r
+		}
+		if key <= h[small] {
+			break
+		}
+		h[i] = h[small]
 		i = small
 	}
-	return top
+	if last > 0 {
+		h[i] = key
+	}
+	q.keys = h
 }

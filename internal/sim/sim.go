@@ -23,26 +23,32 @@
 // zero-delay simulation reports at most one transition per net per cycle
 // (the glitch-free functional baseline).
 //
-// # Scheduler and determinism
+// # Event order and determinism
 //
 // Pending events are ordered by (time, serial): time is the simulated
 // instant, serial a per-simulator counter incremented on every schedule.
-// Two interchangeable schedulers realize this order:
+// The event queue (queue.go) realizes this order with a power-of-two
+// ring of FIFO buckets indexed by t mod window: every per-hop cell delay
+// is smaller than the window, so all in-flight events span fewer than
+// window time slots, each bucket holds events of a single absolute time,
+// and FIFO order within a bucket is serial order. Push and pop are O(1).
+// Delay models whose per-hop delays exceed the window cap (4096 time
+// units) run the same queue as a binary heap ordered by (time, push
+// order), which is the same order.
 //
-//   - The calendar queue (default) keeps a power-of-two ring of FIFO
-//     buckets indexed by t mod window. Because every per-hop cell delay
-//     is smaller than the window, all in-flight events span fewer than
-//     window time slots, each bucket holds events of a single absolute
-//     time, and FIFO order within a bucket equals serial order. Push and
-//     pop are O(1), versus O(log n) for a heap.
-//   - The binary heap handles delay models whose per-hop delays exceed
-//     the calendar window cap (4096 time units).
+// Simulation results — every per-net transition, its time, and
+// therefore every activity statistic — are thus bit-identical across
+// runs, and the word-parallel kernels reproduce them lane by lane.
 //
-// Both produce the identical event order, so simulation results — every
-// per-net transition, its time, and therefore every activity statistic —
-// are bit-identical across schedulers and across runs. Options.Scheduler
-// can force a particular kernel; the cross-kernel equivalence test keeps
-// the two honest against each other.
+// # Kernels
+//
+// Simulator is the scalar kernel: one stimulus stream, and the
+// reference the word-parallel kernels are checked against.
+// WideSimulator (lockstep wavefronts, uniform delay) and
+// WideEventSimulator (lane-masked events, any delay model) advance 64
+// stimulus lanes at once and embed one wideCore holding the state and
+// code they share. The scalar and wide-event kernels share the event
+// queue; the lockstep kernel's two wave slices are its schedule.
 //
 // # Hot-path layout
 //
@@ -85,37 +91,6 @@ func (m Mode) String() string {
 	return "transport"
 }
 
-// Scheduler selects the pending-event queue implementation.
-type Scheduler uint8
-
-const (
-	// SchedulerAuto picks the calendar queue when the delay model's
-	// per-hop delays fit its window cap, the heap otherwise.
-	SchedulerAuto Scheduler = iota
-	// SchedulerCalendar forces the O(1) calendar queue (the window grows
-	// to cover the delay model's largest per-hop delay).
-	SchedulerCalendar
-	// SchedulerHeap forces the O(log n) binary-heap queue.
-	SchedulerHeap
-)
-
-// String names the scheduler.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerCalendar:
-		return "calendar"
-	case SchedulerHeap:
-		return "heap"
-	default:
-		return "auto"
-	}
-}
-
-// maxCalendarWindow caps the calendar ring size SchedulerAuto is willing
-// to allocate; delay models with larger per-hop delays fall back to the
-// heap.
-const maxCalendarWindow = 1 << 12
-
 // Options configures a Simulator.
 type Options struct {
 	// Delay is the propagation-delay model. Nil means unit delay.
@@ -131,9 +106,6 @@ type Options struct {
 	// MaxTimePerCycle guards against runaway event cascades; Step fails
 	// if the network has not settled by this time. 0 means 1<<16.
 	MaxTimePerCycle int
-	// Scheduler selects the event-queue kernel (default SchedulerAuto).
-	// All schedulers produce bit-identical simulation results.
-	Scheduler Scheduler
 	// Cancel, when non-nil, is polled from the event loop roughly every
 	// cancelCheckInterval events (the poll counter persists across Steps,
 	// so even circuits with few events per cycle are checked regularly).
@@ -147,6 +119,23 @@ type Options struct {
 	// abort Step with a *BudgetError (see Budget for the overshoot
 	// semantics).
 	Budget Budget
+}
+
+// delayTable returns opts.Delays, or a table built for opts.Delay (nil
+// means unit delay) when none was supplied.
+func (opts Options) delayTable(c *Compiled) *DelayTable {
+	if opts.Delays != nil {
+		return opts.Delays
+	}
+	return NewDelayTable(c, opts.Delay)
+}
+
+// guardTime returns the settle guard, MaxTimePerCycle or its default.
+func (opts Options) guardTime() int {
+	if opts.MaxTimePerCycle == 0 {
+		return 1 << 16
+	}
+	return opts.MaxTimePerCycle
 }
 
 // cancelCheckInterval is the number of processed events between two
@@ -165,29 +154,26 @@ type Monitor interface {
 	OnCycleEnd(cycle int)
 }
 
-// Change is one coalesced per-instant net transition, as delivered to
-// BatchMonitors.
-type Change struct {
-	Net      netlist.NetID
-	Old, New logic.V
+// event is one scheduled net update; the queue holds its time. key is
+// the cell-output key for inertial cancellation, -1 for injections.
+type event struct {
+	serial uint64
+	net    netlist.NetID
+	key    int32
+	val    logic.V
 }
 
-// BatchMonitor is an optional extension a Monitor can implement to
-// receive all transitions of one time instant in a single call instead
-// of one OnChange call each — one dynamic dispatch per instant rather
-// than per transition on the simulation hot path. The changes slice is
-// reused across calls and must not be retained. OnChange is not called
-// for monitors implementing BatchMonitor; OnCycleEnd still is.
-type BatchMonitor interface {
-	Monitor
-	OnChangeBatch(cycle, t int, changes []Change)
+// netChange is one coalesced per-instant net transition, buffered until
+// the instant is flushed to the monitors.
+type netChange struct {
+	net      netlist.NetID
+	old, new logic.V
 }
 
 // Simulator drives one netlist. It is not safe for concurrent use, but
 // any number of Simulators may share one Compiled netlist.
 type Simulator struct {
 	c     *Compiled
-	dm    delay.Model
 	mode  Mode
 	guard int
 
@@ -195,9 +181,7 @@ type Simulator struct {
 	ffQ    []logic.V // sampled Q, indexed like Compiled.dffCells
 	delays []int32   // per cell-output key, precomputed from the model
 
-	wq         *waveQueue            // uniform-delay scheduler; nil unless active
-	cal        *calendarQueue[event] // O(1) scheduler; nil unless active
-	hq         *heapQueue            // fallback scheduler; nil unless active
+	q          eventQueue[event]
 	serial     uint64
 	pending    []int32  // in-flight events per net
 	lastSerial []uint64 // per cell-output key, for inertial cancellation
@@ -206,22 +190,18 @@ type Simulator struct {
 	changed     []changeState // per net: flush epoch + pre-instant value
 	flushEpoch  int32
 	changedList []netlist.NetID
-	changeBuf   []Change
+	changeBuf   []netChange
 
 	touchEpoch []int32
 	epoch      int32
 	touched    []netlist.CellID
 
-	monitors  []Monitor      // monitors without batch support
-	batchMons []BatchMonitor // monitors taking per-instant batches
-	cycle     int
-	settle    int    // settle time of the most recent cycle
-	events    uint64 // total events processed
+	monitors []Monitor
+	cycle    int
+	settle   int    // settle time of the most recent cycle
+	events   uint64 // total events processed
 
 	poll pollState // periodic cancellation + budget check
-
-	evalIn  []logic.V
-	evalOut [outputsPerCell]logic.V
 }
 
 // New returns a Simulator for the netlist. The netlist must be valid (see
@@ -235,28 +215,16 @@ func New(n *netlist.Netlist, opts Options) *Simulator {
 // netlist, skipping validation and compilation. This is the constructor
 // the batch layer uses: one Compile, many concurrent simulators.
 func NewFromCompiled(c *Compiled, opts Options) *Simulator {
-	dm := opts.Delay
-	if dm == nil {
-		dm = delay.Unit()
-	}
-	guard := opts.MaxTimePerCycle
-	if guard == 0 {
-		guard = 1 << 16
-	}
 	// Delay models are deterministic, so per-output delays are resolved
 	// once, into the table shared with the word-parallel kernels, and the
 	// event loop never makes an interface call.
-	dt := opts.Delays
-	if dt == nil {
-		dt = NewDelayTable(c, dm)
-	}
+	dt := opts.delayTable(c)
 	n := c.n
 	nc, nn := n.NumCells(), n.NumNets()
 	s := &Simulator{
 		c:          c,
-		dm:         dm,
 		mode:       opts.Mode,
-		guard:      guard,
+		guard:      opts.guardTime(),
 		values:     make([]logic.V, nn),
 		ffQ:        make([]logic.V, len(c.dffCells)),
 		delays:     dt.delays,
@@ -265,7 +233,7 @@ func NewFromCompiled(c *Compiled, opts Options) *Simulator {
 		changed:    make([]changeState, nn),
 		flushEpoch: 1,
 		touchEpoch: make([]int32, nc),
-		evalIn:     make([]logic.V, c.maxIn),
+		q:          newEventQueue[event](dt.Max()),
 	}
 	s.poll.init(opts)
 	copy(s.values, c.initVals)
@@ -279,51 +247,14 @@ func NewFromCompiled(c *Compiled, opts Options) *Simulator {
 	// as they commit. Zero-delay pins re-schedule within the instant and
 	// need the full per-instant coalescing machinery.
 	s.coalesce = dt.Min() == 0
-
-	switch opts.Scheduler {
-	case SchedulerHeap:
-		s.hq = newHeapQueue()
-	case SchedulerCalendar:
-		s.cal = newCalendarQueue[event](dt.Max())
-	default:
-		switch {
-		case dt.Min() == dt.Max():
-			// Uniform delay model (the paper's unit-delay experiments):
-			// all in-flight events share one time, no ring needed.
-			s.wq = newWaveQueue()
-		case dt.Max()+2 <= maxCalendarWindow:
-			s.cal = newCalendarQueue[event](dt.Max())
-		default:
-			s.hq = newHeapQueue()
-		}
-	}
 	return s
 }
 
-// KernelName names the scheduler kernel this simulator runs on, for
-// diagnostics and the measurement layer's kernel reporting.
-func (s *Simulator) KernelName() string {
-	switch {
-	case s.wq != nil:
-		return "wave"
-	case s.cal != nil:
-		return "calendar"
-	default:
-		return "heap"
-	}
-}
-
 // AttachMonitor registers a monitor for subsequent cycles.
-func (s *Simulator) AttachMonitor(m Monitor) {
-	if bm, ok := m.(BatchMonitor); ok {
-		s.batchMons = append(s.batchMons, bm)
-		return
-	}
-	s.monitors = append(s.monitors, m)
-}
+func (s *Simulator) AttachMonitor(m Monitor) { s.monitors = append(s.monitors, m) }
 
 // DetachMonitors removes all monitors.
-func (s *Simulator) DetachMonitors() { s.monitors, s.batchMons = nil, nil }
+func (s *Simulator) DetachMonitors() { s.monitors = nil }
 
 // Netlist returns the simulated netlist.
 func (s *Simulator) Netlist() *netlist.Netlist { return s.c.n }
@@ -334,7 +265,7 @@ func (s *Simulator) Cycle() int { return s.cycle }
 // SettleTime returns the time at which the most recent cycle settled.
 func (s *Simulator) SettleTime() int { return s.settle }
 
-// Events returns the total number of scheduler events processed since
+// Events returns the total number of events processed since
 // construction, the raw workload measure behind events/sec throughput.
 func (s *Simulator) Events() uint64 { return s.events }
 
@@ -374,9 +305,7 @@ func (s *Simulator) Step(pi logic.Vector) error {
 	}
 
 	// 2. Inject PI changes and DFF Q updates at t=0.
-	if s.cal != nil {
-		s.cal.reset()
-	}
+	s.q.reset()
 	for i, id := range s.c.n.PIs {
 		s.schedule(0, id, pi[i], -1)
 	}
@@ -394,9 +323,6 @@ func (s *Simulator) Step(pi logic.Vector) error {
 	}
 	if err := s.run(); err != nil {
 		return err
-	}
-	for _, m := range s.batchMons {
-		m.OnCycleEnd(s.cycle)
 	}
 	for _, m := range s.monitors {
 		m.OnCycleEnd(s.cycle)
@@ -419,22 +345,14 @@ func (s *Simulator) schedule(t int, net netlist.NetID, v logic.V, key int32) {
 		s.lastSerial[key] = s.serial
 	}
 	s.pending[net]++
-	e := event{time: int32(t), serial: s.serial, net: net, val: v, key: key}
-	switch {
-	case s.wq != nil:
-		s.wq.push(e)
-	case s.cal != nil:
-		s.cal.push(t, e)
-	default:
-		s.hq.push(e)
-	}
+	s.q.push(t, event{serial: s.serial, net: net, val: v, key: key})
 }
 
 //glitchsim:hotpath
 func (s *Simulator) run() error {
 	flushAt := -1
-	for !s.queueEmpty() {
-		t := s.queueNextTime()
+	for !s.q.empty() {
+		t := s.q.nextTime()
 		if t > s.guard {
 			nets := s.hotNets()
 			s.discardInFlight()
@@ -481,14 +399,7 @@ func (s *Simulator) hotNets() []netlist.NetID {
 // a Step after a guard error starts from a consistent (if functionally
 // stale) state instead of corrupting the queue.
 func (s *Simulator) discardInFlight() {
-	switch {
-	case s.wq != nil:
-		s.wq.clear()
-	case s.cal != nil:
-		s.cal.clear()
-	default:
-		s.hq.clear()
-	}
+	s.q.clear()
 	for i := range s.pending {
 		s.pending[i] = 0
 	}
@@ -521,17 +432,9 @@ func (s *Simulator) applyBatch(t int) {
 	}
 	s.epoch++
 	epoch := s.epoch
-	var batch []event
-	switch {
-	case s.wq != nil:
-		batch = s.wq.popBatch(t)
-	case s.cal != nil:
-		batch = s.cal.popBatch(t)
-	default:
-		batch = s.hq.popBatch(t)
-	}
+	batch := s.q.popBatch(t)
 	s.events += uint64(len(batch))
-	monitored := len(s.monitors) > 0 || len(s.batchMons) > 0
+	monitored := len(s.monitors) > 0
 	inertial := s.mode == Inertial
 	fanStart, fanCells := s.c.fanStart, s.c.fanCells
 	values, pending, touchEpoch := s.values, s.pending, s.touchEpoch
@@ -547,7 +450,7 @@ func (s *Simulator) applyBatch(t int) {
 		}
 		if monitored {
 			if !s.coalesce {
-				s.changeBuf = append(s.changeBuf, Change{Net: e.net, Old: values[e.net], New: e.val})
+				s.changeBuf = append(s.changeBuf, netChange{net: e.net, old: values[e.net], new: e.val})
 			} else if s.changed[e.net].epoch != flushEpoch {
 				s.changed[e.net] = changeState{epoch: flushEpoch, init: values[e.net]}
 				s.changedList = append(s.changedList, e.net)
@@ -593,30 +496,6 @@ func (s *Simulator) evalTouched(t int) {
 	s.touched = s.touched[:0]
 }
 
-//glitchsim:hotpath
-func (s *Simulator) queueEmpty() bool {
-	switch {
-	case s.wq != nil:
-		return s.wq.empty()
-	case s.cal != nil:
-		return s.cal.empty()
-	default:
-		return s.hq.empty()
-	}
-}
-
-//glitchsim:hotpath
-func (s *Simulator) queueNextTime() int {
-	switch {
-	case s.wq != nil:
-		return s.wq.nextTime()
-	case s.cal != nil:
-		return s.cal.nextTime()
-	default:
-		return s.hq.nextTime()
-	}
-}
-
 // flush reports the instant's transitions to the monitors. On the
 // coalescing path the per-net change records are first folded into the
 // change buffer, dropping zero-width excursions; on the direct path the
@@ -632,21 +511,16 @@ func (s *Simulator) flush(t int) {
 			if init == final {
 				continue // zero-width excursion within one instant
 			}
-			buf = append(buf, Change{Net: net, Old: init, New: final})
+			buf = append(buf, netChange{net: net, old: init, new: final})
 		}
 		s.changeBuf = buf
 		s.flushEpoch++
 		s.changedList = s.changedList[:0]
 	}
-	if len(s.changeBuf) > 0 {
-		for _, m := range s.batchMons {
-			m.OnChangeBatch(s.cycle, t, s.changeBuf)
-		}
-		for _, m := range s.monitors {
-			for i := range s.changeBuf {
-				ch := &s.changeBuf[i]
-				m.OnChange(ch.Net, s.cycle, t, ch.Old, ch.New)
-			}
+	for _, m := range s.monitors {
+		for i := range s.changeBuf {
+			ch := &s.changeBuf[i]
+			m.OnChange(ch.net, s.cycle, t, ch.old, ch.new)
 		}
 	}
 	s.changeBuf = s.changeBuf[:0]

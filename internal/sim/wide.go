@@ -10,16 +10,17 @@ package sim
 // has one common delay d >= 1, e.g. the paper's unit delay): then every
 // lane's event at a given net occurs at the same instant, all in-flight
 // events share one absolute time, and the whole simulation advances in
-// lockstep wavefronts t, t+d, t+2d, … exactly like the scalar wave
-// scheduler. Because d >= 1 each instant consists of a single wave and
+// lockstep wavefronts t, t+d, t+2d, …: the scalar kernel's event order
+// under a uniform delay, where each time slot holds one wave. Because
+// d >= 1 each instant consists of a single wave and
 // each net changes at most once per instant, so no per-instant
 // coalescing is needed: a popped event is always a real change in at
 // least one lane.
 //
 // Lane l of a wide simulation is bit-identical to a scalar simulation
 // driven with lane l's stimulus: per-lane evaluation is identical by the
-// init-time cross-check, and the wavefront order is the scalar wave
-// scheduler's order. TestWideKernelEquivalence enforces this against 64
+// init-time cross-check, and the wavefront order is the scalar kernel's
+// event order. TestWideKernelEquivalence enforces this against 64
 // merged scalar runs for every built-in circuit.
 
 import (
@@ -90,8 +91,6 @@ type WideKernel interface {
 	Step(pi []logic.W) error
 	// AttachWideMonitor registers a monitor for subsequent cycles.
 	AttachWideMonitor(m WideMonitor)
-	// DetachWideMonitors removes all monitors.
-	DetachWideMonitors()
 	// Events returns the number of word events processed (each spans all
 	// lanes of one net).
 	Events() uint64
@@ -119,13 +118,153 @@ type WideKernel interface {
 // Every delay model is word-parallel simulatable, so unlike NewWide this
 // cannot fail.
 func NewWideKernel(c *Compiled, opts Options) WideKernel {
-	if opts.Delays == nil {
-		opts.Delays = NewDelayTable(c, opts.Delay)
-	}
+	opts.Delays = opts.delayTable(c)
 	if ws, err := NewWide(c, opts); err == nil {
 		return ws
 	}
 	return NewWideEvent(c, opts)
+}
+
+// wideCore is the state and code the two word-parallel kernels share:
+// the compiled netlist, the settle guard, the packed net values and
+// flip-flop samples, the touched-cell epoch set, the monitors and their
+// change buffer, the cycle/settle/event counts and the poll. Both
+// kernels embed it; a kernel must not declare a field of the same name,
+// which would shadow the core's.
+type wideCore struct {
+	c     *Compiled
+	guard int
+
+	values []logic.W
+	ffQ    []logic.W // sampled Q, indexed like Compiled.dffCells
+
+	touchEpoch []int32
+	epoch      int32
+	touched    []netlist.CellID
+
+	monitors []WideMonitor
+	changes  []WideChange // the current instant's changes, for the monitors
+	cycle    int
+	settle   int
+	events   uint64 // word events processed (each spans all lanes)
+
+	poll pollState // periodic cancellation + budget check
+}
+
+// newWideCore returns the reset state of a wide kernel: every net at
+// its reset value in all lanes, every flip-flop sampled at 0.
+func newWideCore(c *Compiled, opts Options) wideCore {
+	s := wideCore{
+		c:          c,
+		guard:      opts.guardTime(),
+		values:     make([]logic.W, c.n.NumNets()),
+		ffQ:        make([]logic.W, len(c.dffCells)),
+		touchEpoch: make([]int32, c.n.NumCells()),
+	}
+	s.poll.init(opts)
+	for i, v := range c.initVals {
+		s.values[i] = logic.SplatW(v)
+	}
+	for i := range s.ffQ {
+		s.ffQ[i] = logic.SplatW(logic.L0)
+	}
+	return s
+}
+
+// AttachWideMonitor registers a monitor for subsequent cycles.
+func (s *wideCore) AttachWideMonitor(m WideMonitor) { s.monitors = append(s.monitors, m) }
+
+// Netlist returns the simulated netlist.
+func (s *wideCore) Netlist() *netlist.Netlist { return s.c.n }
+
+// Cycle returns the number of completed cycles.
+func (s *wideCore) Cycle() int { return s.cycle }
+
+// SettleTime returns the time of the last instant of the most recent
+// cycle.
+func (s *wideCore) SettleTime() int { return s.settle }
+
+// Events returns the total number of word events processed; each word
+// event updates the lanes of one net at one instant.
+func (s *wideCore) Events() uint64 { return s.events }
+
+// Value returns the packed settled value of a net.
+func (s *wideCore) Value(id netlist.NetID) logic.W { return s.values[id] }
+
+// ExportState implements WideKernel: at a cycle boundary the settled
+// net values are a wide kernel's entire dynamic state. Step returns with
+// no event in flight, and ffQ was injected onto the Q nets — which each
+// flip-flop drives alone — so ffQ[i] == values[dffQ[i]].
+func (s *wideCore) ExportState(dst []logic.W) []logic.W {
+	return append(dst, s.values...)
+}
+
+// importState is the shared half of ImportState: it restores the
+// settled net values captured by ExportState, re-derives the flip-flop
+// sample registers from their Q nets and sets the completed-cycle
+// count. The kernel then discards its in-flight state.
+func (s *wideCore) importState(vals []logic.W, cycle int) {
+	if len(vals) != len(s.values) {
+		panic(fmt.Sprintf("sim: imported state has %d nets, netlist has %d", len(vals), len(s.values)))
+	}
+	copy(s.values, vals)
+	for i, q := range s.c.dffQ {
+		s.ffQ[i] = s.values[q]
+	}
+	s.cycle = cycle
+}
+
+// sampleDFFs checks the stimulus width and samples every flip-flop's D
+// input lane-wise: lanes with a known D take it, lanes still at X hold
+// the flipflop's current state — the per-lane image of the scalar rule.
+//
+//glitchsim:hotpath
+func (s *wideCore) sampleDFFs(pi []logic.W) {
+	if len(pi) != len(s.c.n.PIs) {
+		panic(fmt.Sprintf("sim: stimulus width %d, netlist has %d inputs", len(pi), len(s.c.n.PIs)))
+	}
+	for i, d := range s.c.dffD {
+		v := s.values[d]
+		k := v.Zero | v.One
+		q := &s.ffQ[i]
+		q.Zero = (v.Zero & k) | (q.Zero &^ k)
+		q.One = (v.One & k) | (q.One &^ k)
+	}
+}
+
+// nextEpoch starts the touched-cell epoch of a new batch. When the
+// 32-bit stamp is about to wrap it first clears every stale stamp, so
+// old epochs can never alias new ones (one clear per ~2^31 batches).
+//
+//glitchsim:hotpath
+func (s *wideCore) nextEpoch() int32 {
+	if s.epoch == 1<<31-1 {
+		clear(s.touchEpoch)
+		s.epoch = 0
+	}
+	s.epoch++
+	return s.epoch
+}
+
+// report hands the instant's buffered changes to the monitors and
+// empties the buffer.
+//
+//glitchsim:hotpath
+func (s *wideCore) report(t int) {
+	if len(s.changes) > 0 {
+		for _, m := range s.monitors {
+			m.OnWideChanges(s.cycle, t, s.changes)
+		}
+	}
+	s.changes = s.changes[:0]
+}
+
+// endCycle reports the settled cycle to the monitors and counts it.
+func (s *wideCore) endCycle() {
+	for _, m := range s.monitors {
+		m.OnCycleEnd(s.cycle)
+	}
+	s.cycle++
 }
 
 // wideEvent is one scheduled net update: all lanes of net take val at
@@ -139,103 +278,32 @@ type wideEvent struct {
 // lanes at once. Like Simulator it is not safe for concurrent use, but
 // any number may share one Compiled netlist.
 type WideSimulator struct {
-	c     *Compiled
-	d     int // the uniform per-output delay, >= 1
-	guard int
-
-	values []logic.W
-	ffQ    []logic.W // sampled Q, indexed like Compiled.dffCells
+	wideCore
+	d int // the uniform per-output delay, >= 1
 
 	wave, next []wideEvent
-	changes    []WideChange
-
-	touchEpoch []int32
-	epoch      int32
-	touched    []netlist.CellID
-
-	monitors []WideMonitor
-	cycle    int
-	settle   int
-	events   uint64 // word events processed (each spans all lanes)
-
-	poll pollState // periodic cancellation + budget check
-
-	evalIn  logic.Vector // per-lane scratch for the reference fallback
-	evalOut [outputsPerCell]logic.V
 }
 
 // NewWide returns a word-parallel simulator for a compiled netlist. It
 // fails with ErrNonUniformDelay when the options' delay model is not
-// uniform with delay >= 1 — callers fall back to the scalar kernel.
+// uniform with delay >= 1 — callers switch to the event-driven kernel.
 // Transport and inertial modes coincide under a uniform delay (no pulse
 // is ever narrower than a cell delay), so Options.Mode is accepted but
-// has no effect; Options.Scheduler is ignored (the wavefront is the
-// schedule).
+// has no effect.
 func NewWide(c *Compiled, opts Options) (*WideSimulator, error) {
-	dm := opts.Delay
-	if dm == nil {
-		dm = delay.Unit()
-	}
-	dt := opts.Delays
-	if dt == nil {
-		dt = NewDelayTable(c, dm)
-	}
-	d, ok := dt.Uniform()
+	d, ok := opts.delayTable(c).Uniform()
 	if !ok || d < 1 {
+		dm := opts.Delay
+		if dm == nil {
+			dm = delay.Unit()
+		}
 		return nil, fmt.Errorf("%w (model %s)", ErrNonUniformDelay, dm.Name())
 	}
-	guard := opts.MaxTimePerCycle
-	if guard == 0 {
-		guard = 1 << 16
-	}
-	nc, nn := c.n.NumCells(), c.n.NumNets()
-	s := &WideSimulator{
-		c:          c,
-		d:          d,
-		guard:      guard,
-		values:     make([]logic.W, nn),
-		ffQ:        make([]logic.W, len(c.dffCells)),
-		touchEpoch: make([]int32, nc),
-		evalIn:     make(logic.Vector, c.maxIn),
-	}
-	s.poll.init(opts)
-	for i, v := range c.initVals {
-		s.values[i] = logic.SplatW(v)
-	}
-	for i := range s.ffQ {
-		s.ffQ[i] = logic.SplatW(logic.L0)
-	}
-	return s, nil
+	return &WideSimulator{wideCore: newWideCore(c, opts), d: d}, nil
 }
-
-// AttachWideMonitor registers a monitor for subsequent cycles.
-func (s *WideSimulator) AttachWideMonitor(m WideMonitor) { s.monitors = append(s.monitors, m) }
-
-// DetachWideMonitors removes all monitors.
-func (s *WideSimulator) DetachWideMonitors() { s.monitors = nil }
-
-// Netlist returns the simulated netlist.
-func (s *WideSimulator) Netlist() *netlist.Netlist { return s.c.n }
-
-// Cycle returns the number of completed cycles.
-func (s *WideSimulator) Cycle() int { return s.cycle }
-
-// SettleTime returns the time of the last wavefront of the most recent
-// cycle.
-func (s *WideSimulator) SettleTime() int { return s.settle }
-
-// Events returns the total number of word events processed; each word
-// event updates all lanes of one net at one instant.
-func (s *WideSimulator) Events() uint64 { return s.events }
-
-// Delay returns the uniform per-output delay the kernel advances by.
-func (s *WideSimulator) Delay() int { return s.d }
 
 // KernelName implements WideKernel.
 func (s *WideSimulator) KernelName() string { return "wide-lockstep" }
-
-// Value returns the packed settled value of a net.
-func (s *WideSimulator) Value(id netlist.NetID) logic.W { return s.values[id] }
 
 // Step simulates one clock cycle for all lanes: pi holds, per primary
 // input, the packed per-lane stimulus bits (aligned with the netlist's
@@ -244,20 +312,8 @@ func (s *WideSimulator) Value(id netlist.NetID) logic.W { return s.values[id] }
 //
 //glitchsim:hotpath
 func (s *WideSimulator) Step(pi []logic.W) error {
-	if len(pi) != len(s.c.n.PIs) {
-		panic(fmt.Sprintf("sim: stimulus width %d, netlist has %d inputs", len(pi), len(s.c.n.PIs)))
-	}
-
-	// 1. Sample DFF D inputs lane-wise: lanes with a known D take it,
-	// lanes still at X hold the flipflop's current state — the per-lane
-	// image of the scalar rule.
-	for i, d := range s.c.dffD {
-		v := s.values[d]
-		k := v.Zero | v.One
-		q := &s.ffQ[i]
-		q.Zero = (v.Zero & k) | (q.Zero &^ k)
-		q.One = (v.One & k) | (q.One &^ k)
-	}
+	// 1. Sample DFF D inputs.
+	s.sampleDFFs(pi)
 
 	// 2. Inject PI changes and DFF Q updates at t=0.
 	for i, id := range s.c.n.PIs {
@@ -295,10 +351,7 @@ func (s *WideSimulator) Step(pi []logic.W) error {
 		}
 	}
 	s.settle = settle
-	for _, m := range s.monitors {
-		m.OnCycleEnd(s.cycle)
-	}
-	s.cycle++
+	s.endCycle()
 	return nil
 }
 
@@ -320,12 +373,7 @@ func (s *WideSimulator) push(net netlist.NetID, v logic.W) {
 //
 //glitchsim:hotpath
 func (s *WideSimulator) applyWave(t int) {
-	if s.epoch == 1<<31-1 {
-		clear(s.touchEpoch)
-		s.epoch = 0
-	}
-	s.epoch++
-	epoch := s.epoch
+	epoch := s.nextEpoch()
 	s.events += uint64(len(s.wave))
 	monitored := len(s.monitors) > 0
 	fanStart, fanCells := s.c.fanStart, s.c.fanCells
@@ -343,12 +391,7 @@ func (s *WideSimulator) applyWave(t int) {
 			}
 		}
 	}
-	if len(s.changes) > 0 {
-		for _, m := range s.monitors {
-			m.OnWideChanges(s.cycle, t, s.changes)
-		}
-		s.changes = s.changes[:0]
-	}
+	s.report(t)
 }
 
 // evalTouched re-evaluates every cell with a changed input and schedules
@@ -358,7 +401,7 @@ func (s *WideSimulator) applyWave(t int) {
 func (s *WideSimulator) evalTouched() {
 	c := s.c
 	for _, cid := range s.touched {
-		o0, o1, twoOut := evalCellWide(c, s.values, &s.evalIn, &s.evalOut, cid)
+		o0, o1, twoOut := evalCellWide(c, s.values, cid)
 		base := outputsPerCell * int(cid)
 		if o := c.outNets[base]; o != netlist.NoNet {
 			s.push(o, o0)
@@ -372,27 +415,11 @@ func (s *WideSimulator) evalTouched() {
 	s.touched = s.touched[:0]
 }
 
-// ExportState implements WideKernel: at a cycle boundary the settled
-// net values are the lockstep kernel's entire dynamic state (wave/next
-// are empty after Step returns, and ffQ was pushed onto the Q nets —
-// which each flip-flop drives alone — so ffQ[i] == values[dffQ[i]]).
-func (s *WideSimulator) ExportState(dst []logic.W) []logic.W {
-	return append(dst, s.values...)
-}
-
-// ImportState implements WideKernel: it restores the settled net values
-// captured by ExportState, re-derives the flip-flop sample registers
-// from their Q nets, and resets per-cycle bookkeeping.
+// ImportState implements WideKernel: it restores the settled net
+// values captured by ExportState and resets per-cycle bookkeeping.
 func (s *WideSimulator) ImportState(vals []logic.W, cycle int) {
-	if len(vals) != len(s.values) {
-		panic(fmt.Sprintf("sim: imported state has %d nets, netlist has %d", len(vals), len(s.values)))
-	}
-	copy(s.values, vals)
-	for i, q := range s.c.dffQ {
-		s.ffQ[i] = s.values[q]
-	}
+	s.importState(vals, cycle)
 	s.discardInFlight()
-	s.cycle = cycle
 }
 
 // discardInFlight clears all pending events and per-cycle bookkeeping so
@@ -408,11 +435,10 @@ func (s *WideSimulator) discardInFlight() {
 // evalCellWide computes a cell's packed outputs from the current net
 // values: the word-parallel image of the scalar evalCell, built from the
 // init-cross-checked wide ops in internal/logic. It is the shared eval
-// core of both wide kernels (lockstep and event-driven); evalIn/evalOut
-// are the caller's scratch for the reference fallback.
+// core of both wide kernels (lockstep and event-driven).
 //
 //glitchsim:hotpath
-func evalCellWide(c *Compiled, v []logic.W, evalIn *logic.Vector, evalOut *[outputsPerCell]logic.V, cid netlist.CellID) (o0, o1 logic.W, twoOut bool) {
+func evalCellWide(c *Compiled, v []logic.W, cid netlist.CellID) (o0, o1 logic.W, twoOut bool) {
 	in := c.inNets[c.inStart[cid]:c.inStart[cid+1]]
 	switch c.cellType[cid] {
 	case netlist.FA:
@@ -470,20 +496,8 @@ func evalCellWide(c *Compiled, v []logic.W, evalIn *logic.Vector, evalOut *[outp
 	case netlist.Const1:
 		return logic.SplatW(logic.L1), logic.W{}, false
 	default:
-		// Reference fallback for any future cell type: evaluate each lane
-		// with the scalar reference implementation.
-		outs := evalOut[:c.outLen[cid]]
-		for l := 0; l < MaxLanes; l++ {
-			ins := (*evalIn)[:0]
-			for _, id := range in {
-				ins = append(ins, v[id].Lane(l))
-			}
-			netlist.Eval(c.cellType[cid], ins, outs)
-			o0.SetLane(l, outs[0])
-			if c.outLen[cid] == 2 {
-				o1.SetLane(l, outs[1])
-			}
-		}
-		return o0, o1, c.outLen[cid] == 2
+		// Compile keeps DFFs out of every fanout list, and every
+		// combinational type has a case above.
+		panic("sim: evalCellWide on a cell type without a case")
 	}
 }

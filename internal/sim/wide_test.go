@@ -105,7 +105,7 @@ func compareWideToScalar(t *testing.T, name string, nl *netlist.Netlist,
 // TestWideKernelEquivalence: for every built-in circuit and three
 // 64-seed blocks, the lane-summed WideCounter statistics of one 64-lane
 // wide run must be bit-identical to 64 scalar runs merged in seed order,
-// under unit delay. Enforced in CI alongside TestKernelEquivalence.
+// under unit delay. Enforced in CI under -race.
 func TestWideKernelEquivalence(t *testing.T) {
 	blocks := [][]uint64{seedBlock(1), seedBlock(1000), seedBlock(0xDEAD)}
 	for _, circuit := range registry.Names() {

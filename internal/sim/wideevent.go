@@ -11,7 +11,7 @@ package sim
 //
 // Nets stay packed (one logic.W per net) and cell evaluation stays the
 // branch-free bitwise evalCellWide, but the schedule is the scalar
-// kernel's calendar/heap event queue with one twist: a scheduled event
+// kernel's event queue with one twist: a scheduled event
 // is (net, t, mask, val), where mask selects the lanes whose value
 // changes at time t. Delays are per cell output, not per lane, so when a
 // cell is re-evaluated at time t every lane's new output value lands at
@@ -51,19 +51,16 @@ package sim
 // delay model family.
 
 import (
-	"fmt"
-
-	"glitchsim/internal/delay"
 	"glitchsim/internal/logic"
 	"glitchsim/netlist"
 )
 
 // maskedEvent is one scheduled net update in the wide-event kernel: the
-// lanes selected by mask take val's levels at the time the queues carry
-// the event for (the calendar bucket / heap entry holds the time, so
-// the arena entry does not repeat it). Events live in a per-cycle
-// arena; the queues carry arena indices, so inertial cancellation can
-// shrink an in-flight event's mask in place.
+// lanes selected by mask take val's levels at the time the queue
+// carries the event for (the queue holds the time, so the arena entry
+// does not repeat it). Events live in a per-cycle arena; the queue
+// carries arena indices, so inertial cancellation can shrink an
+// in-flight event's mask in place.
 type maskedEvent struct {
 	val  logic.W
 	mask uint64
@@ -84,18 +81,13 @@ type wideChangeState struct {
 // model. Like the other kernels it is not safe for concurrent use, but
 // any number may share one Compiled netlist (and one DelayTable).
 type WideEventSimulator struct {
-	c     *Compiled
-	dt    *DelayTable
-	mode  Mode
-	guard int
+	wideCore
+	delays []int32 // per cell-output key, from the DelayTable
 
-	values []logic.W
-	sched  []logic.W // per net: projected value after all in-flight events
-	ffQ    []logic.W // sampled Q, indexed like Compiled.dffCells
+	sched []logic.W // per net: projected value after all in-flight events
 
-	arena []maskedEvent // per-cycle event storage, indexed by the queues
-	cal   *calendarQueue[int32]
-	hq    *wideEventHeap
+	arena []maskedEvent // per-cycle event storage, indexed by the queue
+	q     eventQueue[int32]
 
 	// Inertial-only state: the live in-flight events per net (for claim
 	// cancellation) and the lanes in which each touched cell's inputs
@@ -108,106 +100,36 @@ type WideEventSimulator struct {
 	changed     []wideChangeState
 	flushEpoch  int32
 	changedList []netlist.NetID
-	changes     []WideChange
-
-	touchEpoch []int32
-	epoch      int32
-	touched    []netlist.CellID
-
-	monitors []WideMonitor
-	cycle    int
-	settle   int
-	events   uint64 // word events processed (each spans all lanes)
-
-	poll pollState // periodic cancellation + budget check
-
-	evalIn  logic.Vector // per-lane scratch for the reference fallback
-	evalOut [outputsPerCell]logic.V
 }
 
 // NewWideEvent returns a word-parallel event-driven simulator. It
 // accepts every delay model the scalar kernel accepts — unequal
 // per-cell delays, zero delays, transport and inertial modes — so it
 // never fails; use NewWideKernel to get the faster lockstep kernel when
-// the model happens to be uniform. Options.Scheduler selects the event
-// queue as for the scalar kernel (the wave queue does not apply).
+// the model happens to be uniform.
 func NewWideEvent(c *Compiled, opts Options) *WideEventSimulator {
-	dm := opts.Delay
-	if dm == nil {
-		dm = delay.Unit()
-	}
-	dt := opts.Delays
-	if dt == nil {
-		dt = NewDelayTable(c, dm)
-	}
-	guard := opts.MaxTimePerCycle
-	if guard == 0 {
-		guard = 1 << 16
-	}
+	dt := opts.delayTable(c)
 	nc, nn := c.n.NumCells(), c.n.NumNets()
 	s := &WideEventSimulator{
-		c:          c,
-		dt:         dt,
-		mode:       opts.Mode,
-		guard:      guard,
-		values:     make([]logic.W, nn),
+		wideCore:   newWideCore(c, opts),
+		delays:     dt.delays,
 		sched:      make([]logic.W, nn),
-		ffQ:        make([]logic.W, len(c.dffCells)),
+		q:          newEventQueue[int32](dt.Max()),
 		inertial:   opts.Mode == Inertial,
 		coalesce:   dt.Min() == 0,
 		flushEpoch: 1,
 		changed:    make([]wideChangeState, nn),
-		touchEpoch: make([]int32, nc),
-		evalIn:     make(logic.Vector, c.maxIn),
-	}
-	s.poll.init(opts)
-	for i, v := range c.initVals {
-		s.values[i] = logic.SplatW(v)
 	}
 	copy(s.sched, s.values)
-	for i := range s.ffQ {
-		s.ffQ[i] = logic.SplatW(logic.L0)
-	}
 	if s.inertial {
 		s.inflight = make([][]int32, nn)
 		s.cellLanes = make([]uint64, nc)
 	}
-	switch {
-	case opts.Scheduler == SchedulerHeap:
-		s.hq = newWideEventHeap()
-	case opts.Scheduler == SchedulerCalendar || dt.Max()+2 <= maxCalendarWindow:
-		s.cal = newCalendarQueue[int32](dt.Max())
-	default:
-		s.hq = newWideEventHeap()
-	}
 	return s
 }
 
-// AttachWideMonitor registers a monitor for subsequent cycles.
-func (s *WideEventSimulator) AttachWideMonitor(m WideMonitor) { s.monitors = append(s.monitors, m) }
-
-// DetachWideMonitors removes all monitors.
-func (s *WideEventSimulator) DetachWideMonitors() { s.monitors = nil }
-
-// Netlist returns the simulated netlist.
-func (s *WideEventSimulator) Netlist() *netlist.Netlist { return s.c.n }
-
-// Cycle returns the number of completed cycles.
-func (s *WideEventSimulator) Cycle() int { return s.cycle }
-
-// SettleTime returns the time of the last instant of the most recent
-// cycle.
-func (s *WideEventSimulator) SettleTime() int { return s.settle }
-
-// Events returns the total number of word events processed; each word
-// event updates the masked lanes of one net at one instant.
-func (s *WideEventSimulator) Events() uint64 { return s.events }
-
 // KernelName implements WideKernel.
 func (s *WideEventSimulator) KernelName() string { return "wide-event" }
-
-// Value returns the packed settled value of a net.
-func (s *WideEventSimulator) Value(id netlist.NetID) logic.W { return s.values[id] }
 
 // Step simulates one clock cycle for all lanes: pi holds, per primary
 // input, the packed per-lane stimulus bits (aligned with the netlist's
@@ -216,19 +138,8 @@ func (s *WideEventSimulator) Value(id netlist.NetID) logic.W { return s.values[i
 //
 //glitchsim:hotpath
 func (s *WideEventSimulator) Step(pi []logic.W) error {
-	if len(pi) != len(s.c.n.PIs) {
-		panic(fmt.Sprintf("sim: stimulus width %d, netlist has %d inputs", len(pi), len(s.c.n.PIs)))
-	}
-
-	// 1. Sample DFF D inputs lane-wise: lanes with a known D take it,
-	// lanes still at X hold the flipflop's current state.
-	for i, d := range s.c.dffD {
-		v := s.values[d]
-		k := v.Zero | v.One
-		q := &s.ffQ[i]
-		q.Zero = (v.Zero & k) | (q.Zero &^ k)
-		q.One = (v.One & k) | (q.One &^ k)
-	}
+	// 1. Sample DFF D inputs.
+	s.sampleDFFs(pi)
 
 	// 2. Inject PI changes and DFF Q updates at t=0. The queue is empty
 	// here, so projections equal settled values and the diff against the
@@ -236,9 +147,7 @@ func (s *WideEventSimulator) Step(pi []logic.W) error {
 	// lane. Injection nets (PIs, DFF Qs) have no combinational driver,
 	// so they never interact with inertial claims.
 	s.arena = s.arena[:0]
-	if s.cal != nil {
-		s.cal.reset()
-	}
+	s.q.reset()
 	for i, id := range s.c.n.PIs {
 		s.schedule(0, id, pi[i], logic.DiffMask(pi[i], s.sched[id]))
 	}
@@ -256,10 +165,7 @@ func (s *WideEventSimulator) Step(pi []logic.W) error {
 	if err := s.run(); err != nil {
 		return err
 	}
-	for _, m := range s.monitors {
-		m.OnCycleEnd(s.cycle)
-	}
-	s.cycle++
+	s.endCycle()
 	return nil
 }
 
@@ -274,29 +180,19 @@ func (s *WideEventSimulator) schedule(t int, net netlist.NetID, v logic.W, mask 
 		return
 	}
 	s.sched[net] = s.sched[net].Merge(v, mask)
-	idx := int32(len(s.arena))
+	s.q.push(t, int32(len(s.arena)))
 	s.arena = append(s.arena, maskedEvent{val: v, mask: mask, net: net})
-	if s.cal != nil {
-		s.cal.push(t, idx)
-	} else {
-		s.hq.push(t, idx)
-	}
 }
 
 //glitchsim:hotpath
 func (s *WideEventSimulator) run() error {
 	flushAt := -1
-	for !s.queueEmpty() {
-		t := s.queueNextTime()
+	for !s.q.empty() {
+		t := s.q.nextTime()
 		if t > s.guard {
 			// The batch past the guard holds the nets still toggling; pop
 			// it for the report — everything is discarded right after.
-			var batch []int32
-			if s.cal != nil {
-				batch = s.cal.popBatch(t)
-			} else {
-				batch = s.hq.popBatch(t)
-			}
+			batch := s.q.popBatch(t)
 			nets := make([]netlist.NetID, 0, maxHotNets)
 		collect:
 			for _, idx := range batch {
@@ -335,22 +231,6 @@ func (s *WideEventSimulator) run() error {
 	return nil
 }
 
-//glitchsim:hotpath
-func (s *WideEventSimulator) queueEmpty() bool {
-	if s.cal != nil {
-		return s.cal.empty()
-	}
-	return s.hq.empty()
-}
-
-//glitchsim:hotpath
-func (s *WideEventSimulator) queueNextTime() int {
-	if s.cal != nil {
-		return s.cal.nextTime()
-	}
-	return s.hq.nextTime()
-}
-
 // applyBatch pops and commits every event at time t: masked lanes merge
 // into the packed net values, changes are recorded (directly, or into
 // the per-instant coalescing state when zero delays can split an
@@ -358,18 +238,8 @@ func (s *WideEventSimulator) queueNextTime() int {
 //
 //glitchsim:hotpath
 func (s *WideEventSimulator) applyBatch(t int) {
-	if s.epoch == 1<<31-1 {
-		clear(s.touchEpoch)
-		s.epoch = 0
-	}
-	s.epoch++
-	epoch := s.epoch
-	var batch []int32
-	if s.cal != nil {
-		batch = s.cal.popBatch(t)
-	} else {
-		batch = s.hq.popBatch(t)
-	}
+	epoch := s.nextEpoch()
+	batch := s.q.popBatch(t)
 	s.events += uint64(len(batch))
 	monitored := len(s.monitors) > 0
 	fanStart, fanCells := s.c.fanStart, s.c.fanCells
@@ -416,9 +286,9 @@ func (s *WideEventSimulator) applyBatch(t int) {
 //glitchsim:hotpath
 func (s *WideEventSimulator) evalTouched(t int) {
 	c := s.c
-	delays := s.dt.delays
+	delays := s.delays
 	for _, cid := range s.touched {
-		o0, o1, twoOut := evalCellWide(c, s.values, &s.evalIn, &s.evalOut, cid)
+		o0, o1, twoOut := evalCellWide(c, s.values, cid)
 		base := outputsPerCell * int(cid)
 		var em uint64
 		if s.inertial {
@@ -475,11 +345,7 @@ func (s *WideEventSimulator) scheduleOutput(t int, net netlist.NetID, v logic.W,
 	idx := int32(len(s.arena))
 	s.arena = append(s.arena, maskedEvent{val: v, mask: m, net: net})
 	s.inflight[net] = append(list, idx)
-	if s.cal != nil {
-		s.cal.push(t, idx)
-	} else {
-		s.hq.push(t, idx)
-	}
+	s.q.push(t, idx)
 }
 
 // unlist removes a popped event from its net's in-flight list (inertial
@@ -518,47 +384,22 @@ func (s *WideEventSimulator) flush(t int) {
 		s.flushEpoch++
 		s.changedList = s.changedList[:0]
 	}
-	if len(s.changes) > 0 {
-		for _, m := range s.monitors {
-			m.OnWideChanges(s.cycle, t, s.changes)
-		}
-	}
-	s.changes = s.changes[:0]
+	s.report(t)
 }
 
-// ExportState implements WideKernel: at a cycle boundary the settled
-// net values are the event kernel's entire dynamic state (the queues
-// drained before Step returned, so the projections equal the settled
-// values and ffQ[i] == values[dffQ[i]] via the Q-net push at injection).
-func (s *WideEventSimulator) ExportState(dst []logic.W) []logic.W {
-	return append(dst, s.values...)
-}
-
-// ImportState implements WideKernel: it restores the settled net values
-// captured by ExportState, resyncs the projections, re-derives the
-// flip-flop sample registers from their Q nets, and resets per-cycle
-// bookkeeping.
+// ImportState implements WideKernel: it restores the settled net
+// values captured by ExportState, resyncs the projections, and resets
+// per-cycle bookkeeping.
 func (s *WideEventSimulator) ImportState(vals []logic.W, cycle int) {
-	if len(vals) != len(s.values) {
-		panic(fmt.Sprintf("sim: imported state has %d nets, netlist has %d", len(vals), len(s.values)))
-	}
-	copy(s.values, vals)
-	for i, q := range s.c.dffQ {
-		s.ffQ[i] = s.values[q]
-	}
+	s.importState(vals, cycle)
 	s.discardInFlight()
-	s.cycle = cycle
 }
 
 // discardInFlight clears all pending events and per-cycle bookkeeping so
 // a Step after a guard or cancellation error starts from a consistent
 // (if functionally stale) state.
 func (s *WideEventSimulator) discardInFlight() {
-	if s.cal != nil {
-		s.cal.clear()
-	} else {
-		s.hq.clear()
-	}
+	s.q.clear()
 	s.arena = s.arena[:0]
 	copy(s.sched, s.values)
 	if s.inertial {
@@ -571,77 +412,4 @@ func (s *WideEventSimulator) discardInFlight() {
 	s.changedList = s.changedList[:0]
 	s.changes = s.changes[:0]
 	s.touched = s.touched[:0]
-}
-
-// wideEventHeap is the fallback scheduler of the wide-event kernel for
-// delay models whose per-hop delays exceed the calendar window: a binary
-// min-heap of (time, arena index) pairs. Arena indices increase in
-// schedule order, so the ordering is exactly the scalar heap's
-// (time, serial).
-type wideEventHeap struct {
-	h     []heapEntry
-	batch []int32
-}
-
-type heapEntry struct {
-	time int32
-	idx  int32
-}
-
-func newWideEventHeap() *wideEventHeap { return &wideEventHeap{} }
-
-func (q *wideEventHeap) empty() bool   { return len(q.h) == 0 }
-func (q *wideEventHeap) nextTime() int { return int(q.h[0].time) }
-func (q *wideEventHeap) clear()        { q.h = q.h[:0] }
-
-func (q *wideEventHeap) less(i, j int) bool {
-	if q.h[i].time != q.h[j].time {
-		return q.h[i].time < q.h[j].time
-	}
-	return q.h[i].idx < q.h[j].idx
-}
-
-func (q *wideEventHeap) push(t int, idx int32) {
-	q.h = append(q.h, heapEntry{time: int32(t), idx: idx})
-	i := len(q.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q.less(p, i) {
-			break
-		}
-		q.h[p], q.h[i] = q.h[i], q.h[p]
-		i = p
-	}
-}
-
-func (q *wideEventHeap) pop() int32 {
-	top := q.h[0].idx
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h = q.h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && q.less(l, small) {
-			small = l
-		}
-		if r < last && q.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q.h[i], q.h[small] = q.h[small], q.h[i]
-		i = small
-	}
-	return top
-}
-
-func (q *wideEventHeap) popBatch(t int) []int32 {
-	q.batch = q.batch[:0]
-	for len(q.h) > 0 && int(q.h[0].time) == t {
-		q.batch = append(q.batch, q.pop())
-	}
-	return q.batch
 }

@@ -158,7 +158,8 @@ func TestWideEventKernelInertial(t *testing.T) {
 }
 
 // TestWideEventKernelPartialLanes: fewer active lanes than the word
-// holds, plus the single-lane degenerate case, on both queue kernels.
+// holds, plus the single-lane degenerate case, on the calendar and on
+// the heap.
 func TestWideEventKernelPartialLanes(t *testing.T) {
 	nl, err := registry.Build("dirdet8r")
 	if err != nil {
@@ -173,7 +174,7 @@ func TestWideEventKernelPartialLanes(t *testing.T) {
 	}{
 		{"typical-partial", sim.Options{Delay: dm}, seedBlock(3)[:11]},
 		{"typical-single", sim.Options{Delay: dm}, []uint64{42}},
-		{"typical-heap", sim.Options{Delay: dm, Scheduler: sim.SchedulerHeap}, seedBlock(9)[:23]},
+		{"huge-heap", sim.Options{Delay: hugeDelays(), MaxTimePerCycle: hugeGuard}, seedBlock(9)[:23]},
 	} {
 		ref, refVals := mergedScalarModeRuns(t, c, tc.opts, tc.seeds, 25)
 		wide, wideVals := wideEventRun(t, c, tc.opts, tc.seeds, 25)

@@ -83,6 +83,18 @@ func (e *Engine) laneCount(cfg Config) int {
 	return n
 }
 
+// splitLanes is the lane-routing rule: how many stimulus lanes a
+// measurement decomposes into, given its config before Config defaults
+// (so an explicit Source is still visible) and the resolved lane count.
+// An explicit Source or at most one measured cycle runs single-stream
+// (1), and no lane ever runs with nothing to measure.
+func splitLanes(cfg Config, lanes int) int {
+	if cfg.Source != nil {
+		return 1
+	}
+	return max(1, min(lanes, cfg.measuredCycles()))
+}
+
 // laneSeedsInto derives the per-lane stimulus seeds of a decomposed
 // measurement from its base seed: one splitmix64 draw per lane, so lane
 // streams are mutually independent and stable across lane counts.
@@ -128,8 +140,8 @@ type Kernel string
 const (
 	// KernelScalar is the single-stream event-driven kernel: Lanes=1
 	// measurements, explicit stimulus sources, and runs of at most one
-	// cycle. (Its scheduler — wave, calendar or heap — is an internal
-	// detail chosen per delay model.)
+	// cycle. (Its event queue runs as a calendar ring, or as a heap for
+	// delays beyond the ring's window; that is an internal detail.)
 	KernelScalar Kernel = "scalar"
 	// KernelWideLockstep is the 64-lane lockstep wavefront kernel,
 	// selected for lane-decomposed measurements under uniform delay
@@ -146,13 +158,11 @@ const (
 )
 
 // kernelFor reports which kernel measureCompiled routes a measurement
-// to, mirroring its decomposition test and sim.NewWideKernel's
-// eligibility rule. cfg and lanes are as measureCompiled receives them
-// (engine defaults applied, Config defaults not yet).
+// to, by the same splitLanes rule and sim.NewWideKernel's eligibility
+// rule. cfg and lanes are as measureCompiled receives them (engine
+// defaults applied, Config defaults not yet; a nil Delay is unit delay).
 func kernelFor(c *sim.Compiled, cfg Config, lanes int) Kernel {
-	split := lanes > 1 && cfg.Source == nil
-	cfg = cfg.withDefaults(c.Netlist())
-	if !split || cfg.Cycles <= 1 {
+	if splitLanes(cfg, lanes) == 1 {
 		return KernelScalar
 	}
 	if d, ok := sim.UniformDelay(c, cfg.Delay); ok && d >= 1 {

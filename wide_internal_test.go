@@ -230,21 +230,28 @@ func TestLanesOneIsHistoricalStream(t *testing.T) {
 
 // TestSelectedKernel: the kernel predictor mirrors the actual routing —
 // scalar for single-stream shapes, lockstep for uniform delay, event
-// kernel for everything else.
+// kernel for everything else — and the cost estimate counts the lanes
+// the same rule decomposes into.
 func TestSelectedKernel(t *testing.T) {
 	e := NewEngine()
-	nl := CircuitFromNetlist(circuits.NewArrayMultiplier(8, circuits.Cells))
+	mult := circuits.NewArrayMultiplier(8, circuits.Cells)
+	nl := CircuitFromNetlist(mult)
 	for _, tc := range []struct {
-		name string
-		req  MeasureRequest
-		want Kernel
+		name  string
+		req   MeasureRequest
+		want  Kernel
+		lanes int
 	}{
-		{"default-unit", MeasureRequest{Circuit: nl}, KernelWideLockstep},
-		{"faratio", MeasureRequest{Circuit: nl, Config: Config{Delay: delay.FullAdderRatio(2, 1)}}, KernelWideEvent},
-		{"typical-inertial", MeasureRequest{Circuit: nl, Config: Config{Delay: delay.Typical(), Inertial: true}}, KernelWideEvent},
-		{"zero", MeasureRequest{Circuit: nl, Config: Config{Delay: delay.Zero()}}, KernelWideEvent},
-		{"lanes1", MeasureRequest{Circuit: nl, Config: Config{Lanes: 1}}, KernelScalar},
-		{"one-cycle", MeasureRequest{Circuit: nl, Config: Config{Cycles: 1}}, KernelScalar},
+		{"default-unit", MeasureRequest{Circuit: nl}, KernelWideLockstep, MaxLanes},
+		{"faratio", MeasureRequest{Circuit: nl, Config: Config{Delay: delay.FullAdderRatio(2, 1)}}, KernelWideEvent, MaxLanes},
+		{"typical-inertial", MeasureRequest{Circuit: nl, Config: Config{Delay: delay.Typical(), Inertial: true}}, KernelWideEvent, MaxLanes},
+		{"zero", MeasureRequest{Circuit: nl, Config: Config{Delay: delay.Zero()}}, KernelWideEvent, MaxLanes},
+		{"lanes1", MeasureRequest{Circuit: nl, Config: Config{Lanes: 1}}, KernelScalar, 1},
+		{"one-cycle", MeasureRequest{Circuit: nl, Config: Config{Cycles: 1}}, KernelScalar, 1},
+		{"source", MeasureRequest{Circuit: nl, Config: Config{Source: stimulus.NewRandom(mult.InputWidth(), 3)}}, KernelScalar, 1},
+		{"no-cycles", MeasureRequest{Circuit: nl, Config: Config{Cycles: ExplicitZero}}, KernelScalar, 1},
+		{"two-cycles", MeasureRequest{Circuit: nl, Config: Config{Cycles: 2}}, KernelWideLockstep, 2},
+		{"lanes2", MeasureRequest{Circuit: nl, Config: Config{Lanes: 2}}, KernelWideLockstep, 2},
 	} {
 		got, err := e.SelectedKernel(tc.req)
 		if err != nil {
@@ -252,6 +259,13 @@ func TestSelectedKernel(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("%s: kernel %q, want %q", tc.name, got, tc.want)
+		}
+		est, err := e.EstimateCost(tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if est.Lanes != tc.lanes {
+			t.Errorf("%s: estimate counts %d lanes, want %d", tc.name, est.Lanes, tc.lanes)
 		}
 	}
 }
