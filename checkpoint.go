@@ -18,20 +18,22 @@ package glitchsim
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 
 	"glitchsim/internal/core"
 	"glitchsim/internal/logic"
 	"glitchsim/internal/sim"
-	"glitchsim/netlist"
 )
 
 // CheckpointVersion is the MeasureCheckpoint format version; resume
-// rejects snapshots written by any other version.
-const CheckpointVersion = 1
+// rejects snapshots written by any other version. Version 2 packs the
+// net values and the counter as binary (base64 in the JSON). A version
+// 1 checkpoint no longer decodes, so a job holding one re-runs from
+// cycle zero.
+const CheckpointVersion = 2
 
 // ErrStopAtCheckpoint, returned by a CheckpointSink, asks the
 // measurement to stop cleanly at the chunk boundary the sink was just
@@ -107,9 +109,12 @@ type CheckpointSink func(cp *MeasureCheckpoint) error
 // chunk boundary: the identity of the run (circuit fingerprint and the
 // configuration knobs that shape the stimulus and schedule), the packed
 // net values of the word-parallel kernel, and the counter snapshot.
-// It serializes to JSON round-trip-exactly and carries an FNV-64a
-// checksum over its own canonical encoding, so torn or bit-rotted
-// payloads are rejected at resume rather than resumed into garbage.
+// The identity fields stay readable JSON; the net values and the
+// counter travel as base64 of their packed binary forms, so a
+// checkpoint costs about 20–30 bytes per net, and the JSON round trip
+// is exact. An FNV-64a checksum over the identity fields and the packed
+// bytes rejects torn or bit-rotted payloads at resume rather than
+// resuming into garbage.
 type MeasureCheckpoint struct {
 	Version     int    `json:"version"`
 	Fingerprint string `json:"fingerprint"`
@@ -127,27 +132,57 @@ type MeasureCheckpoint struct {
 	// waveform, so resume under one is refused.
 	DelayDigest string `json:"delay_digest"`
 	Inertial    bool   `json:"inertial"`
-	// NetState holds the packed settled net values, 16 little-endian
-	// bytes per net (Zero rail then One rail). JSON carries it base64.
+	// NetState holds the packed settled net values (see packNetState):
+	// a bitmap of the nets whose every lane is known, then one 8-byte
+	// word per such net and two per other net. JSON carries it base64.
 	NetState []byte `json:"net_state"`
-	// Counter is the folded statistics snapshot at the boundary.
+	// Counter is the folded statistics snapshot at the boundary. JSON
+	// carries its packed form base64 (core.CounterSnapshot.AppendBinary).
 	Counter *core.CounterSnapshot `json:"counter"`
-	// Checksum is the hex FNV-64a hash of the checkpoint's canonical
-	// JSON encoding with this field empty.
+	// Checksum is the hex FNV-64a hash of every other field, with
+	// NetState and Counter in their packed forms (see checksum).
 	Checksum string `json:"checksum"`
 }
 
-// checksum computes the canonical-content hash of the checkpoint.
+// checksum hashes the checkpoint's content: the identity fields, the
+// packed net values and the counter's packed form, each length-prefixed
+// or fixed-width so distinct checkpoints never share a hash input.
 func (cp *MeasureCheckpoint) checksum() (string, error) {
-	shadow := *cp
-	shadow.Checksum = ""
-	data, err := json.Marshal(&shadow)
-	if err != nil {
-		return "", fmt.Errorf("glitchsim: encoding checkpoint for checksum: %w", err)
-	}
+	b := make([]byte, 0, 256)
+	b = binary.AppendVarint(b, int64(cp.Version))
+	b = appendString(b, cp.Fingerprint)
+	b = binary.AppendVarint(b, int64(cp.Cycle))
+	b = binary.AppendVarint(b, int64(cp.TotalCycles))
+	b = binary.AppendVarint(b, int64(cp.Lanes))
+	b = binary.AppendUvarint(b, cp.Seed)
+	b = binary.AppendVarint(b, int64(cp.Warmup))
+	b = appendString(b, cp.DelayDigest)
+	b = append(b, boolByte(cp.Inertial))
+	b = binary.AppendUvarint(b, uint64(len(cp.NetState)))
 	h := fnv.New64a()
-	h.Write(data)
+	h.Write(b)
+	h.Write(cp.NetState)
+	if cp.Counter != nil {
+		// A leading 1 tells a present counter from an absent one.
+		packed, err := cp.Counter.AppendBinary(append(b[:0], 1))
+		if err != nil {
+			return "", fmt.Errorf("glitchsim: packing checkpoint counter: %w", err)
+		}
+		h.Write(packed)
+	}
 	return fmt.Sprintf("%016x", h.Sum64()), nil
+}
+
+// appendString appends s length-prefixed.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // seal stamps the checkpoint's checksum; every checkpoint handed to a
@@ -170,7 +205,7 @@ func (cp *MeasureCheckpoint) Verify() error {
 	}
 	sum, err := cp.checksum()
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrCheckpointMismatch, err)
 	}
 	if sum != cp.Checksum {
 		return &CheckpointMismatchError{Field: "checksum", Want: sum, Got: cp.Checksum}
@@ -178,45 +213,42 @@ func (cp *MeasureCheckpoint) Verify() error {
 	return nil
 }
 
-// matches validates the checkpoint against the measurement about to
-// resume from it. maxQ is the run's step count (the largest lane
-// quota).
-func (cp *MeasureCheckpoint) matches(n *netlist.Netlist, cfg Config, lanes, maxQ int, dt *sim.DelayTable) error {
+// matches validates the checkpoint's identity against want, the
+// identity of the measurement about to resume from it. maxQ is the
+// run's step count (the largest lane quota).
+func (cp *MeasureCheckpoint) matches(want *MeasureCheckpoint, maxQ int) error {
 	check := func(field, want, got string) error {
 		if want != got {
 			return &CheckpointMismatchError{Field: field, Want: want, Got: got}
 		}
 		return nil
 	}
-	if err := check("version", fmt.Sprint(CheckpointVersion), fmt.Sprint(cp.Version)); err != nil {
+	if err := check("version", fmt.Sprint(want.Version), fmt.Sprint(cp.Version)); err != nil {
 		return err
 	}
-	if err := check("fingerprint", n.Fingerprint(), cp.Fingerprint); err != nil {
+	if err := check("fingerprint", want.Fingerprint, cp.Fingerprint); err != nil {
 		return err
 	}
-	if err := check("total_cycles", fmt.Sprint(cfg.Cycles), fmt.Sprint(cp.TotalCycles)); err != nil {
+	if err := check("total_cycles", fmt.Sprint(want.TotalCycles), fmt.Sprint(cp.TotalCycles)); err != nil {
 		return err
 	}
-	if err := check("lanes", fmt.Sprint(lanes), fmt.Sprint(cp.Lanes)); err != nil {
+	if err := check("lanes", fmt.Sprint(want.Lanes), fmt.Sprint(cp.Lanes)); err != nil {
 		return err
 	}
-	if err := check("seed", fmt.Sprint(cfg.Seed), fmt.Sprint(cp.Seed)); err != nil {
+	if err := check("seed", fmt.Sprint(want.Seed), fmt.Sprint(cp.Seed)); err != nil {
 		return err
 	}
-	if err := check("warmup", fmt.Sprint(cfg.Warmup), fmt.Sprint(cp.Warmup)); err != nil {
+	if err := check("warmup", fmt.Sprint(want.Warmup), fmt.Sprint(cp.Warmup)); err != nil {
 		return err
 	}
-	if err := check("delay_digest", delayDigest(dt), cp.DelayDigest); err != nil {
+	if err := check("delay_digest", want.DelayDigest, cp.DelayDigest); err != nil {
 		return err
 	}
-	if err := check("inertial", fmt.Sprint(cfg.Inertial), fmt.Sprint(cp.Inertial)); err != nil {
+	if err := check("inertial", fmt.Sprint(want.Inertial), fmt.Sprint(cp.Inertial)); err != nil {
 		return err
 	}
 	if cp.Cycle < 0 || cp.Cycle > maxQ {
 		return &CheckpointMismatchError{Field: "cycle", Want: fmt.Sprintf("within [0, %d]", maxQ), Got: fmt.Sprint(cp.Cycle)}
-	}
-	if want, got := 16*n.NumNets(), len(cp.NetState); want != got {
-		return &CheckpointMismatchError{Field: "net_state", Want: fmt.Sprintf("%d bytes", want), Got: fmt.Sprintf("%d bytes", got)}
 	}
 	if cp.Counter == nil {
 		return &CheckpointMismatchError{Field: "counter", Want: "non-nil", Got: "nil"}
@@ -224,57 +256,126 @@ func (cp *MeasureCheckpoint) matches(n *netlist.Netlist, cfg Config, lanes, maxQ
 	return nil
 }
 
-// delayDigest renders a delay table's digest in the checkpoint's hex
-// form.
-func delayDigest(dt *sim.DelayTable) string { return fmt.Sprintf("%016x", dt.Digest()) }
-
-// encodeNetState packs kernel net values into the checkpoint's byte
-// form: 16 little-endian bytes per net, Zero rail first.
-func encodeNetState(vals []logic.W) []byte {
-	out := make([]byte, 16*len(vals))
+// packNetState packs kernel net values into the checkpoint's byte form:
+// a bitmap whose bit i%8 of byte i/8 marks net i as known in every lane
+// (its Zero rail is the complement of its One rail), then, in net
+// order, the One rail of each marked net and both rails (Zero, One) of
+// every other, as 8 little-endian bytes per rail. A settled
+// measurement knows nearly every net, so this is about 8 bytes per net.
+func packNetState(vals []logic.W) []byte {
+	known := 0
+	for _, v := range vals {
+		if v.Zero == ^v.One {
+			known++
+		}
+	}
+	head := (len(vals) + 7) / 8
+	out := make([]byte, head, head+8*known+16*(len(vals)-known))
 	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[16*i:], v.Zero)
-		binary.LittleEndian.PutUint64(out[16*i+8:], v.One)
+		if v.Zero == ^v.One {
+			out[i/8] |= 1 << (i % 8)
+			out = binary.LittleEndian.AppendUint64(out, v.One)
+		} else {
+			out = binary.LittleEndian.AppendUint64(out, v.Zero)
+			out = binary.LittleEndian.AppendUint64(out, v.One)
+		}
 	}
 	return out
 }
 
-// decodeNetState unpacks encodeNetState's byte form; length was
-// validated by matches.
-func decodeNetState(b []byte) []logic.W {
-	vals := make([]logic.W, len(b)/16)
+// unpackNetState inverts packNetState for a netlist of numNets nets.
+// The bytes come from disk, so the bitmap's padding must be clear and
+// the length must equal what the bitmap implies before any word is
+// read.
+func unpackNetState(b []byte, numNets int) ([]logic.W, error) {
+	head := (numNets + 7) / 8
+	bad := func() error {
+		return &CheckpointMismatchError{Field: "net_state",
+			Want: fmt.Sprintf("packed values of %d nets", numNets), Got: fmt.Sprintf("%d bytes", len(b))}
+	}
+	if len(b) < head || (numNets%8 != 0 && b[head-1]>>(numNets%8) != 0) {
+		return nil, bad()
+	}
+	known := 0
+	for _, x := range b[:head] {
+		known += bits.OnesCount8(x)
+	}
+	if len(b) != head+8*known+16*(numNets-known) {
+		return nil, bad()
+	}
+	vals := make([]logic.W, numNets)
+	words := b[head:]
 	for i := range vals {
-		vals[i] = logic.W{
-			Zero: binary.LittleEndian.Uint64(b[16*i:]),
-			One:  binary.LittleEndian.Uint64(b[16*i+8:]),
+		if b[i/8]&(1<<(i%8)) != 0 {
+			one := binary.LittleEndian.Uint64(words)
+			vals[i] = logic.W{Zero: ^one, One: one}
+			words = words[8:]
+		} else {
+			vals[i] = logic.W{Zero: binary.LittleEndian.Uint64(words), One: binary.LittleEndian.Uint64(words[8:])}
+			words = words[16:]
 		}
 	}
-	return vals
+	return vals, nil
 }
 
-// captureCheckpoint folds the running measurement's state at a cycle
-// boundary into a sealed MeasureCheckpoint.
-func captureCheckpoint(ws sim.WideKernel, counter *core.WideCounter, n *netlist.Netlist,
-	cfg Config, lanes, done int, dt *sim.DelayTable) (*MeasureCheckpoint, error) {
-	snap, err := counter.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	cp := &MeasureCheckpoint{
+// delayDigest renders a delay table's digest in the checkpoint's hex
+// form.
+func delayDigest(dt *sim.DelayTable) string { return fmt.Sprintf("%016x", dt.Digest()) }
+
+// checkpointer takes one measurement's checkpoints and checks its
+// resume point. id holds the identity fields every checkpoint of the
+// run shares, filled in once per run.
+type checkpointer struct {
+	id    MeasureCheckpoint
+	state []logic.W // kernel-state export buffer, reused across captures
+}
+
+func newCheckpointer(fp string, cfg Config, lanes int, dt *sim.DelayTable) *checkpointer {
+	return &checkpointer{id: MeasureCheckpoint{
 		Version:     CheckpointVersion,
-		Fingerprint: n.Fingerprint(),
-		Cycle:       done,
+		Fingerprint: fp,
 		TotalCycles: cfg.Cycles,
 		Lanes:       lanes,
 		Seed:        cfg.Seed,
 		Warmup:      cfg.Warmup,
 		DelayDigest: delayDigest(dt),
 		Inertial:    cfg.Inertial,
-		NetState:    encodeNetState(ws.ExportState(nil)),
-		Counter:     snap,
+	}}
+}
+
+// capture folds the running measurement's state at a cycle boundary,
+// done measured steps in, into a sealed MeasureCheckpoint.
+func (k *checkpointer) capture(ws sim.WideKernel, counter *core.WideCounter, done int) (*MeasureCheckpoint, error) {
+	snap, err := counter.SnapshotTagged(k.id.Fingerprint)
+	if err != nil {
+		return nil, err
 	}
+	k.state = ws.ExportState(k.state[:0])
+	cp := k.id
+	cp.Cycle, cp.NetState, cp.Counter = done, packNetState(k.state), snap
 	if err := cp.seal(); err != nil {
 		return nil, err
 	}
-	return cp, nil
+	return &cp, nil
+}
+
+// resume validates cp against the run (checksum, identity, cycle range,
+// payload shapes), restores its counter snapshot into counter and
+// returns the kernel net values to import. Every failure is an
+// ErrCheckpointMismatch.
+func (k *checkpointer) resume(cp *MeasureCheckpoint, counter *core.WideCounter, numNets, maxQ int) ([]logic.W, error) {
+	if err := cp.Verify(); err != nil {
+		return nil, err
+	}
+	if err := cp.matches(&k.id, maxQ); err != nil {
+		return nil, err
+	}
+	vals, err := unpackNetState(cp.NetState, numNets)
+	if err != nil {
+		return nil, err
+	}
+	if err := counter.RestoreTagged(cp.Counter, k.id.Fingerprint); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCheckpointMismatch, err)
+	}
+	return vals, nil
 }

@@ -5,10 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
+	"time"
 
 	"glitchsim/internal/core"
 	"glitchsim/internal/delay"
+	"glitchsim/internal/jobs"
+	"glitchsim/internal/logic"
+	"glitchsim/internal/registry"
+	"glitchsim/internal/sim"
+	"glitchsim/internal/stimulus"
 	"glitchsim/netlist"
 )
 
@@ -241,4 +248,154 @@ func TestResumeSinkErrorAborts(t *testing.T) {
 	if _, err := measureFor(t, n, cfg); !errors.Is(err, boom) {
 		t.Fatalf("sink failure = %v, want wrapped %v", err, boom)
 	}
+}
+
+// TestCheckpointBytesPerNet guards the packed format's size: a booth16
+// checkpoint (64 lanes, 4096 cycles, taken halfway) encodes to at most
+// 32 bytes of JSON per net. Version 1, which spelled every value out in
+// JSON, took 84.2.
+func TestCheckpointBytesPerNet(t *testing.T) {
+	n, err := registry.Build("booth16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	cfg := Config{Cycles: 4096, Lanes: 64, Seed: 1, CheckpointEvery: 32,
+		CheckpointSink: func(cp *MeasureCheckpoint) error {
+			var err error
+			if data, err = json.Marshal(cp); err != nil {
+				return err
+			}
+			return ErrStopAtCheckpoint
+		}}
+	if _, err := measureFor(t, n, cfg); !errors.Is(err, ErrCheckpointed) {
+		t.Fatalf("checkpointed run = %v, want ErrCheckpointed", err)
+	}
+	perNet := float64(len(data)) / float64(n.NumNets())
+	t.Logf("booth16 checkpoint: %d bytes, %d nets, %.1f bytes per net", len(data), n.NumNets(), perNet)
+	if perNet > 32 {
+		t.Errorf("checkpoint takes %.1f bytes per net, want at most 32", perNet)
+	}
+}
+
+// FuzzMeasureCheckpoint feeds arbitrary bytes to the decoder of
+// checkpoints read from disk and resumes a small measurement (rca8, 8
+// lanes) from whatever decodes: the outcome must be an error or a
+// counter, never a panic. Each decodable input is resumed once more
+// with its checksum re-stamped, so mutations also reach the identity,
+// net-state and counter checks behind the checksum. The corpus starts
+// from a version 2 checkpoint of that measurement, the version 1
+// fixture (testdata/checkpoint-v1-rca8.json) and truncations of both.
+func FuzzMeasureCheckpoint(f *testing.F) {
+	n := NewRCA(8)
+	e := NewEngine()
+	base := Config{Cycles: 64, Lanes: 8, Seed: 3}
+	run := func(cfg Config) (*core.Counter, error) {
+		return e.MeasureDetailed(context.Background(), MeasureRequest{Circuit: CircuitFromNetlist(n), Config: cfg})
+	}
+	var v2 []byte
+	cfg := base
+	cfg.CheckpointEvery = 2
+	cfg.CheckpointSink = func(cp *MeasureCheckpoint) error {
+		if cp.Cycle < 4 {
+			return nil
+		}
+		var err error
+		if v2, err = json.Marshal(cp); err != nil {
+			return err
+		}
+		return ErrStopAtCheckpoint
+	}
+	if _, err := run(cfg); !errors.Is(err, ErrCheckpointed) {
+		f.Fatalf("capture run = %v, want ErrCheckpointed", err)
+	}
+	v1, err := os.ReadFile("testdata/checkpoint-v1-rca8.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{v2, v1} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		f.Add(seed[:len(seed)-3])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp := new(MeasureCheckpoint)
+		if json.Unmarshal(data, cp) != nil {
+			return
+		}
+		cfg := base
+		cfg.Resume = cp
+		_, _ = run(cfg)
+		if cp.seal() == nil {
+			_, _ = run(cfg)
+		}
+	})
+}
+
+// BenchmarkCheckpoint times one job checkpoint of booth16 (64 lanes,
+// 32 of 64 measured steps done) step by step: capture (counter
+// snapshot, kernel-state export, packing, checksum), encode (the job
+// executor's json.Marshal) and put (one durable FileStore.Put of a
+// record carrying the encoded checkpoint).
+func BenchmarkCheckpoint(b *testing.B) {
+	n, err := registry.Build("booth16")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const lanes, done = 64, 32
+	c := sim.Compile(n)
+	cfg := Config{Cycles: 4096, Lanes: lanes, Seed: 1}.withDefaults(n)
+	dt := sim.NewDelayTable(c, cfg.Delay)
+	ws := sim.NewWideKernel(c, sim.Options{Delay: cfg.Delay, Delays: dt})
+	src := stimulus.NewWideRandom(n.InputWidth(), laneSeeds(cfg.Seed, lanes))
+	buf := make([]logic.W, n.InputWidth())
+	counter := core.NewWideCounter(n)
+	for i := 0; i < cfg.Warmup+done; i++ {
+		if i == cfg.Warmup {
+			ws.AttachWideMonitor(counter)
+		}
+		if err := ws.Step(src.NextWide(buf)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	k := newCheckpointer(n.Fingerprint(), cfg, lanes, dt)
+	cp, err := k.capture(ws, counter, done)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := json.Marshal(cp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := jobs.NewFileStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := jobs.Record{ID: "0123456789abcdef", State: jobs.StateRunning, Kind: "measure",
+		Checkpoint: data, CheckpointCycle: done, CreatedAt: time.Now().UTC()}
+	b.Run("capture", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := k.capture(ws, counter, done); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ReportMetric(float64(len(data)), "bytes/checkpoint")
+		for b.Loop() {
+			if _, err := json.Marshal(cp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("put", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := store.Put(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

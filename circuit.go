@@ -218,11 +218,25 @@ func (e *Engine) resolveName(name string) (*netlist.Netlist, error) {
 	}
 	n, err := registry.Build(name)
 	if err != nil {
-		return nil, fmt.Errorf("%w %q (available: %s)",
-			ErrUnknownCircuit, name, strings.Join(e.CircuitNames(), ", "))
+		return nil, &unknownNameError{e: e, name: name}
 	}
 	return n, nil
 }
+
+// unknownNameError is resolveName's ErrUnknownCircuit. Its message
+// lists every name the engine resolves, so it is formatted only when
+// read: the service, which tries upload names after a miss, never
+// reads it.
+type unknownNameError struct {
+	e    *Engine
+	name string
+}
+
+func (u *unknownNameError) Error() string {
+	return fmt.Sprintf("%v %q (available: %s)", ErrUnknownCircuit, u.name, strings.Join(u.e.CircuitNames(), ", "))
+}
+
+func (u *unknownNameError) Unwrap() error { return ErrUnknownCircuit }
 
 // CircuitNames returns the sorted union of every name the engine can
 // resolve: the built-in registry plus all registered circuit sources.

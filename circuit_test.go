@@ -2,10 +2,12 @@ package glitchsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"glitchsim/internal/registry"
 	"glitchsim/netlist"
 	"glitchsim/verilog"
 )
@@ -90,6 +92,38 @@ func TestResolveUnknownName(t *testing.T) {
 	}
 	if _, err := e.Measure(context.Background(), MeasureRequest{Config: Config{Cycles: 1}}); err == nil {
 		t.Fatal("request without circuit measured")
+	}
+}
+
+// TestResolveUnknownNameLazy: a miss formats no message. The service
+// tries upload module names after the engine misses, so the circuit
+// list in the error is built only when the error is read. The text and
+// errors.Is(err, ErrUnknownCircuit) are as before; the registry's own
+// miss is lazy the same way.
+func TestResolveUnknownNameLazy(t *testing.T) {
+	b := netlist.NewBuilder("custom1")
+	b.Output("z", b.Not(b.Input("a")))
+	e := NewEngine(WithCircuitSource(fixedSource{b.MustBuild()}))
+	ref := CircuitNamed("m_upload")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.Resolve(ref); err == nil {
+			t.Fatal("unknown name resolved")
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Resolve of an unknown name: %.0f allocations, want at most 3", allocs)
+	}
+	_, err := e.Resolve(ref)
+	if !errors.Is(err, ErrUnknownCircuit) {
+		t.Fatalf("err = %v, want ErrUnknownCircuit", err)
+	}
+	want := fmt.Sprintf("glitchsim: unknown circuit %q (available: %s)", "m_upload", strings.Join(e.CircuitNames(), ", "))
+	if err.Error() != want {
+		t.Errorf("message = %q, want %q", err.Error(), want)
+	}
+	_, err = registry.Build("m_upload")
+	if want := fmt.Sprintf("unknown circuit %q (available: %s)", "m_upload", registry.NameList()); err == nil || err.Error() != want {
+		t.Errorf("registry.Build message = %v, want %q", err, want)
 	}
 }
 

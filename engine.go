@@ -308,7 +308,7 @@ func (e *Engine) compiled(n *netlist.Netlist, fp string) *sim.Compiled {
 	if fp == "" {
 		fp = e.fingerprint(n)
 	}
-	return e.cache.get(fp, func() *sim.Compiled { return sim.Compile(n) })
+	return e.cache.get(fp, func() *sim.Compiled { return sim.CompileFingerprinted(n, fp) })
 }
 
 // fingerprint hashes n for a cache key, counting the hash.

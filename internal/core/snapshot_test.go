@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"glitchsim/internal/logic"
@@ -189,5 +190,63 @@ func TestSnapshotRefusesMidCycle(t *testing.T) {
 	}
 	if err := w.Restore(wsnap); err == nil {
 		t.Fatal("mid-cycle wide Restore succeeded, want refusal")
+	}
+}
+
+// TestSnapshotPackedForm: the packed form round-trips a snapshot
+// exactly, every truncation of it (and a trailing byte) fails with
+// ErrBadSnapshot because the decoder checks every count against the
+// bytes left, the JSON object a version 1 snapshot was no longer
+// decodes, and a snapshot the packed form cannot carry exactly is
+// refused when encoding.
+func TestSnapshotPackedForm(t *testing.T) {
+	nl, y, z := snapNetlist(t)
+	c := NewCounter(nl)
+	feed(c, y, []int{3, 2, 0, 7})
+	feed(c, z, []int{1, 4})
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := snap.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back CounterSnapshot
+	if err := back.UnmarshalBinary(packed); err != nil || !reflect.DeepEqual(&back, snap) {
+		t.Fatalf("packed round trip = %+v, %v; want %+v", back, err, snap)
+	}
+	for n := range packed {
+		if err := new(CounterSnapshot).UnmarshalBinary(packed[:n]); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("decoding %d of %d bytes = %v, want ErrBadSnapshot", n, len(packed), err)
+		}
+	}
+	if err := new(CounterSnapshot).UnmarshalBinary(append(packed, 0)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("decoding a trailing byte = %v, want ErrBadSnapshot", err)
+	}
+	v1 := `{"version":1,"fingerprint":"` + snap.Fingerprint + `","cycles":6,"monitored":[1,2],"stats":[]}`
+	if err := json.Unmarshal([]byte(v1), new(CounterSnapshot)); err == nil {
+		t.Fatal("a version 1 snapshot object decoded")
+	}
+
+	cases := []struct {
+		name    string
+		corrupt func(s *CounterSnapshot)
+	}{
+		{"negative cycles", func(s *CounterSnapshot) { s.Cycles = -1 }},
+		{"monitored out of order", func(s *CounterSnapshot) { s.Monitored = append(s.Monitored, 0) }},
+		{"stats out of order", func(s *CounterSnapshot) { s.Stats = append(s.Stats, s.Stats[0]) }},
+		{"useful off the parity rule", func(s *CounterSnapshot) { s.Stats[0].Useful++ }},
+		{"glitches off the parity rule", func(s *CounterSnapshot) { s.Stats[0].Glitches++ }},
+	}
+	for _, tc := range cases {
+		s, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(s)
+		if _, err := s.AppendBinary(nil); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: AppendBinary = %v, want ErrBadSnapshot", tc.name, err)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func (s *MemStore) Delete(id string) error {
 	return nil
 }
 
-// FileStore persists each record as one pretty-printed JSON document,
+// FileStore persists each record as one compact JSON document,
 // <dir>/<id>.json, written atomically (temp file + rename) so a crash
 // mid-write never leaves a truncated record. Job IDs are 16 hex digits
 // (see newID), so the ID is used as the file name verbatim; defensive
@@ -131,7 +131,10 @@ func (s *FileStore) Put(rec Record) error {
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(rec, "", "  ")
+	// Compact: a record carries its checkpoint, and indenting that
+	// payload would cost more than writing it. Readers take either
+	// form.
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("jobs: encoding record %s: %w", rec.ID, err)
 	}

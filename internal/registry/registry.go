@@ -77,9 +77,18 @@ func NameList() string { return strings.Join(Names(), ", ") }
 func Build(name string) (*netlist.Netlist, error) {
 	f, ok := builders[name]
 	if !ok {
-		return nil, fmt.Errorf("unknown circuit %q (available: %s)", name, NameList())
+		return nil, &unknownError{name: name}
 	}
 	return f(), nil
+}
+
+// unknownError reports a name Build does not know. Its message lists
+// every circuit, so it is formatted only when read: a caller that falls
+// back to another source on a miss never pays for it.
+type unknownError struct{ name string }
+
+func (e *unknownError) Error() string {
+	return fmt.Sprintf("unknown circuit %q (available: %s)", e.name, NameList())
 }
 
 // DelayModel resolves the (dsum, dcarry, typical) delay parameters the

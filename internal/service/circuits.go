@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"glitchsim"
-	"glitchsim/internal/registry"
 	"glitchsim/netlist"
 	"glitchsim/verilog"
 )
@@ -234,7 +233,7 @@ func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		s.writeOK(w, CircuitsResponse{
-			Builtin: registry.Names(),
+			Builtin: s.engine.CircuitNames(),
 			Uploads: s.uploads.snapshot(),
 		})
 	case http.MethodPost:

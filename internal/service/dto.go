@@ -246,7 +246,8 @@ type UploadResponse struct {
 
 // CircuitsResponse is the GET /v1/circuits reply.
 type CircuitsResponse struct {
-	// Builtin lists the registry circuit names.
+	// Builtin lists every name the engine resolves: the built-in
+	// registry plus the names of any custom circuit sources.
 	Builtin []string `json:"builtin"`
 	// Uploads lists the uploaded circuits, most recently used first.
 	Uploads []CircuitInfo `json:"uploads"`

@@ -139,11 +139,11 @@ func (d *circuitDisk) save(n *netlist.Netlist, info CircuitInfo) {
 		d.logf("service: persisting upload %s: %v", info.Fingerprint, err)
 		return
 	}
-	raw, err := json.MarshalIndent(circuitDoc{
+	raw, err := json.Marshal(circuitDoc{
 		Fingerprint: info.Fingerprint,
 		Info:        info,
 		Netlist:     json.RawMessage(bytes.TrimSpace(nlbuf.Bytes())),
-	}, "", "  ")
+	})
 	if err != nil {
 		d.logf("service: persisting upload %s: %v", info.Fingerprint, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -629,5 +630,24 @@ func TestCircuitSourceSyncMatchesJob(t *testing.T) {
 	}
 	if body := compactBody(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("table3 on custom8 answered %d: %s", resp.StatusCode, body)
+	}
+
+	// A name only the source knows is discoverable: the catalogue and
+	// the missing-circuit message list it beside the built-ins.
+	resp, err = http.Get(ts.URL + "/v1/circuits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := decodeBody[CircuitsResponse](t, resp)
+	if !slices.Contains(listing.Builtin, "custom8") || !slices.Contains(listing.Builtin, "wallace16") {
+		t.Errorf("GET /v1/circuits builtin = %v, want custom8 beside the built-ins", listing.Builtin)
+	}
+	resp, err = http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(`{"cycles":10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eb := decodeBody[ErrorResponse](t, resp); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(eb.Error, "custom8") {
+		t.Errorf("measure without a circuit answered %d %q, want 400 naming custom8", resp.StatusCode, eb.Error)
 	}
 }

@@ -300,7 +300,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p.Circuit == "" {
-		s.writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("missing circuit (available: %s)", registry.NameList()))
+		s.writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("missing circuit (available: %s)", strings.Join(s.engine.CircuitNames(), ", ")))
 		return
 	}
 	nl, err := s.resolveCircuit(p.Circuit)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"glitchsim/internal/delay"
 	"glitchsim/internal/logic"
@@ -50,6 +51,11 @@ type Compiled struct {
 	// computed once here rather than per measurement.
 	seqLevels   int
 	seqFeedback bool
+
+	// fp is the netlist's Fingerprint: given to CompileFingerprinted, or
+	// hashed on the first Fingerprint call.
+	fpOnce sync.Once
+	fp     string
 }
 
 // outputsPerCell is the per-cell stride of the outNets array (the widest
@@ -151,8 +157,30 @@ func Compile(n *netlist.Netlist) *Compiled {
 	return c
 }
 
+// CompileFingerprinted is Compile for a caller that already holds fp,
+// n's Fingerprint (a cache keyed by it), so that Fingerprint never
+// hashes the netlist again.
+func CompileFingerprinted(n *netlist.Netlist, fp string) *Compiled {
+	c := Compile(n)
+	c.fp = fp
+	return c
+}
+
 // Netlist returns the netlist this compilation was built from.
 func (c *Compiled) Netlist() *netlist.Netlist { return c.n }
+
+// Fingerprint returns the netlist's structural fingerprint
+// (netlist.Fingerprint). The netlist cannot change while compiled, so
+// it is hashed at most once per Compiled, and not at all when
+// CompileFingerprinted was given it.
+func (c *Compiled) Fingerprint() string {
+	c.fpOnce.Do(func() {
+		if c.fp == "" {
+			c.fp = c.n.Fingerprint()
+		}
+	})
+	return c.fp
+}
 
 // SequentialDepth returns the netlist's SequentialDepth (register
 // levels, and whether any flipflop sits on a feedback loop), computed

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 
 	"glitchsim/internal/delay"
@@ -401,5 +402,31 @@ func TestMonitorCycleEnds(t *testing.T) {
 	}
 	if rec.cycles != 5 {
 		t.Error("detached monitor still called")
+	}
+}
+
+// TestCompiledFingerprint: a Compiled reports its netlist's
+// Fingerprint, also to goroutines asking at once (a Compiled is shared),
+// and one built by CompileFingerprinted reports the fingerprint it was
+// given, so its holder never hashes the netlist.
+func TestCompiledFingerprint(t *testing.T) {
+	b := netlist.NewBuilder("fp")
+	b.Output("z", b.Not(b.Input("a")))
+	n := b.MustBuild()
+	want := n.Fingerprint()
+	c := Compile(n)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := c.Fingerprint(); got != want {
+				t.Errorf("Compile(n).Fingerprint() = %s, want %s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := CompileFingerprinted(n, "known").Fingerprint(); got != "known" {
+		t.Errorf("CompileFingerprinted(n, known).Fingerprint() = %s", got)
 	}
 }

@@ -436,7 +436,9 @@ func splitInst(st *statement) (outs, ins []string, err error) {
 // or structurally. Builder methods panic on structural misuse the
 // explicit checks below did not anticipate; the recover converts any
 // such escape into a regular parse error so Parse never panics on
-// malformed input.
+// malformed input. Every name handed to the Builder is cloned: the
+// parsed identifiers are substrings of whole copies of the source, and
+// the netlist must not keep those alive.
 func buildNetlist(modName string, meta *fileMeta, inputs, outputs, wires []decl,
 	stmts []statement, modLine, endLine int) (n *netlist.Netlist, err error) {
 	defer func() {
@@ -461,7 +463,7 @@ func buildExact(modName string, meta *fileMeta, inputs, outputs, wires []decl,
 	if meta.moduleSet {
 		name = meta.module // "" is a valid original name
 	}
-	b := netlist.NewBuilder(name)
+	b := netlist.NewBuilder(strings.Clone(name))
 
 	inputSet := map[string]bool{}
 	for _, d := range inputs {
@@ -499,10 +501,10 @@ func buildExact(modName string, meta *fileMeta, inputs, outputs, wires []decl,
 		}
 		origSeen[orig] = true
 		if inputSet[v] {
-			nets[v] = b.Input(orig)
+			nets[v] = b.Input(strings.Clone(orig))
 			piOrder = append(piOrder, v)
 		} else {
-			nets[v] = b.Net(orig)
+			nets[v] = b.Net(strings.Clone(orig))
 		}
 	}
 	if len(piOrder) != len(inputSet) {
@@ -564,7 +566,7 @@ func buildExact(modName string, meta *fileMeta, inputs, outputs, wires []decl,
 			if o, ok := meta.cells[st.name]; ok {
 				cellName = o
 			}
-			b.AddCellDriving(st.typ, cellName, inIDs, outIDs)
+			b.AddCellDriving(st.typ, strings.Clone(cellName), inIDs, outIDs)
 		}
 	}
 
@@ -588,7 +590,7 @@ func buildExact(modName string, meta *fileMeta, inputs, outputs, wires []decl,
 			}
 			ids[i] = id
 		}
-		b.NameBus(bus.name, ids)
+		b.NameBus(strings.Clone(bus.name), ids)
 	}
 
 	built, err := b.Build()
@@ -603,7 +605,7 @@ func buildExact(modName string, meta *fileMeta, inputs, outputs, wires []decl,
 // references are fine — every output net is declared before any cell is
 // created).
 func buildLoose(modName string, inputs, outputs []decl, stmts []statement, endLine int) (*netlist.Netlist, error) {
-	b := netlist.NewBuilder(modName)
+	b := netlist.NewBuilder(strings.Clone(modName))
 	nets := map[string]netlist.NetID{}
 
 	for _, d := range inputs {
@@ -613,7 +615,7 @@ func buildLoose(modName string, inputs, outputs []decl, stmts []statement, endLi
 		if _, dup := nets[d.name]; dup {
 			return nil, fmt.Errorf("verilog: line %d: input %s declared twice", d.line, d.name)
 		}
-		nets[d.name] = b.Input(d.name)
+		nets[d.name] = b.Input(strings.Clone(d.name))
 	}
 
 	// Pass 1: declare every driven net, validating single drivers and
@@ -647,7 +649,7 @@ func buildLoose(modName string, inputs, outputs []decl, stmts []statement, endLi
 			if drivenByNet || drivenByAlias {
 				return nil, fmt.Errorf("verilog: line %d: net %s driven twice", st.line, o)
 			}
-			nets[o] = b.Net(o)
+			nets[o] = b.Net(strings.Clone(o))
 		}
 	}
 	// Instance inputs resolve through the alias map too (assign w = a;
@@ -680,7 +682,7 @@ func buildLoose(modName string, inputs, outputs []decl, stmts []statement, endLi
 				}
 				inIDs[port] = id
 			}
-			b.AddCellDriving(st.typ, st.name, inIDs, outIDs)
+			b.AddCellDriving(st.typ, strings.Clone(st.name), inIDs, outIDs)
 		}
 	}
 
@@ -692,7 +694,7 @@ func buildLoose(modName string, inputs, outputs []decl, stmts []statement, endLi
 		if !ok {
 			return nil, fmt.Errorf("verilog: line %d: output %s is undriven", d.line, d.name)
 		}
-		b.Output(strings.TrimPrefix(d.name, "po_"), id)
+		b.Output(strings.Clone(strings.TrimPrefix(d.name, "po_")), id)
 	}
 	built, err := b.Build()
 	if err != nil {

@@ -268,21 +268,22 @@ func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*
 		maxQ = quotas[0]
 	}
 	counter := core.NewWideCounter(n)
+	var ckpt *checkpointer
+	if cfg.Resume != nil || (cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil) {
+		// Every checkpoint and the resume check share one fingerprint:
+		// the engine's cache key, or one hash of the netlist.
+		ckpt = newCheckpointer(c.Fingerprint(), cfg, lanes, dt)
+	}
 	startK := 0
 	if cp := cfg.Resume; cp != nil {
-		if err := cp.Verify(); err != nil {
-			return nil, err
-		}
-		if err := cp.matches(n, cfg, lanes, maxQ, dt); err != nil {
-			return nil, err
-		}
-		if err := counter.Restore(cp.Counter); err != nil {
+		vals, err := ckpt.resume(cp, counter, n.NumNets(), maxQ)
+		if err != nil {
 			return nil, err
 		}
 		// The kernel rejoins the run at the recorded boundary: net values
 		// from the snapshot, flip-flop registers re-derived, stimulus
 		// fast-forwarded past the warm-up plus the completed prefix.
-		ws.ImportState(decodeNetState(cp.NetState), cfg.Warmup+cp.Cycle)
+		ws.ImportState(vals, cfg.Warmup+cp.Cycle)
 		src.Skip(cfg.Warmup + cp.Cycle)
 		startK = cp.Cycle
 	} else {
@@ -338,7 +339,7 @@ func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*
 		// return value itself, so no checkpoint is taken there.
 		if done := k + 1; cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil &&
 			done < maxQ && done%cfg.CheckpointEvery == 0 {
-			cp, err := captureCheckpoint(ws, counter, n, cfg, lanes, done, dt)
+			cp, err := ckpt.capture(ws, counter, done)
 			if err != nil {
 				return nil, err
 			}
