@@ -423,6 +423,48 @@ func BenchmarkMeasureSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureHeavy times the kernel-bound measurement of the
+// 16-bit multipliers through Engine.Measure: 1024 vectors on the
+// default 64 lanes, so 16 measured word-parallel steps, under the
+// full-adder ratio and typical models (wide-event) and unit delay
+// (wide-lockstep). Run it with -cpu 1,2: with a free engine slot the
+// measurement splits its steps across two shards. Each run builds its
+// Engine under the -cpu setting, which sizes its slots (GOMAXPROCS),
+// and warms its compiled cache before the timed loop. The loop counts
+// to b.N rather than using b.Loop: with b.Loop, a benchmark's first run,
+// which starts before -cpu is applied, measures it at the process's
+// GOMAXPROCS, and the first -cpu row reports that run.
+func BenchmarkMeasureHeavy(b *testing.B) {
+	for _, circuit := range []string{"array16", "wallace16", "booth16"} {
+		for _, m := range []struct {
+			name string
+			dm   delay.Model
+		}{
+			{"fa21", delay.FullAdderRatio(2, 1)},
+			{"typical", delay.Typical()},
+			{"unit", delay.Unit()},
+		} {
+			b.Run(circuit+"_"+m.name, func(b *testing.B) {
+				e := glitchsim.NewEngine()
+				req := glitchsim.MeasureRequest{
+					Circuit: glitchsim.CircuitNamed(circuit),
+					Config:  glitchsim.Config{Cycles: 1024, Delay: m.dm},
+				}
+				if _, err := e.Measure(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.Measure(context.Background(), req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkNewSessionFunc times opening and closing the callback
 // session every synchronous service request runs on.
 func BenchmarkNewSessionFunc(b *testing.B) {

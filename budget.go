@@ -99,7 +99,10 @@ type CostEstimate struct {
 	// kernel steps the run executes, warm-up included (for a scalar run
 	// Lanes is 1 and Steps counts plain cycles; a lane-decomposed run
 	// without register feedback counts at most SequentialLevels+1
-	// warm-up steps, see Config.Warmup).
+	// warm-up steps, see Config.Warmup). Steps is the serial count: a
+	// measurement split across free engine slots (see
+	// WithMaxConcurrency) settles each further shard in at most
+	// SequentialLevels+1 extra steps, which adds at most 1/8 to it.
 	Lanes, Steps int
 	// EventsPerStep is the heuristic expected event count of one kernel
 	// step: one injection per input plus cell evaluations amplified by
@@ -131,7 +134,7 @@ func estimateCost(n *netlist.Netlist, cfg Config, lanes int) CostEstimate {
 		SequentialLevels: levels,
 		Lanes:            lanes,
 	}
-	est.Steps = warmupSteps(levels, feedback, cfg, lanes) + (cfg.Cycles+lanes-1)/lanes
+	est.Steps = warmupSteps(levels, feedback, cfg.Warmup, lanes) + (cfg.Cycles+lanes-1)/lanes
 	// Per step: every input injects one event, and each cell evaluates
 	// with ~50% input activity, amplified by depth-proportional glitching
 	// (the paper's L/F grows with unbalanced path depth). Constants are
@@ -169,7 +172,8 @@ func (e *Engine) EstimateCost(req MeasureRequest) (CostEstimate, error) {
 // Load reports the engine's simulation-slot occupancy: slots in use and
 // the WithMaxConcurrency capacity. A saturated engine (active ==
 // capacity) is the service's signal to shed expensive requests with 429
-// instead of queueing them.
+// instead of queueing them. Slots a split measurement borrowed for its
+// shards count as in use until it returns: they are simulating.
 func (e *Engine) Load() (active, capacity int) { return len(e.sem), cap(e.sem) }
 
 // admitMemory rejects a measurement whose estimated footprint exceeds

@@ -52,8 +52,9 @@ type Engine struct {
 
 	// hashes counts the netlists hashed for cache keys (fingerprint)
 	// and retimings the retime.ForPeriod searches run (retimed), so
-	// tests can prove a warm sweep does neither.
-	hashes, retimings atomic.Uint64
+	// tests can prove a warm sweep does neither; borrowed counts the
+	// slots split measurements have borrowed (borrow).
+	hashes, retimings, borrowed atomic.Uint64
 }
 
 // memo is a bounded LRU of values computed once per key: the structure
@@ -174,7 +175,11 @@ func WithTech(t power.Tech) EngineOption {
 // request still fans out onto its own workers, but at most n of them
 // simulate at any instant (the rest wait, honouring cancellation). n <=
 // 0 (the default) selects GOMAXPROCS. Per-request worker counts larger
-// than n are not an error — they just contend for the n slots.
+// than n are not an error — they just contend for the n slots. A
+// single lane-decomposed measurement also borrows the slots that are
+// free when it starts, never waiting for one, and splits its measured
+// steps into one shard per slot it holds (see Engine.Load); n = 1 never
+// splits.
 func WithMaxConcurrency(n int) EngineOption {
 	return func(e *Engine) {
 		if n < 0 {
@@ -240,6 +245,24 @@ func (e *Engine) acquire(ctx context.Context) error {
 }
 
 func (e *Engine) release() { <-e.sem }
+
+// borrow claims up to n further slots for the shards of a split
+// measurement without waiting, and returns how many it got: none on a
+// saturated engine. The caller hands each one back with release.
+func (e *Engine) borrow(n int) int {
+	got := 0
+claim:
+	for got < n {
+		select {
+		case e.sem <- struct{}{}:
+			got++
+		default:
+			break claim
+		}
+	}
+	e.borrowed.Add(uint64(got))
+	return got
+}
 
 // Tech returns the engine's default technology constants.
 func (e *Engine) Tech() power.Tech { return e.tech }
@@ -389,7 +412,8 @@ type ExperimentRequest struct {
 // measureNetlist is the single-measurement core: admit (the memory
 // budget is checked against the cost estimate before anything is
 // compiled), compile (cached; fp as for compiled), claim an engine
-// slot, simulate.
+// slot, borrow the free slots a split may use (shardCap), simulate.
+// The borrowed slots count in Load while the measurement runs.
 func (e *Engine) measureNetlist(ctx context.Context, nl *netlist.Netlist, fp string, cfg Config) (*core.Counter, error) {
 	cfg = e.fillDefaults(cfg)
 	if err := e.admitMemory(nl, cfg); err != nil {
@@ -400,7 +424,14 @@ func (e *Engine) measureNetlist(ctx context.Context, nl *netlist.Netlist, fp str
 		return nil, err
 	}
 	defer e.release()
-	return measureCompiled(ctx, c, cfg, e.laneCount(cfg))
+	lanes := e.laneCount(cfg)
+	extra := e.borrow(shardCap(c, cfg, lanes) - 1)
+	defer func() {
+		for range extra {
+			e.release()
+		}
+	}()
+	return measureCompiled(ctx, c, cfg, lanes, 1+extra)
 }
 
 // MeasureDetailed simulates the request and returns the attached
@@ -516,7 +547,7 @@ func (e *Engine) measureMany(ctx context.Context, jobs []MeasureJob, workers int
 			results[i].Err = err
 		} else {
 			cfg := e.fillDefaults(jobs[i].Config)
-			counter, err := measureCompiled(ctx, compiled[nets[i]], cfg, e.laneCount(cfg))
+			counter, err := measureCompiled(ctx, compiled[nets[i]], cfg, e.laneCount(cfg), 1)
 			e.release()
 			if err != nil {
 				results[i].Err = err

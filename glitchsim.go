@@ -184,8 +184,8 @@ func (c Config) measuredCycles() int {
 	return c.Cycles
 }
 
-// warmupSteps returns how many kernel steps the warm-up of a resolved
-// configuration costs on the path lanes selects (lanes > 1: the
+// warmupSteps returns how many kernel steps a warm-up of the given
+// number of vectors costs on the path lanes selects (lanes > 1: the
 // lane-decomposed word-parallel path), for a netlist of the given
 // SequentialDepth. There a netlist without register feedback settles
 // its warm-up in at most levels+1 steps, one for a combinational
@@ -199,12 +199,14 @@ func (c Config) measuredCycles() int {
 // Warmup-levels-1 vectors only advance the stimulus streams. A feedback
 // loop carries state indefinitely, so such netlists warm up step by
 // step, as does the scalar path, which stays the independent reference
-// the equivalence suites compare against.
-func warmupSteps(levels int, feedback bool, cfg Config, lanes int) int {
+// the equivalence suites compare against. A shard of a split
+// measurement (measureWide) warms up on every vector before its first
+// measured step the same way.
+func warmupSteps(levels int, feedback bool, warmup, lanes int) int {
 	if lanes > 1 && !feedback {
-		return min(cfg.Warmup, levels+1)
+		return min(warmup, levels+1)
 	}
-	return cfg.Warmup
+	return warmup
 }
 
 // measureCompiled is the measurement core shared by the Engine's entry
@@ -214,9 +216,9 @@ func warmupSteps(levels int, feedback bool, cfg Config, lanes int) int {
 // so cancellation lands promptly even mid-cycle on large circuits.
 // lanes is the resolved lane count (see Engine.laneCount); splitLanes
 // decides how many parallel stimulus streams the measurement runs on a
-// word-parallel kernel (measureWide). A single lane takes the
-// single-stream path.
-func measureCompiled(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*core.Counter, error) {
+// word-parallel kernel (measureWide), over at most shards shards (see
+// shardCap). A single lane takes the single-stream path.
+func measureCompiled(ctx context.Context, c *sim.Compiled, cfg Config, lanes, shards int) (*core.Counter, error) {
 	n := c.Netlist()
 	lanes = splitLanes(cfg, lanes)
 	cfg = cfg.withDefaults(n)
@@ -225,7 +227,7 @@ func measureCompiled(ctx context.Context, c *sim.Compiled, cfg Config, lanes int
 			cfg.Source.Width(), n.Name, n.InputWidth())
 	}
 	if lanes > 1 {
-		return measureWide(ctx, c, cfg, lanes)
+		return measureWide(ctx, c, cfg, lanes, shards)
 	}
 	if cfg.CheckpointEvery > 0 || cfg.Resume != nil {
 		return nil, fmt.Errorf("%w: circuit %q would run single-stream", ErrCheckpointUnsupported, n.Name)

@@ -140,7 +140,8 @@ type Record struct {
 	// CheckpointCycle is the measurement cycle Checkpoint was taken at.
 	CheckpointCycle int `json:"checkpoint_cycle,omitempty"`
 	// ResumedFromCycle reports the cycle the job's current (or last)
-	// attempt resumed from: 0 for a fresh start, the checkpoint cycle
+	// attempt resumed from: 0 for a fresh start or a discarded
+	// checkpoint (a "resume-discarded" event), the checkpoint cycle
 	// after a drain/crash/retry picked up persisted work.
 	ResumedFromCycle int `json:"resumed_from_cycle,omitempty"`
 	// Events is the bounded tail of the job's event history (the live

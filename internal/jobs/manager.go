@@ -600,10 +600,13 @@ type panicError struct {
 func (p *panicError) Error() string { return fmt.Sprintf("panic: %v", p.val) }
 
 // progress records an executor progress event and updates the job's
-// completion counters.
+// completion counters. A "resume-discarded" event means the attempt
+// re-runs from cycle zero, so it resumed from nothing.
 func (m *Manager) progress(j *job, ev Event) {
 	m.mu.Lock()
 	switch ev.Kind {
+	case "resume-discarded":
+		j.rec.ResumedFromCycle = 0
 	case "seed", "row":
 		j.rec.Progress.Done++
 		if ev.Total > j.rec.Progress.Total {

@@ -17,7 +17,8 @@ import (
 // (testdata/checkpoint-v1-rca8.json) is the checkpoint the version 1
 // code took at cycle 4 of this very request, which that code resumed
 // from. Now the job emits resume-discarded, re-runs from cycle zero,
-// and its result equals an uninterrupted run's byte for byte.
+// reports resumed_from_cycle 0, and its result equals an uninterrupted
+// run's byte for byte.
 func TestCheckpointV1Discarded(t *testing.T) {
 	fixture, err := os.ReadFile("../../testdata/checkpoint-v1-rca8.json")
 	if err != nil {
@@ -71,5 +72,8 @@ func TestCheckpointV1Discarded(t *testing.T) {
 			kinds = append(kinds, ev.Kind)
 		}
 		t.Errorf("no resume-discarded event; events: %s", strings.Join(kinds, ", "))
+	}
+	if rec.ResumedFromCycle != 0 {
+		t.Errorf("resumed_from_cycle = %d after the checkpoint was discarded, want 0", rec.ResumedFromCycle)
 	}
 }

@@ -138,6 +138,24 @@ func (opts Options) guardTime() int {
 	return opts.MaxTimePerCycle
 }
 
+// CanOscillate reports whether a Step of a kernel built on c with these
+// options could fail with an *OscillationError. Every event of a Step
+// ends a chain of cell delays that starts with an injection at time 0,
+// so none lies past the netlist's critical path under the delay table
+// (which NumCells times the largest delay bounds). Only when that path
+// exceeds the settle guard can a Step trip it, and whether one does then
+// depends on the stimulus and on the state it starts from.
+func (opts Options) CanOscillate(c *Compiled) bool {
+	dt := opts.delayTable(c)
+	guard := opts.guardTime()
+	if c.n.NumCells()*dt.Max() <= guard {
+		return false
+	}
+	return c.n.CriticalPathLength(func(cell *netlist.Cell, pin int) int {
+		return dt.At(outputsPerCell*int(cell.ID) + pin)
+	}) > guard
+}
+
 // cancelCheckInterval is the number of processed events between two
 // Cancel polls: frequent enough that cancellation lands within
 // microseconds of simulated work, rare enough to stay invisible on the

@@ -26,6 +26,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"glitchsim/internal/delay"
 	"glitchsim/internal/logic"
@@ -45,20 +46,20 @@ var ErrNonUniformDelay = errors.New("sim: lockstep wide kernel requires a unifor
 
 // UniformDelay reports whether the delay model assigns one common delay
 // to every connected output pin of every combinational cell of the
-// compiled netlist, and returns that delay. A netlist with no
-// combinational outputs is trivially uniform with delay 1. This is the
-// eligibility check for the lockstep word-parallel kernel (which
-// additionally requires the delay to be >= 1, so that instants never
-// merge). It folds the model through the same delay.VisitOutputs walk
-// as table construction — without building a table, so pure kernel
-// prediction (Engine.SelectedKernel) stays allocation-free — and thus
-// can never disagree with the kernels about which pins a model is asked
-// about.
-func UniformDelay(c *Compiled, dm delay.Model) (int, bool) {
+// netlist, and returns that delay. A netlist with no combinational
+// outputs is trivially uniform with delay 1. This is the eligibility
+// check for the lockstep word-parallel kernel (which additionally
+// requires the delay to be >= 1, so that instants never merge). It
+// folds the model through the same delay.VisitOutputs walk as table
+// construction — without compiling the netlist or building a table, so
+// pure kernel prediction (Engine.SelectedKernel) neither hashes nor
+// allocates — and thus can never disagree with the kernels about which
+// pins a model is asked about.
+func UniformDelay(n *netlist.Netlist, dm delay.Model) (int, bool) {
 	if dm == nil {
 		dm = delay.Unit()
 	}
-	min, max := delay.Bounds(c.n, dm)
+	min, max := delay.Bounds(n, dm)
 	if min != max {
 		return 0, false
 	}
@@ -109,6 +110,13 @@ type WideKernel interface {
 	// internal caches. The next Step continues exactly as if the kernel
 	// had simulated to that boundary itself.
 	ImportState(vals []logic.W, cycle int)
+	// Release hands the kernel's grown per-step buffers (event arena,
+	// waves, change and touched-cell buffers) back to a pool the next
+	// kernel draws from, so it starts at the grown capacity instead of
+	// regrowing it. The kernel must not be used afterwards; a second
+	// Release is a no-op, and a kernel that is never released is
+	// simply collected.
+	Release()
 }
 
 // NewWideKernel returns the fastest word-parallel kernel for the
@@ -125,6 +133,25 @@ func NewWideKernel(c *Compiled, opts Options) WideKernel {
 	return NewWideEvent(c, opts)
 }
 
+// stepBuffers are a wide kernel's growable per-step buffers: the change
+// and touched-cell buffers both kernels use, the lockstep kernel's
+// waves, and the event kernel's arena, free-slot and coalescing lists.
+// Each grows to its workload's working set within the first steps. A
+// kernel takes one set from stepBufferPool at construction and Release
+// puts it back, so a measurement that builds a kernel per shard, or a
+// service that builds one per request, regrows nothing. A kernel leaves
+// the fields it does not use untouched, so one set serves both kernels.
+type stepBuffers struct {
+	changes     []WideChange
+	touched     []netlist.CellID
+	wave, next  []wideEvent
+	arena       []maskedEvent
+	free        []int32
+	changedList []netlist.NetID
+}
+
+var stepBufferPool = sync.Pool{New: func() any { return new(stepBuffers) }}
+
 // wideCore is the state and code the two word-parallel kernels share:
 // the compiled netlist, the settle guard, the packed net values and
 // flip-flop samples, the touched-cell epoch set, the monitors and their
@@ -134,6 +161,7 @@ func NewWideKernel(c *Compiled, opts Options) WideKernel {
 type wideCore struct {
 	c     *Compiled
 	guard int
+	bufs  *stepBuffers // pooled backing of the growable buffers; nil once released
 
 	values []logic.W
 	ffQ    []logic.W // sampled Q, indexed like Compiled.dffCells
@@ -152,14 +180,19 @@ type wideCore struct {
 }
 
 // newWideCore returns the reset state of a wide kernel: every net at
-// its reset value in all lanes, every flip-flop sampled at 0.
+// its reset value in all lanes, every flip-flop sampled at 0, and a set
+// of pooled step buffers.
 func newWideCore(c *Compiled, opts Options) wideCore {
+	b := stepBufferPool.Get().(*stepBuffers)
 	s := wideCore{
 		c:          c,
 		guard:      opts.guardTime(),
+		bufs:       b,
 		values:     make([]logic.W, c.n.NumNets()),
 		ffQ:        make([]logic.W, len(c.dffCells)),
 		touchEpoch: make([]int32, c.n.NumCells()),
+		touched:    b.touched[:0],
+		changes:    b.changes[:0],
 	}
 	s.poll.init(opts)
 	for i, v := range c.initVals {
@@ -169,6 +202,15 @@ func newWideCore(c *Compiled, opts Options) wideCore {
 		s.ffQ[i] = logic.SplatW(logic.L0)
 	}
 	return s
+}
+
+// release hands the shared buffers back with the set the kernel took
+// at construction; the kernel's Release stores its own first.
+func (s *wideCore) release() {
+	b := s.bufs
+	b.changes, b.touched = s.changes[:0], s.touched[:0]
+	s.bufs, s.changes, s.touched = nil, nil, nil
+	stepBufferPool.Put(b)
 }
 
 // AttachWideMonitor registers a monitor for subsequent cycles.
@@ -299,11 +341,23 @@ func NewWide(c *Compiled, opts Options) (*WideSimulator, error) {
 		}
 		return nil, fmt.Errorf("%w (model %s)", ErrNonUniformDelay, dm.Name())
 	}
-	return &WideSimulator{wideCore: newWideCore(c, opts), d: d}, nil
+	s := &WideSimulator{wideCore: newWideCore(c, opts), d: d}
+	s.wave, s.next = s.bufs.wave[:0], s.bufs.next[:0]
+	return s, nil
 }
 
 // KernelName implements WideKernel.
 func (s *WideSimulator) KernelName() string { return "wide-lockstep" }
+
+// Release implements WideKernel.
+func (s *WideSimulator) Release() {
+	if s.bufs == nil {
+		return
+	}
+	s.bufs.wave, s.bufs.next = s.wave[:0], s.next[:0]
+	s.wave, s.next = nil, nil
+	s.release()
+}
 
 // Step simulates one clock cycle for all lanes: pi holds, per primary
 // input, the packed per-lane stimulus bits (aligned with the netlist's

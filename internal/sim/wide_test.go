@@ -190,7 +190,7 @@ func TestWidePropertyRandomNetlists(t *testing.T) {
 // multiplier is non-uniform, but the same model over an adder-free
 // circuit collapses to unit delay.
 func TestUniformDelayDetection(t *testing.T) {
-	mult := sim.Compile(mustBuild(t, "array8"))
+	mult := mustBuild(t, "array8")
 	if d, ok := sim.UniformDelay(mult, delay.Unit()); !ok || d != 1 {
 		t.Errorf("unit on array8: (%d,%v), want (1,true)", d, ok)
 	}
@@ -204,7 +204,7 @@ func TestUniformDelayDetection(t *testing.T) {
 		t.Errorf("zero on array8: (%d,%v), want (0,true)", d, ok)
 	}
 	// No FA/HA cells: the ratio model degenerates to its unit base.
-	gates := sim.Compile(mustBuild(t, "rca16g"))
+	gates := mustBuild(t, "rca16g")
 	if d, ok := sim.UniformDelay(gates, delay.FullAdderRatio(2, 1)); !ok || d != 1 {
 		t.Errorf("fa-ratio on rca16g: (%d,%v), want (1,true)", d, ok)
 	}

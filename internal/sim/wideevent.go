@@ -60,7 +60,9 @@ import (
 // carries the event for (the queue holds the time, so the arena entry
 // does not repeat it). Events live in a per-cycle arena; the queue
 // carries arena indices, so inertial cancellation can shrink an
-// in-flight event's mask in place.
+// in-flight event's mask in place. A popped event's slot is free for
+// the next schedule, so the arena holds the events in flight at once,
+// not every event of the cycle.
 type maskedEvent struct {
 	val  logic.W
 	mask uint64
@@ -87,6 +89,7 @@ type WideEventSimulator struct {
 	sched []logic.W // per net: projected value after all in-flight events
 
 	arena []maskedEvent // per-cycle event storage, indexed by the queue
+	free  []int32       // arena slots of popped events, reused first
 	q     eventQueue[int32]
 
 	// Inertial-only state: the live in-flight events per net (for claim
@@ -120,6 +123,7 @@ func NewWideEvent(c *Compiled, opts Options) *WideEventSimulator {
 		flushEpoch: 1,
 		changed:    make([]wideChangeState, nn),
 	}
+	s.arena, s.free, s.changedList = s.bufs.arena[:0], s.bufs.free[:0], s.bufs.changedList[:0]
 	copy(s.sched, s.values)
 	if s.inertial {
 		s.inflight = make([][]int32, nn)
@@ -130,6 +134,16 @@ func NewWideEvent(c *Compiled, opts Options) *WideEventSimulator {
 
 // KernelName implements WideKernel.
 func (s *WideEventSimulator) KernelName() string { return "wide-event" }
+
+// Release implements WideKernel.
+func (s *WideEventSimulator) Release() {
+	if s.bufs == nil {
+		return
+	}
+	s.bufs.arena, s.bufs.free, s.bufs.changedList = s.arena[:0], s.free[:0], s.changedList[:0]
+	s.arena, s.free, s.changedList = nil, nil, nil
+	s.release()
+}
 
 // Step simulates one clock cycle for all lanes: pi holds, per primary
 // input, the packed per-lane stimulus bits (aligned with the netlist's
@@ -146,7 +160,7 @@ func (s *WideEventSimulator) Step(pi []logic.W) error {
 	// projection is the scalar kernel's v==values no-op elision lane by
 	// lane. Injection nets (PIs, DFF Qs) have no combinational driver,
 	// so they never interact with inertial claims.
-	s.arena = s.arena[:0]
+	s.arena, s.free = s.arena[:0], s.free[:0]
 	s.q.reset()
 	for i, id := range s.c.n.PIs {
 		s.schedule(0, id, pi[i], logic.DiffMask(pi[i], s.sched[id]))
@@ -180,8 +194,22 @@ func (s *WideEventSimulator) schedule(t int, net netlist.NetID, v logic.W, mask 
 		return
 	}
 	s.sched[net] = s.sched[net].Merge(v, mask)
-	s.q.push(t, int32(len(s.arena)))
-	s.arena = append(s.arena, maskedEvent{val: v, mask: mask, net: net})
+	s.q.push(t, s.alloc(maskedEvent{val: v, mask: mask, net: net}))
+}
+
+// alloc stores ev in the arena, in the slot of a popped event when one
+// is free, and returns its index.
+//
+//glitchsim:hotpath
+func (s *WideEventSimulator) alloc(ev maskedEvent) int32 {
+	if n := len(s.free) - 1; n >= 0 {
+		idx := s.free[n]
+		s.free = s.free[:n]
+		s.arena[idx] = ev
+		return idx
+	}
+	s.arena = append(s.arena, ev)
+	return int32(len(s.arena) - 1)
 }
 
 //glitchsim:hotpath
@@ -234,7 +262,8 @@ func (s *WideEventSimulator) run() error {
 // applyBatch pops and commits every event at time t: masked lanes merge
 // into the packed net values, changes are recorded (directly, or into
 // the per-instant coalescing state when zero delays can split an
-// instant into several batches), and fanout cells are marked.
+// instant into several batches), fanout cells are marked, and the
+// events' arena slots are freed.
 //
 //glitchsim:hotpath
 func (s *WideEventSimulator) applyBatch(t int) {
@@ -278,6 +307,8 @@ func (s *WideEventSimulator) applyBatch(t int) {
 			}
 		}
 	}
+	// The batch's events are applied: their slots take new events.
+	s.free = append(s.free, batch...)
 }
 
 // evalTouched re-evaluates every cell with a changed input and schedules
@@ -342,8 +373,7 @@ func (s *WideEventSimulator) scheduleOutput(t int, net netlist.NetID, v logic.W,
 		}
 		list = kept
 	}
-	idx := int32(len(s.arena))
-	s.arena = append(s.arena, maskedEvent{val: v, mask: m, net: net})
+	idx := s.alloc(maskedEvent{val: v, mask: m, net: net})
 	s.inflight[net] = append(list, idx)
 	s.q.push(t, idx)
 }
@@ -400,7 +430,7 @@ func (s *WideEventSimulator) ImportState(vals []logic.W, cycle int) {
 // (if functionally stale) state.
 func (s *WideEventSimulator) discardInFlight() {
 	s.q.clear()
-	s.arena = s.arena[:0]
+	s.arena, s.free = s.arena[:0], s.free[:0]
 	copy(s.sched, s.values)
 	if s.inertial {
 		for i := range s.inflight {

@@ -11,6 +11,7 @@ import (
 	"glitchsim/internal/logic"
 	"glitchsim/internal/sim"
 	"glitchsim/internal/stimulus"
+	"glitchsim/netlist"
 )
 
 // Lane decomposition: the measurement-layer face of the word-parallel
@@ -158,14 +159,15 @@ const (
 )
 
 // kernelFor reports which kernel measureCompiled routes a measurement
-// to, by the same splitLanes rule and sim.NewWideKernel's eligibility
-// rule. cfg and lanes are as measureCompiled receives them (engine
-// defaults applied, Config defaults not yet; a nil Delay is unit delay).
-func kernelFor(c *sim.Compiled, cfg Config, lanes int) Kernel {
+// of n to, by the same splitLanes rule and sim.NewWideKernel's
+// eligibility rule. cfg and lanes are as measureCompiled receives them
+// (engine defaults applied, Config defaults not yet; a nil Delay is
+// unit delay).
+func kernelFor(n *netlist.Netlist, cfg Config, lanes int) Kernel {
 	if splitLanes(cfg, lanes) == 1 {
 		return KernelScalar
 	}
-	if d, ok := sim.UniformDelay(c, cfg.Delay); ok && d >= 1 {
+	if d, ok := sim.UniformDelay(n, cfg.Delay); ok && d >= 1 {
 		return KernelWideLockstep
 	}
 	return KernelWideEvent
@@ -177,14 +179,15 @@ func kernelFor(c *sim.Compiled, cfg Config, lanes int) Kernel {
 // users can confirm the word-parallel fast path engaged. Kernel
 // selection is deterministic — it depends only on the circuit, the
 // resolved configuration and the engine's lane/delay defaults — so the
-// prediction is exact.
+// prediction is exact. It reads the resolved netlist alone: nothing is
+// hashed or compiled.
 func (e *Engine) SelectedKernel(req MeasureRequest) (Kernel, error) {
-	nl, fp, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, _, err := e.requestNetlist(req.Netlist, req.Circuit)
 	if err != nil {
 		return "", err
 	}
 	cfg := e.fillDefaults(req.Config)
-	return kernelFor(e.compiled(nl, fp), cfg, e.laneCount(cfg)), nil
+	return kernelFor(nl, cfg, e.laneCount(cfg)), nil
 }
 
 // laneMaskOf returns the mask of the first n lanes.
@@ -198,7 +201,9 @@ func laneMaskOf(n int) uint64 {
 // wideScratch holds the per-measurement buffers of the word-parallel
 // path. Measurements are short relative to their setup on small
 // circuits, and batch sweeps issue thousands of them, so the buffers are
-// pooled across measurement passes instead of reallocated per pass.
+// pooled across measurement passes instead of reallocated per pass. The
+// seeds and quotas belong to the measurement; every shard takes a
+// scratch of its own for buf and state.
 type wideScratch struct {
 	seeds  []uint64
 	quotas []int
@@ -222,15 +227,51 @@ func (s *wideScratch) grow(lanes, width int) {
 	s.buf = s.buf[:width]
 }
 
+// minShardSteps is the fewest measured steps per settling step a shard
+// must cover: a shard settles in at most SequentialLevels+1 unmonitored
+// steps, so a split adds at most 1/minShardSteps to a run's steps.
+const minShardSteps = 8
+
+// shardCap is the splitting rule: how many shards a measurement may run
+// in (1: serial). cfg and lanes are as measureCompiled receives them. A
+// measurement splits only when it is lane-decomposed, its netlist has
+// no register feedback (so a shard settles in SequentialLevels+1 steps,
+// see warmupSteps), it neither checkpoints nor resumes, and its Budget
+// is zero (an event or wall-clock trip returns the serial prefix, and
+// memory admission prices one kernel). Each shard then measures at
+// least minShardSteps·(SequentialLevels+1) steps.
+func shardCap(c *sim.Compiled, cfg Config, lanes int) int {
+	lanes = splitLanes(cfg, lanes)
+	levels, feedback := c.SequentialDepth()
+	if lanes == 1 || feedback || cfg.CheckpointEvery > 0 || cfg.Resume != nil || !cfg.Budget.IsZero() {
+		return 1
+	}
+	steps := (cfg.measuredCycles() + lanes - 1) / lanes
+	return max(1, steps/(minShardSteps*(levels+1)))
+}
+
 // measureWide runs one word-parallel measurement on the kernel
 // NewWideKernel selects for the delay model (cfg has its defaults
 // resolved, cfg.Source is the unused default stream, and lanes <=
 // cfg.Cycles): lane l simulates the stream of laneSeeds(cfg.Seed)[l]
 // for its quota of measured cycles (quotas are non-increasing; all
-// lanes share the warm-up length). The
-// folded counter is bit-identical to the per-lane scalar measurements
-// merged in lane order, under every delay model, whether the warm-up
-// runs step by step or settles in fewer steps (warmupSteps).
+// lanes share the warm-up length). The folded counter is bit-identical
+// to the per-lane scalar measurements merged in lane order, under every
+// delay model, whether the warm-up runs step by step or settles in
+// fewer steps (warmupSteps).
+//
+// shards > 1 (only as shardCap allows) splits the measured steps into
+// that many contiguous ranges, each measured on its own kernel and
+// goroutine (shard 0 on the caller's), and merges their counters in
+// shard order. A shard starting at step k0 runs like a serial
+// measurement with Warmup+k0 warm-up vectors: it settles in
+// SequentialLevels+1 steps from the reset state, which reaches the
+// serial run's state before step k0 exactly; every statistic is a
+// per-cycle sum (MaxPerCycle a maximum) and the lane mask depends on
+// the step alone, so the merge equals the serial counter. A netlist
+// whose critical path could exceed the settle guard runs serially: a
+// settling step from the reset state could trip the guard where the
+// serial run does not. The lowest shard's error wins.
 //
 // On a budget trip after k completed measured steps, the partial
 // counter is returned WITH the error and its statistics equal the
@@ -244,39 +285,91 @@ func (s *wideScratch) grow(lanes, width int) {
 // forwarded seed streams (see checkpoint.go). Neither perturbs the
 // simulation: a chunk boundary only reads state, so checkpointed,
 // resumed and plain runs are bit-identical.
-func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*core.Counter, error) {
+func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes, shards int) (*core.Counter, error) {
 	n := c.Netlist()
 	mode := sim.Transport
 	if cfg.Inertial {
 		mode = sim.Inertial
 	}
-	dt := sim.NewDelayTable(c, cfg.Delay)
-	opts := sim.Options{Delay: cfg.Delay, Delays: dt, Mode: mode, Budget: cfg.Budget.simBudget(time.Now())}
+	r := &wideRun{c: c, cfg: cfg, lanes: lanes}
+	r.opts = sim.Options{Delay: cfg.Delay, Delays: sim.NewDelayTable(c, cfg.Delay), Mode: mode, Budget: cfg.Budget.simBudget(time.Now())}
 	if ctx.Done() != nil {
-		opts.Cancel = ctx.Err
+		r.opts.Cancel = ctx.Err
 	}
-	ws := sim.NewWideKernel(c, opts)
 	scratch := wideScratchPool.Get().(*wideScratch)
 	defer wideScratchPool.Put(scratch)
 	scratch.grow(lanes, n.InputWidth())
-	seeds, quotas, buf := scratch.seeds, scratch.quotas, scratch.buf
-	laneSeedsInto(seeds, cfg.Seed)
-	laneQuotasInto(quotas, cfg.Cycles)
-	src := stimulus.NewWideRandom(n.InputWidth(), seeds)
-	maxQ := 0
-	if len(quotas) > 0 {
-		maxQ = quotas[0]
+	r.seeds, r.quotas = scratch.seeds, scratch.quotas
+	laneSeedsInto(r.seeds, cfg.Seed)
+	laneQuotasInto(r.quotas, cfg.Cycles)
+	if len(r.quotas) > 0 {
+		r.steps = r.quotas[0]
 	}
+	if shards <= 1 || r.opts.CanOscillate(c) {
+		return r.measureSteps(ctx, scratch, 0, r.steps)
+	}
+	bound := func(i int) int { return r.steps * i / shards }
+	counters := make([]*core.Counter, shards)
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for i := 1; i < shards; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := wideScratchPool.Get().(*wideScratch)
+			defer wideScratchPool.Put(s)
+			s.grow(0, n.InputWidth())
+			counters[i], errs[i] = r.measureSteps(ctx, s, bound(i), bound(i+1))
+		}()
+	}
+	counters[0], errs[0] = r.measureSteps(ctx, scratch, 0, bound(1))
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	for _, o := range counters[1:] {
+		if err := counters[0].Merge(o); err != nil {
+			return nil, err
+		}
+	}
+	return counters[0], nil
+}
+
+// wideRun is the part of a word-parallel measurement its shards share,
+// read-only: the compiled netlist, the resolved config, the kernel
+// options with their one DelayTable, the lane seeds and quotas, and the
+// measured step count (the largest quota).
+type wideRun struct {
+	c      *sim.Compiled
+	cfg    Config
+	lanes  int
+	opts   sim.Options
+	seeds  []uint64
+	quotas []int
+	steps  int
+}
+
+// measureSteps measures steps [k0, k1) of the run on a kernel of its
+// own, with s's buf and state as scratch: measureWide's one loop, and
+// the whole serial run for k0 = 0, k1 = r.steps.
+func (r *wideRun) measureSteps(ctx context.Context, s *wideScratch, k0, k1 int) (*core.Counter, error) {
+	c, cfg := r.c, r.cfg
+	n := c.Netlist()
+	ws := sim.NewWideKernel(c, r.opts)
+	defer ws.Release()
+	src := stimulus.NewWideRandom(n.InputWidth(), r.seeds)
+	buf := s.buf
 	counter := core.NewWideCounter(n)
 	var ckpt *checkpointer
 	if cfg.Resume != nil || (cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil) {
 		// Every checkpoint and the resume check share one fingerprint:
 		// the engine's cache key, or one hash of the netlist.
-		ckpt = newCheckpointer(c.Fingerprint(), cfg, lanes, dt)
+		ckpt = newCheckpointer(c.Fingerprint(), cfg, r.lanes, r.opts.Delays)
 	}
-	startK := 0
 	if cp := cfg.Resume; cp != nil {
-		vals, err := ckpt.resume(cp, counter, n.NumNets(), maxQ)
+		vals, err := ckpt.resume(cp, counter, n.NumNets(), r.steps)
 		if err != nil {
 			return nil, err
 		}
@@ -285,24 +378,26 @@ func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*
 		// fast-forwarded past the warm-up plus the completed prefix.
 		ws.ImportState(vals, cfg.Warmup+cp.Cycle)
 		src.Skip(cfg.Warmup + cp.Cycle)
-		startK = cp.Cycle
+		k0 = cp.Cycle
 	} else {
 		// Warm-up runs unmonitored: the kernel skips change capture
 		// entirely, and attaching the counter afterwards is
 		// indistinguishable from attach-then-Reset (the counter carries no
-		// cross-cycle state beyond the statistics a reset would clear).
-		// When warmupSteps settles the warm-up in fewer steps, the skipped
-		// vectors are fast-forwarded, and the kernel keeps its reset state
-		// but takes the cycle count the skipped steps would have reached:
-		// the last settling step is kernel cycle Warmup-1, and measured
-		// cycles (BudgetError.Cycle, checkpoints) are numbered as after a
-		// step-by-step warm-up.
+		// cross-cycle state beyond the statistics a reset would clear). A
+		// shard starting at step k0 warms up on the Warmup+k0 vectors
+		// before it. When warmupSteps settles them in fewer steps, the
+		// skipped vectors are fast-forwarded, and the kernel keeps its
+		// reset state but takes the cycle count the skipped steps would
+		// have reached: the last settling step is kernel cycle
+		// Warmup+k0-1, and measured cycles (BudgetError.Cycle,
+		// checkpoints) are numbered as after a step-by-step warm-up.
+		pre := cfg.Warmup + k0
 		levels, feedback := c.SequentialDepth()
-		steps := warmupSteps(levels, feedback, cfg, lanes)
-		if skip := cfg.Warmup - steps; skip > 0 {
+		steps := warmupSteps(levels, feedback, pre, r.lanes)
+		if skip := pre - steps; skip > 0 {
 			src.Skip(skip)
-			scratch.state = ws.ExportState(scratch.state[:0])
-			ws.ImportState(scratch.state, skip)
+			s.state = ws.ExportState(s.state[:0])
+			ws.ImportState(s.state, skip)
 		}
 		for i := 0; i < steps; i++ {
 			if err := ctx.Err(); err != nil {
@@ -316,10 +411,9 @@ func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*
 			}
 		}
 	}
-	counter.SetLaneMask(laneMaskOf(lanes))
 	ws.AttachWideMonitor(counter)
-	active := lanes
-	for k := startK; k < maxQ; k++ {
+	quotas, active := r.quotas, r.lanes
+	for k := k0; k < k1; k++ {
 		// Retire lanes whose quota is exhausted (quotas non-increasing:
 		// the active set is always a prefix).
 		for active > 0 && quotas[active-1] <= k {
@@ -338,14 +432,14 @@ func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes int) (*
 		// Chunk boundary: k+1 completed steps. The final boundary is the
 		// return value itself, so no checkpoint is taken there.
 		if done := k + 1; cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil &&
-			done < maxQ && done%cfg.CheckpointEvery == 0 {
+			done < r.steps && done%cfg.CheckpointEvery == 0 {
 			cp, err := ckpt.capture(ws, counter, done)
 			if err != nil {
 				return nil, err
 			}
 			if err := cfg.CheckpointSink(cp); err != nil {
 				if errors.Is(err, ErrStopAtCheckpoint) {
-					return counter.Counter(), &CheckpointedError{Cycle: done, Total: maxQ}
+					return counter.Counter(), &CheckpointedError{Cycle: done, Total: r.steps}
 				}
 				return nil, fmt.Errorf("glitchsim: checkpoint sink: %w", err)
 			}

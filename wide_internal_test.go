@@ -55,7 +55,7 @@ func TestMeasureLanesScalarWideAgree(t *testing.T) {
 			name := fmt.Sprintf("%s/warmup=%d", tc.name, warmup)
 			cfg := Config{Cycles: tc.cycles, Warmup: warmup, Seed: 9, Delay: tc.dm, Inertial: tc.inertial}.withDefaults(nl)
 			lanes := min(tc.lanes, cfg.Cycles)
-			wide, err := measureWide(ctx, c, cfg, lanes)
+			wide, err := measureWide(ctx, c, cfg, lanes, 1)
 			if err != nil {
 				t.Fatalf("%s: wide: %v", name, err)
 			}
@@ -137,7 +137,7 @@ func TestCombinationalWarmupSettlesOnce(t *testing.T) {
 
 	bcfg := cfg
 	bcfg.Budget = Budget{Events: budget}
-	wide, err := measureWide(context.Background(), c, bcfg, lanes)
+	wide, err := measureWide(context.Background(), c, bcfg, lanes, 1)
 	if err != nil {
 		t.Fatalf("wide: %v", err)
 	}
@@ -207,7 +207,7 @@ func TestLanesOneIsHistoricalStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaLanes, err := measureCompiled(ctx, c, Config{Cycles: 120, Seed: 5}, 1)
+	viaLanes, err := measureCompiled(ctx, c, Config{Cycles: 120, Seed: 5}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestLanesOneIsHistoricalStream(t *testing.T) {
 			viaLanes.Totals(), historical.Totals())
 	}
 
-	decomposed, err := measureCompiled(ctx, c, Config{Cycles: 120, Seed: 5}, 64)
+	decomposed, err := measureCompiled(ctx, c, Config{Cycles: 120, Seed: 5}, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +267,23 @@ func TestSelectedKernel(t *testing.T) {
 		if est.Lanes != tc.lanes {
 			t.Errorf("%s: estimate counts %d lanes, want %d", tc.name, est.Lanes, tc.lanes)
 		}
+	}
+}
+
+// TestSelectedKernelHashesNothing: predicting the kernel reads the
+// resolved netlist alone, so a /v1/measure request pays one fingerprint
+// and one cache lookup (in Measure), not two.
+func TestSelectedKernelHashesNothing(t *testing.T) {
+	e := NewEngine()
+	req := MeasureRequest{Circuit: CircuitFromNetlist(circuits.NewBoothMultiplier(8, circuits.Cells))}
+	if _, err := e.SelectedKernel(req); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.hashes.Load(); n != 0 {
+		t.Errorf("SelectedKernel hashed %d netlists, want 0", n)
+	}
+	if st := e.CacheStats(); st.Misses != 0 || st.Hits != 0 {
+		t.Errorf("SelectedKernel looked up the compiled cache: %+v", st)
 	}
 }
 
