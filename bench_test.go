@@ -397,9 +397,10 @@ func BenchmarkMeasureLanesNonUniform(b *testing.B) {
 // Engine.Measure with a warm compiled-netlist cache: 64 vectors on the
 // default 64 lanes, so the run is one measured word-parallel step behind
 // the default warm-up and the per-measurement fixed costs dominate. The
-// cases are combinational circuits under both wide kernels.
+// cases are combinational circuits under both wide kernels. Like
+// BenchmarkMeasureHeavy, each run builds and warms its Engine under the
+// -cpu setting and counts to b.N.
 func BenchmarkMeasureSmall(b *testing.B) {
-	e := glitchsim.NewEngine()
 	for _, tc := range []struct {
 		name    string
 		circuit string
@@ -409,12 +410,17 @@ func BenchmarkMeasureSmall(b *testing.B) {
 		{"booth8_typical", "booth8", delay.Typical()},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			e := glitchsim.NewEngine()
 			req := glitchsim.MeasureRequest{
 				Circuit: glitchsim.CircuitNamed(tc.circuit),
 				Config:  glitchsim.Config{Cycles: 64, Delay: tc.dm},
 			}
+			if _, err := e.Measure(context.Background(), req); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
-			for b.Loop() {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := e.Measure(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
@@ -466,11 +472,13 @@ func BenchmarkMeasureHeavy(b *testing.B) {
 }
 
 // BenchmarkNewSessionFunc times opening and closing the callback
-// session every synchronous service request runs on.
+// session every synchronous service request runs on, on an Engine
+// built under the -cpu setting.
 func BenchmarkNewSessionFunc(b *testing.B) {
 	e, ctx := glitchsim.NewEngine(), context.Background()
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		e.NewSessionFunc(ctx, func(glitchsim.Event) {}).Close()
 	}
 }

@@ -346,7 +346,7 @@ func newCheckpointer(fp string, cfg Config, lanes int, dt *sim.DelayTable) *chec
 // capture folds the running measurement's state at a cycle boundary,
 // done measured steps in, into a sealed MeasureCheckpoint.
 func (k *checkpointer) capture(ws sim.WideKernel, counter *core.WideCounter, done int) (*MeasureCheckpoint, error) {
-	snap, err := counter.SnapshotTagged(k.id.Fingerprint)
+	snap, err := counter.Snapshot(k.id.Fingerprint)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +374,7 @@ func (k *checkpointer) resume(cp *MeasureCheckpoint, counter *core.WideCounter, 
 	if err != nil {
 		return nil, err
 	}
-	if err := counter.RestoreTagged(cp.Counter, k.id.Fingerprint); err != nil {
+	if err := counter.Restore(cp.Counter, k.id.Fingerprint); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCheckpointMismatch, err)
 	}
 	return vals, nil

@@ -375,7 +375,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		Checkpoint: data, CheckpointCycle: done, CreatedAt: time.Now().UTC()}
 	b.Run("capture", func(b *testing.B) {
 		b.ReportAllocs()
-		for b.Loop() {
+		for i := 0; i < b.N; i++ {
 			if _, err := k.capture(ws, counter, done); err != nil {
 				b.Fatal(err)
 			}
@@ -384,7 +384,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ReportMetric(float64(len(data)), "bytes/checkpoint")
-		for b.Loop() {
+		for i := 0; i < b.N; i++ {
 			if _, err := json.Marshal(cp); err != nil {
 				b.Fatal(err)
 			}
@@ -392,7 +392,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	})
 	b.Run("put", func(b *testing.B) {
 		b.ReportAllocs()
-		for b.Loop() {
+		for i := 0; i < b.N; i++ {
 			if err := store.Put(rec); err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,6 @@
 package core
 
-// Counter snapshot/restore: the serialization layer of measurement
+// WideCounter snapshot/restore: the serialization layer of measurement
 // checkpointing. A snapshot captures the accumulated classified
 // statistics at a cycle boundary — never mid-cycle, where per-cycle
 // parity state would make the numbers meaningless — tagged with a
@@ -50,7 +50,7 @@ type NetStatsEntry struct {
 }
 
 // CounterSnapshot is the versioned, fingerprint-tagged serialization of
-// a Counter or WideCounter at a cycle boundary. In memory it is plain
+// a WideCounter at a cycle boundary. In memory it is plain
 // data. Its JSON form is one base64 string (MarshalText) of the packed
 // form (AppendBinary), which leaves out Useful and Glitches: the parity
 // rule derives them (Useful = Transitions − Useless, Glitches =
@@ -59,53 +59,14 @@ type NetStatsEntry struct {
 type CounterSnapshot struct {
 	Version     int
 	Fingerprint string
-	// Cycles is the classified cycle count (lane-cycles for a
-	// WideCounter, matching Counter.Cycles after the fold).
+	// Cycles is the classified lane-cycle count, matching Counter.Cycles
+	// after the fold.
 	Cycles int
 	// Monitored lists the monitored net IDs, ascending.
 	Monitored []int
 	// Stats holds the per-net statistics of every net with activity,
 	// ascending by net.
 	Stats []NetStatsEntry
-}
-
-// snapshotOf builds the snapshot shared by both counter flavours.
-func snapshotOf(fp string, cycles int, include []bool, stats []NetStats) *CounterSnapshot {
-	monitored, active := 0, 0
-	for i, in := range include {
-		if in {
-			monitored++
-		}
-		if stats[i] != (NetStats{}) {
-			active++
-		}
-	}
-	s := &CounterSnapshot{
-		Version: SnapshotVersion, Fingerprint: fp, Cycles: cycles,
-		Monitored: make([]int, 0, monitored),
-		Stats:     make([]NetStatsEntry, 0, active),
-	}
-	for i, in := range include {
-		if in {
-			s.Monitored = append(s.Monitored, i)
-		}
-	}
-	for i := range stats {
-		st := &stats[i]
-		if *st == (NetStats{}) {
-			continue
-		}
-		s.Stats = append(s.Stats, NetStatsEntry{
-			Net:         i,
-			Transitions: st.Transitions,
-			Useful:      st.Useful,
-			Useless:     st.Useless,
-			Glitches:    st.Glitches,
-			Rising:      st.Rising,
-			MaxPerCycle: st.MaxPerCycle,
-		})
-	}
-	return s
 }
 
 // validate checks a snapshot against the restoring counter's netlist
@@ -156,21 +117,72 @@ func (s *CounterSnapshot) validate(fp string, numNets int) error {
 	return nil
 }
 
-// restoreInto writes a validated snapshot's contents into a counter's
-// include/stats arrays (pre-zeroed by the caller's constructor).
-func (s *CounterSnapshot) restoreInto(include []bool, stats []NetStats) {
-	for i := range include {
-		include[i] = false
+// Snapshot serializes the wide counter's accumulated lane-summed
+// statistics, tagged with fp, the fingerprint of the counter's netlist
+// (the caller holds it, so a run taking many snapshots hashes its
+// netlist once). It fails if the counter is mid-cycle (transitions
+// recorded since the last OnCycleEnd): a consistent checkpoint exists
+// only at cycle boundaries.
+func (c *WideCounter) Snapshot(fp string) (*CounterSnapshot, error) {
+	if len(c.dirty) > 0 {
+		return nil, fmt.Errorf("core: cannot snapshot a wide counter mid-cycle (%d nets with partial counts)", len(c.dirty))
 	}
+	monitored, active := 0, 0
+	for i, in := range c.include {
+		if in {
+			monitored++
+		}
+		if c.stats[i] != (NetStats{}) {
+			active++
+		}
+	}
+	s := &CounterSnapshot{
+		Version: SnapshotVersion, Fingerprint: fp, Cycles: c.cycles,
+		Monitored: make([]int, 0, monitored),
+		Stats:     make([]NetStatsEntry, 0, active),
+	}
+	for i, in := range c.include {
+		if in {
+			s.Monitored = append(s.Monitored, i)
+		}
+	}
+	for i := range c.stats {
+		st := &c.stats[i]
+		if *st == (NetStats{}) {
+			continue
+		}
+		s.Stats = append(s.Stats, NetStatsEntry{
+			Net:         i,
+			Transitions: st.Transitions,
+			Useful:      st.Useful,
+			Useless:     st.Useless,
+			Glitches:    st.Glitches,
+			Rising:      st.Rising,
+			MaxPerCycle: st.MaxPerCycle,
+		})
+	}
+	return s, nil
+}
+
+// Restore overwrites the wide counter's accumulated statistics and
+// monitored set with a snapshot's, after validating it against fp, the
+// fingerprint of the counter's netlist, and the netlist's net count.
+// The lane mask is untouched. On error the counter is left unchanged.
+func (c *WideCounter) Restore(s *CounterSnapshot, fp string) error {
+	if err := s.validate(fp, c.n.NumNets()); err != nil {
+		return err
+	}
+	if len(c.dirty) > 0 {
+		return fmt.Errorf("core: cannot restore into a wide counter mid-cycle (%d nets with partial counts)", len(c.dirty))
+	}
+	clear(c.include)
 	for _, id := range s.Monitored {
-		include[id] = true
+		c.include[id] = true
 	}
-	for i := range stats {
-		stats[i] = NetStats{}
-	}
+	clear(c.stats)
 	for i := range s.Stats {
 		e := &s.Stats[i]
-		stats[e.Net] = NetStats{
+		c.stats[e.Net] = NetStats{
 			Transitions: e.Transitions,
 			Useful:      e.Useful,
 			Useless:     e.Useless,
@@ -179,68 +191,6 @@ func (s *CounterSnapshot) restoreInto(include []bool, stats []NetStats) {
 			MaxPerCycle: e.MaxPerCycle,
 		}
 	}
-}
-
-// Snapshot serializes the counter's accumulated statistics. It fails if
-// the counter is mid-cycle (transitions recorded since the last
-// OnCycleEnd): a consistent checkpoint exists only at cycle boundaries.
-func (c *Counter) Snapshot() (*CounterSnapshot, error) {
-	if len(c.dirty) > 0 {
-		return nil, fmt.Errorf("core: cannot snapshot a counter mid-cycle (%d nets with partial counts)", len(c.dirty))
-	}
-	return snapshotOf(c.n.Fingerprint(), c.cycles, c.include, c.stats), nil
-}
-
-// Restore overwrites the counter's accumulated statistics and monitored
-// set with a snapshot's, after validating it against the counter's
-// netlist. On error the counter is left unchanged.
-func (c *Counter) Restore(s *CounterSnapshot) error {
-	if err := s.validate(c.n.Fingerprint(), c.n.NumNets()); err != nil {
-		return err
-	}
-	if len(c.dirty) > 0 {
-		return fmt.Errorf("core: cannot restore into a counter mid-cycle (%d nets with partial counts)", len(c.dirty))
-	}
-	s.restoreInto(c.include, c.stats)
-	c.cycles = s.Cycles
-	return nil
-}
-
-// Snapshot serializes the wide counter's accumulated lane-summed
-// statistics, exactly as Counter.Snapshot would serialize the folded
-// Counter. It fails mid-cycle.
-func (c *WideCounter) Snapshot() (*CounterSnapshot, error) {
-	return c.SnapshotTagged(c.n.Fingerprint())
-}
-
-// SnapshotTagged is Snapshot with the counter netlist's fingerprint fp
-// supplied by a caller that already holds it, so a run taking many
-// snapshots hashes its netlist once, not once per snapshot.
-func (c *WideCounter) SnapshotTagged(fp string) (*CounterSnapshot, error) {
-	if len(c.dirty) > 0 {
-		return nil, fmt.Errorf("core: cannot snapshot a wide counter mid-cycle (%d nets with partial counts)", len(c.dirty))
-	}
-	return snapshotOf(fp, c.cycles, c.include, c.stats), nil
-}
-
-// Restore overwrites the wide counter's accumulated statistics and
-// monitored set with a snapshot's, after validating it against the
-// counter's netlist. The lane mask is untouched. On error the counter
-// is left unchanged.
-func (c *WideCounter) Restore(s *CounterSnapshot) error {
-	return c.RestoreTagged(s, c.n.Fingerprint())
-}
-
-// RestoreTagged is Restore validating s against fp, the counter
-// netlist's fingerprint as the caller already holds it.
-func (c *WideCounter) RestoreTagged(s *CounterSnapshot, fp string) error {
-	if err := s.validate(fp, c.n.NumNets()); err != nil {
-		return err
-	}
-	if len(c.dirty) > 0 {
-		return fmt.Errorf("core: cannot restore into a wide counter mid-cycle (%d nets with partial counts)", len(c.dirty))
-	}
-	s.restoreInto(c.include, c.stats)
 	c.cycles = s.Cycles
 	return nil
 }

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"glitchsim/internal/logic"
-	"glitchsim/internal/sim"
 	"glitchsim/netlist"
 )
 
@@ -22,6 +20,18 @@ func snapNetlist(t *testing.T) (*netlist.Netlist, netlist.NetID, netlist.NetID) 
 	return b.MustBuild(), y, z
 }
 
+// feedWide drives a wide counter with a synthetic per-cycle transition
+// pattern on one net, the wide image of feed: in each cycle the given
+// lanes flip n times, alternating values starting from 0.
+func feedWide(c *WideCounter, net netlist.NetID, lanes uint64, perCycle []int) {
+	for _, n := range perCycle {
+		for i := 0; i < n; i++ {
+			flip(c, net, lanes, i%2 == 0)
+		}
+		c.OnCycleEnd()
+	}
+}
+
 // TestCheckpointRoundTrip pins the serialization contract of counter
 // checkpointing: a snapshot marshalled through JSON and restored into a
 // fresh counter reproduces every statistic exactly, and a counter that
@@ -29,11 +39,12 @@ func snapNetlist(t *testing.T) (*netlist.Netlist, netlist.NetID, netlist.NetID) 
 // counting straight through.
 func TestCheckpointRoundTrip(t *testing.T) {
 	nl, y, z := snapNetlist(t)
-	orig := NewCounter(nl)
-	feed(orig, y, []int{3, 2, 0, 7})
-	feed(orig, z, []int{1, 4})
+	fp := nl.Fingerprint()
+	orig := NewWideCounter(nl)
+	feedWide(orig, y, 0b101, []int{3, 2, 0, 7})
+	feedWide(orig, z, 1, []int{1, 4})
 
-	snap, err := orig.Snapshot()
+	snap, err := orig.Snapshot(fp)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -45,8 +56,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	restored := NewCounter(nl)
-	if err := restored.Restore(&decoded); err != nil {
+	restored := NewWideCounter(nl)
+	if err := restored.Restore(&decoded, fp); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if restored.Cycles() != orig.Cycles() {
@@ -60,30 +71,26 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Counting on after the restore must equal counting straight through.
-	feed(orig, y, []int{2, 5})
-	feed(restored, y, []int{2, 5})
-	if restored.Totals() != orig.Totals() {
-		t.Fatalf("post-restore totals = %+v, want %+v", restored.Totals(), orig.Totals())
+	feedWide(orig, y, 0b11, []int{2, 5})
+	feedWide(restored, y, 0b11, []int{2, 5})
+	if got, want := restored.Counter().Totals(), orig.Counter().Totals(); got != want {
+		t.Fatalf("post-restore totals = %+v, want %+v", got, want)
 	}
 	if restored.Cycles() != orig.Cycles() {
 		t.Fatalf("post-restore cycles = %d, want %d", restored.Cycles(), orig.Cycles())
 	}
 }
 
-// TestCheckpointRoundTripWide covers the WideCounter flavour: snapshot
-// at a cycle boundary, restore into a fresh wide counter, identical fold.
+// TestCheckpointRoundTripWide: under a lane mask, a snapshot restored
+// into a fresh wide counter with the same mask folds identically.
 func TestCheckpointRoundTripWide(t *testing.T) {
 	nl, net := twoNetNetlist(t)
+	fp := nl.Fingerprint()
 	orig := NewWideCounter(nl)
 	orig.SetLaneMask(0b0111)
-	for cy := 0; cy < 3; cy++ {
-		for i := 0; i < 2+cy; i++ {
-			orig.OnWideChanges(cy, i, []sim.WideChange{change(net, 0b1111, i%2 == 0)})
-		}
-		orig.OnCycleEnd(cy)
-	}
+	feedWide(orig, net, 0b1111, []int{2, 3, 4})
 
-	snap, err := orig.Snapshot()
+	snap, err := orig.Snapshot(fp)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -97,14 +104,13 @@ func TestCheckpointRoundTripWide(t *testing.T) {
 	}
 	restored := NewWideCounter(nl)
 	restored.SetLaneMask(0b0111)
-	if err := restored.Restore(&decoded); err != nil {
+	if err := restored.Restore(&decoded, fp); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 
 	// Continue both and compare the folds.
 	for _, c := range []*WideCounter{orig, restored} {
-		c.OnWideChanges(3, 0, []sim.WideChange{change(net, 0b0101, true)})
-		c.OnCycleEnd(3)
+		feedWide(c, net, 0b0101, []int{1})
 	}
 	of, rf := orig.Counter(), restored.Counter()
 	if of.Totals() != rf.Totals() || of.Cycles() != rf.Cycles() {
@@ -119,10 +125,11 @@ func TestCheckpointRoundTripWide(t *testing.T) {
 // untouched.
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	nl, y, _ := snapNetlist(t)
+	fp := nl.Fingerprint()
 	base := func() *CounterSnapshot {
-		c := NewCounter(nl)
-		feed(c, y, []int{3, 2})
-		s, err := c.Snapshot()
+		c := NewWideCounter(nl)
+		feedWide(c, y, 0b11, []int{3, 2})
+		s, err := c.Snapshot(fp)
 		if err != nil {
 			t.Fatalf("Snapshot: %v", err)
 		}
@@ -146,16 +153,16 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base()
 			tc.corrupt(s)
-			target := NewCounter(nl)
-			feed(target, y, []int{1})
-			before, beforeCycles := target.Totals(), target.Cycles()
-			err := target.Restore(s)
+			target := NewWideCounter(nl)
+			feedWide(target, y, 1, []int{1})
+			before, beforeCycles := target.Counter().Totals(), target.Cycles()
+			err := target.Restore(s, fp)
 			if !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("Restore(%s) = %v, want ErrBadSnapshot", tc.name, err)
 			}
-			if target.Totals() != before || target.Cycles() != beforeCycles {
+			if after := target.Counter().Totals(); after != before || target.Cycles() != beforeCycles {
 				t.Fatalf("failed restore mutated the counter: %+v/%d, want %+v/%d",
-					target.Totals(), target.Cycles(), before, beforeCycles)
+					after, target.Cycles(), before, beforeCycles)
 			}
 		})
 	}
@@ -165,31 +172,19 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // boundaries; partial per-cycle parity state cannot be serialized.
 func TestSnapshotRefusesMidCycle(t *testing.T) {
 	nl, y, _ := snapNetlist(t)
-	c := NewCounter(nl)
-	feed(c, y, []int{2})
-	snap, err := c.Snapshot()
+	fp := nl.Fingerprint()
+	c := NewWideCounter(nl)
+	feedWide(c, y, 1, []int{2})
+	snap, err := c.Snapshot(fp)
 	if err != nil {
 		t.Fatalf("boundary Snapshot: %v", err)
 	}
-	c.OnChange(y, 1, 1, logic.L0, logic.L1) // mid-cycle: no OnCycleEnd yet
-	if _, err := c.Snapshot(); err == nil {
+	flip(c, y, 1, true) // mid-cycle: no OnCycleEnd yet
+	if _, err := c.Snapshot(fp); err == nil {
 		t.Fatal("mid-cycle Snapshot succeeded, want refusal")
 	}
-	if err := c.Restore(snap); err == nil {
+	if err := c.Restore(snap, fp); err == nil {
 		t.Fatal("mid-cycle Restore succeeded, want refusal")
-	}
-
-	w := NewWideCounter(nl)
-	wsnap, err := w.Snapshot()
-	if err != nil {
-		t.Fatalf("wide boundary Snapshot: %v", err)
-	}
-	w.OnWideChanges(0, 0, []sim.WideChange{change(y, 1, true)})
-	if _, err := w.Snapshot(); err == nil {
-		t.Fatal("mid-cycle wide Snapshot succeeded, want refusal")
-	}
-	if err := w.Restore(wsnap); err == nil {
-		t.Fatal("mid-cycle wide Restore succeeded, want refusal")
 	}
 }
 
@@ -201,10 +196,11 @@ func TestSnapshotRefusesMidCycle(t *testing.T) {
 // refused when encoding.
 func TestSnapshotPackedForm(t *testing.T) {
 	nl, y, z := snapNetlist(t)
-	c := NewCounter(nl)
-	feed(c, y, []int{3, 2, 0, 7})
-	feed(c, z, []int{1, 4})
-	snap, err := c.Snapshot()
+	fp := nl.Fingerprint()
+	c := NewWideCounter(nl)
+	feedWide(c, y, 0b101, []int{3, 2, 0, 7})
+	feedWide(c, z, 1, []int{1, 4})
+	snap, err := c.Snapshot(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +236,7 @@ func TestSnapshotPackedForm(t *testing.T) {
 		{"glitches off the parity rule", func(s *CounterSnapshot) { s.Stats[0].Glitches++ }},
 	}
 	for _, tc := range cases {
-		s, err := c.Snapshot()
+		s, err := c.Snapshot(fp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,13 @@
 package core
 
 // WideCounter: transition counting with parity evaluation for the
-// word-parallel kernel. Where Counter tallies one lane, WideCounter
-// classifies all 64 lanes of a sim.WideSimulator at once and produces
+// word-parallel kernels. Where Counter tallies one lane, WideCounter
+// classifies all 64 lanes of a wide simulation at once and produces
 // statistics bit-identical to 64 scalar Counters merged in lane order.
+// The wide kernels in internal/sim call Change for every net they
+// commit and OnCycleEnd once each cycle has settled.
 //
-// Per wavefront, the lanes that made a counted (known→known) transition
+// Per change, the lanes that made a counted (known→known) transition
 // on a net form one 64-bit mask: XOR of the packed old/new values ANDed
 // with both known masks. Totals come from math/bits.OnesCount64 on that
 // mask; per-lane per-cycle transition counts — the input to the paper's
@@ -28,7 +30,7 @@ package core
 import (
 	"math/bits"
 
-	"glitchsim/internal/sim"
+	"glitchsim/internal/logic"
 	"glitchsim/netlist"
 )
 
@@ -37,8 +39,8 @@ import (
 // grow the plane stack on demand.
 const initialPlanes = 4
 
-// WideCounter is a sim.WideMonitor performing transition counting and
-// parity evaluation over a chosen set of nets, for all lanes at once.
+// WideCounter performs transition counting and parity evaluation over
+// the internal nets of a netlist, for all lanes at once.
 type WideCounter struct {
 	n        *netlist.Netlist
 	include  []bool
@@ -60,12 +62,6 @@ type WideCounter struct {
 // NewWideCounter returns a WideCounter monitoring every internal net of
 // the netlist, with all lanes active — the wide image of NewCounter.
 func NewWideCounter(n *netlist.Netlist) *WideCounter {
-	return NewWideCounterFor(n, n.InternalNets())
-}
-
-// NewWideCounterFor returns a WideCounter monitoring exactly the given
-// nets.
-func NewWideCounterFor(n *netlist.Netlist, nets []netlist.NetID) *WideCounter {
 	c := &WideCounter{
 		n:        n,
 		include:  make([]bool, n.NumNets()),
@@ -78,7 +74,7 @@ func NewWideCounterFor(n *netlist.Netlist, nets []netlist.NetID) *WideCounter {
 	for p := range c.planes {
 		c.planes[p] = make([]uint64, n.NumNets())
 	}
-	for _, id := range nets {
+	for _, id := range n.InternalNets() {
 		c.include[id] = true
 	}
 	return c
@@ -86,55 +82,45 @@ func NewWideCounterFor(n *netlist.Netlist, nets []netlist.NetID) *WideCounter {
 
 // SetLaneMask restricts counting to the lanes whose bit is set. It may
 // only change between cycles (after OnCycleEnd, before the next
-// wavefront); transitions in masked-out lanes are ignored entirely.
+// change); transitions in masked-out lanes are ignored entirely.
 func (c *WideCounter) SetLaneMask(mask uint64) { c.laneMask = mask }
 
-// LaneMask returns the active-lane mask.
-func (c *WideCounter) LaneMask() uint64 { return c.laneMask }
-
-// OnWideChanges implements sim.WideMonitor: one call per wavefront, one
-// ripple-carry increment per changed net. Transitions from or to X are
-// not counted, matching the scalar Counter.
-func (c *WideCounter) OnWideChanges(_, _ int, changes []sim.WideChange) {
-	for i := range changes {
-		ch := &changes[i]
-		if !c.include[ch.Net] {
-			continue
-		}
-		m := (ch.Old.Zero | ch.Old.One) & (ch.New.Zero | ch.New.One) &
-			(ch.Old.One ^ ch.New.One) & c.laneMask
-		if m == 0 {
-			continue
-		}
-		net := ch.Net
-		if c.curT[net] == 0 {
-			c.dirty = append(c.dirty, net)
-		}
-		c.curT[net] += uint32(bits.OnesCount64(m))
-		c.curRise[net] += uint32(bits.OnesCount64(m & ch.New.One))
-		carry := m
-		for p := 0; p < len(c.planes); p++ {
-			row := c.planes[p]
-			old := row[net]
-			row[net] = old ^ carry
-			carry &= old
-			if carry == 0 {
-				break
-			}
-		}
-		if carry != 0 {
-			// Some lane's count outgrew the plane stack: add a plane.
-			c.planes = append(c.planes, make([]uint64, len(c.curT)))
-			c.planes[len(c.planes)-1][net] = carry
+// Change records one net's packed values before and after one instant:
+// one ripple-carry increment of the net's per-lane counts. Transitions
+// from or to X are not counted, matching the scalar Counter.
+func (c *WideCounter) Change(net netlist.NetID, old, new logic.W) {
+	if !c.include[net] {
+		return
+	}
+	m := (old.Zero | old.One) & (new.Zero | new.One) & (old.One ^ new.One) & c.laneMask
+	if m == 0 {
+		return
+	}
+	if c.curT[net] == 0 {
+		c.dirty = append(c.dirty, net)
+	}
+	c.curT[net] += uint32(bits.OnesCount64(m))
+	c.curRise[net] += uint32(bits.OnesCount64(m & new.One))
+	carry := m
+	for p := 0; p < len(c.planes); p++ {
+		row := c.planes[p]
+		prev := row[net]
+		row[net] = prev ^ carry
+		carry &= prev
+		if carry == 0 {
+			return
 		}
 	}
+	// Some lane's count outgrew the plane stack: add a plane.
+	c.planes = append(c.planes, make([]uint64, len(c.curT)))
+	c.planes[len(c.planes)-1][net] = carry
 }
 
-// OnCycleEnd implements sim.WideMonitor: it classifies every dirty net's
-// per-lane transition counts by the parity rule and clears the per-cycle
-// state. The cycle tally advances by the number of active lanes, so
-// Cycles reads like the sum of the per-lane runs.
-func (c *WideCounter) OnCycleEnd(int) {
+// OnCycleEnd classifies every dirty net's per-lane transition counts by
+// the parity rule and clears the per-cycle state. The cycle tally
+// advances by the number of active lanes, so Cycles reads like the sum
+// of the per-lane runs.
+func (c *WideCounter) OnCycleEnd() {
 	for _, net := range c.dirty {
 		t := uint64(c.curT[net])
 		useful := uint64(bits.OnesCount64(c.planes[0][net]))
@@ -172,27 +158,8 @@ func (c *WideCounter) laneMaxCount(net netlist.NetID) uint32 {
 	return max
 }
 
-// Reset clears all accumulated statistics and any partial-cycle state
-// (typically called after warm-up cycles).
-func (c *WideCounter) Reset() {
-	for i := range c.stats {
-		c.stats[i] = NetStats{}
-	}
-	for _, net := range c.dirty {
-		c.curT[net], c.curRise[net] = 0, 0
-		for p := range c.planes {
-			c.planes[p][net] = 0
-		}
-	}
-	c.dirty = c.dirty[:0]
-	c.cycles = 0
-}
-
 // Cycles returns the number of classified lane-cycles.
 func (c *WideCounter) Cycles() int { return c.cycles }
-
-// Netlist returns the netlist the counter was built for.
-func (c *WideCounter) Netlist() *netlist.Netlist { return c.n }
 
 // Stats returns the accumulated lane-summed statistics of one net.
 func (c *WideCounter) Stats(net netlist.NetID) NetStats { return c.stats[net] }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"glitchsim/internal/logic"
-	"glitchsim/internal/sim"
 	"glitchsim/netlist"
 )
 
@@ -20,15 +19,16 @@ func twoNetNetlist(t *testing.T) (*netlist.Netlist, netlist.NetID) {
 	return nl, out
 }
 
-// change builds a WideChange flipping `net` between 0 and 1 on the given
-// lanes (rising when rise is true), with all other lanes steady at 0.
-func change(net netlist.NetID, lanes uint64, rise bool) sim.WideChange {
+// flip feeds c one change of `net` between 0 and 1 on the given lanes
+// (rising when rise is true), with all other lanes steady at 0.
+func flip(c *WideCounter, net netlist.NetID, lanes uint64, rise bool) {
 	allZero := logic.SplatW(logic.L0)
 	lanesOne := logic.W{Zero: ^lanes, One: lanes}
 	if rise {
-		return sim.WideChange{Net: net, Old: allZero, New: lanesOne}
+		c.Change(net, allZero, lanesOne)
+	} else {
+		c.Change(net, lanesOne, allZero)
 	}
-	return sim.WideChange{Net: net, Old: lanesOne, New: allZero}
 }
 
 // TestWideCounterPlaneGrowth: more transitions per lane per cycle than
@@ -39,9 +39,9 @@ func TestWideCounterPlaneGrowth(t *testing.T) {
 	c := NewWideCounter(nl)
 	const flips = 37 // > 2^initialPlanes - 1
 	for i := 0; i < flips; i++ {
-		c.OnWideChanges(0, i, []sim.WideChange{change(net, 1|1<<7, i%2 == 0)})
+		flip(c, net, 1|1<<7, i%2 == 0)
 	}
-	c.OnCycleEnd(0)
+	c.OnCycleEnd()
 	st := c.Stats(net)
 	if st.Transitions != 2*flips {
 		t.Errorf("transitions = %d, want %d", st.Transitions, 2*flips)
@@ -69,8 +69,8 @@ func TestWideCounterLaneMask(t *testing.T) {
 	c := NewWideCounter(nl)
 	c.SetLaneMask(0b0011)
 	// Lanes 0-3 transition; only 0 and 1 are active.
-	c.OnWideChanges(0, 0, []sim.WideChange{change(net, 0b1111, true)})
-	c.OnCycleEnd(0)
+	flip(c, net, 0b1111, true)
+	c.OnCycleEnd()
 	st := c.Stats(net)
 	if st.Transitions != 2 || st.Rising != 2 || st.Useful != 2 || st.MaxPerCycle != 1 {
 		t.Errorf("masked stats = %+v, want 2 transitions/rising/useful", st)
@@ -79,8 +79,8 @@ func TestWideCounterLaneMask(t *testing.T) {
 		t.Errorf("cycles = %d, want 2 (active lanes)", c.Cycles())
 	}
 	// Transitions entirely outside the mask leave the counter untouched.
-	c.OnWideChanges(1, 0, []sim.WideChange{change(net, 0b1100, false)})
-	c.OnCycleEnd(1)
+	flip(c, net, 0b1100, false)
+	c.OnCycleEnd()
 	if got := c.Stats(net); got.Transitions != 2 {
 		t.Errorf("masked-out lanes counted: %+v", got)
 	}
@@ -91,27 +91,20 @@ func TestWideCounterLaneMask(t *testing.T) {
 func TestWideCounterXTransitionsIgnored(t *testing.T) {
 	nl, net := twoNetNetlist(t)
 	c := NewWideCounter(nl)
-	c.OnWideChanges(0, 0, []sim.WideChange{{
-		Net: net,
-		Old: logic.SplatW(logic.X),
-		New: logic.SplatW(logic.L1),
-	}})
-	c.OnCycleEnd(0)
+	c.Change(net, logic.SplatW(logic.X), logic.SplatW(logic.L1))
+	c.OnCycleEnd()
 	if st := c.Stats(net); st.Transitions != 0 {
 		t.Errorf("X->1 counted: %+v", st)
 	}
 }
 
-// TestWideCounterResetAndFold: Reset clears mid-cycle state and
-// statistics; Counter() folds into an ordinary Counter with matching
-// totals and cycle count, and the fold is a copy.
-func TestWideCounterResetAndFold(t *testing.T) {
+// TestWideCounterFold: Counter() folds into an ordinary Counter with
+// matching totals and cycle count, and the fold is a copy.
+func TestWideCounterFold(t *testing.T) {
 	nl, net := twoNetNetlist(t)
 	c := NewWideCounter(nl)
-	c.OnWideChanges(0, 0, []sim.WideChange{change(net, ^uint64(0), true)})
-	c.Reset() // mid-cycle: pending per-cycle state must vanish
-	c.OnWideChanges(0, 0, []sim.WideChange{change(net, 1, true)})
-	c.OnCycleEnd(0)
+	flip(c, net, 1, true)
+	c.OnCycleEnd()
 	folded := c.Counter()
 	if folded.Cycles() != 64 || folded.Stats(net).Transitions != 1 {
 		t.Errorf("folded: cycles=%d stats=%+v", folded.Cycles(), folded.Stats(net))
@@ -120,8 +113,8 @@ func TestWideCounterResetAndFold(t *testing.T) {
 		// Only `net` is monitored and active, so totals equal its stats.
 		t.Errorf("fold totals %+v != wide stats %+v", folded.Totals(), c.stats[net])
 	}
-	c.OnWideChanges(1, 0, []sim.WideChange{change(net, 1, false)})
-	c.OnCycleEnd(1)
+	flip(c, net, 1, false)
+	c.OnCycleEnd()
 	if folded.Stats(net).Transitions != 1 {
 		t.Error("fold aliases the live WideCounter")
 	}

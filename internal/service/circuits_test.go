@@ -202,6 +202,17 @@ func TestServiceUploadErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// Empty net names must be refused before the netlist builder, which
+	// would auto-name them, collide with "n0" and panic (a 500).
+	resp, err := http.Post(ts.URL+"/v1/circuits?format=json", "application/json",
+		strings.NewReader(`{"name":"","inputs":[""],"outputs":["","",""],"nets":["0000","0001","n0",""]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := decodeBody[ErrorResponse](t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest {
+		t.Errorf("JSON netlist with empty names: status %d code %q, want 400 %q", resp.StatusCode, e.Code, CodeBadRequest)
+	}
+
 	src, _ := verilogSource(t, "hazard")
 	resp = uploadEnvelope(t, ts, "verilog", src)
 	info := decodeBody[CircuitInfo](t, resp)

@@ -24,7 +24,8 @@
 // uploads answer 400 with the parser's line-numbered message.
 //
 // Every /v1 endpoint except the upload also accepts GET with the same
-// parameters as query strings, and `"stream": true` (or ?stream=1)
+// parameters as query strings (any other key answers 400, as an unknown
+// body field does), and `"stream": true` (or ?stream=1)
 // switches the reply to newline-delimited JSON progress events
 // terminated by a "done" event.
 package service
@@ -34,9 +35,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/url"
+	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -560,11 +564,43 @@ func (s *Server) writeOK(w http.ResponseWriter, v any) {
 	_ = WriteJSON(w, v)
 }
 
+// The query keys each params struct accepts: its fields' JSON names.
+var (
+	measureQueryKeys    = jsonNames[MeasureParams]()
+	experimentQueryKeys = jsonNames[ExperimentParams]()
+)
+
+// jsonNames returns the JSON names of struct type T's fields, as their
+// json tags give them.
+func jsonNames[T any]() map[string]bool {
+	t := reflect.TypeFor[T]()
+	names := make(map[string]bool, t.NumField())
+	for i := range t.NumField() {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		names[name] = true
+	}
+	return names
+}
+
+// checkQueryKeys rejects a query key outside known, naming the first
+// in sorted order, as a POST body's decoder rejects an unknown field.
+func checkQueryKeys(q url.Values, known map[string]bool) error {
+	for _, key := range slices.Sorted(maps.Keys(q)) {
+		if !known[key] {
+			return fmt.Errorf("unknown query parameter %q", key)
+		}
+	}
+	return nil
+}
+
 // paramsFromQuery fills the params struct from URL query values using
-// the same names as the JSON body.
+// the same names as the JSON body, and rejects any other key.
 func paramsFromQuery(q url.Values, v any) error {
 	switch p := v.(type) {
 	case *MeasureParams:
+		if err := checkQueryKeys(q, measureQueryKeys); err != nil {
+			return err
+		}
 		p.Circuit = q.Get("circuit")
 		var err error
 		if p.Cycles, err = optInt(q, "cycles"); err != nil {
@@ -622,6 +658,9 @@ func paramsFromQuery(q url.Values, v any) error {
 		p.Stream = boolParam(q, "stream")
 		return nil
 	case *ExperimentParams:
+		if err := checkQueryKeys(q, experimentQueryKeys); err != nil {
+			return err
+		}
 		var err error
 		p.Circuit = q.Get("circuit")
 		if n, err := optInt(q, "cycles"); err != nil {

@@ -299,6 +299,8 @@ func TestServiceErrors(t *testing.T) {
 		{"missing circuit", http.MethodPost, "/v1/measure", `{}`, http.StatusBadRequest},
 		{"bad json", http.MethodPost, "/v1/measure", `{`, http.StatusBadRequest},
 		{"unknown field", http.MethodPost, "/v1/measure", `{"circuit":"rca4","bogus":1}`, http.StatusBadRequest},
+		{"unknown query key", http.MethodGet, "/v1/measure?circuit=rca4&bogus=1", ``, http.StatusBadRequest},
+		{"unknown experiment query key", http.MethodGet, "/v1/experiments/table1?bogus=1", ``, http.StatusBadRequest},
 		{"bad method", http.MethodDelete, "/v1/experiments/table1", ``, http.StatusMethodNotAllowed},
 	}
 	for _, tc := range cases {
@@ -318,6 +320,44 @@ func TestServiceErrors(t *testing.T) {
 			t.Errorf("%s: missing JSON error body (err=%v)", tc.name, err)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestServiceRejectsUnknownQueryKeys: a GET query string with a key the
+// params struct does not define answers 400 bad_request naming the key,
+// on /v1/measure (streaming or not) and on every experiment endpoint, as
+// the same typo in a POST body does, instead of running with the
+// defaults. The correctly spelt query measures what it asks for.
+func TestServiceRejectsUnknownQueryKeys(t *testing.T) {
+	ts := newTestServer(t)
+	for _, path := range []string{
+		"/v1/measure?circuit=rca8&cylces=3",
+		"/v1/measure?circuit=rca8&stream=1&cylces=3",
+		"/v1/experiments/table1?cylces=3",
+		"/v1/experiments/table2?cylces=3",
+		"/v1/experiments/table3?cylces=3",
+		"/v1/experiments/figure10?cylces=3",
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", path, resp.StatusCode)
+		}
+		if e := decodeBody[ErrorResponse](t, resp); e.Code != CodeBadRequest || !strings.Contains(e.Error, `"cylces"`) {
+			t.Errorf("GET %s: code %q error %q, want %q naming the key", path, e.Code, e.Error, CodeBadRequest)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/measure?circuit=rca8&cycles=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET with known keys: status %d, want 200", resp.StatusCode)
+	}
+	if got := decodeBody[MeasureResponse](t, resp); got.Activity.Cycles != 3 {
+		t.Errorf("GET cycles=3 measured %d cycles", got.Activity.Cycles)
 	}
 }
 

@@ -67,7 +67,7 @@ func TestKernelEquivalenceHugeDelays(t *testing.T) {
 		t.Fatalf("largest settle time %d: the huge delays never applied", settle)
 	}
 
-	wide, _ := wideEventRun(t, c, opts, []uint64{seed}, cycles)
+	wide, _ := wideRun(t, c, eventDriven, opts, []uint64{seed}, cycles)
 	if wide.Cycles() != counter.Cycles() {
 		t.Fatalf("wide-event cycles %d, scalar %d", wide.Cycles(), counter.Cycles())
 	}

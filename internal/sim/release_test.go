@@ -5,30 +5,12 @@ import (
 	"testing"
 
 	"glitchsim/internal/circuits"
+	"glitchsim/internal/core"
 	"glitchsim/internal/delay"
 	"glitchsim/internal/logic"
 	"glitchsim/internal/stimulus"
+	"glitchsim/netlist"
 )
-
-// traceMonitor records every change a wide kernel reports, with its
-// cycle and instant, and every cycle end.
-type traceMonitor struct {
-	trace []tracedChange
-	ends  []int
-}
-
-type tracedChange struct {
-	cycle, t int
-	change   WideChange
-}
-
-func (m *traceMonitor) OnWideChanges(cycle, t int, changes []WideChange) {
-	for _, ch := range changes {
-		m.trace = append(m.trace, tracedChange{cycle, t, ch})
-	}
-}
-
-func (m *traceMonitor) OnCycleEnd(cycle int) { m.ends = append(m.ends, cycle) }
 
 // backing returns the first element of s's backing array, nil when it
 // has none: two slices with the same backing share it.
@@ -42,9 +24,10 @@ func backing[E any](s []E) *E {
 // TestWideKernelRelease: a kernel built after another's Release takes
 // the released step buffers from the pool (the event kernel's arena, the
 // lockstep kernel's waves) and runs bit-identically to the released
-// kernel on the same stimulus. The pool may hand a Get a different set
-// (another P's, or none after a collection, and the race detector drops
-// a quarter of all Puts), so reuse is asked of one attempt in many.
+// kernel on the same stimulus: the same statistics, settled values and
+// event count. The pool may hand a Get a different set (another P's,
+// or none after a collection, and the race detector drops a quarter of
+// all Puts), so reuse is asked of one attempt in many.
 func TestWideKernelRelease(t *testing.T) {
 	nl := circuits.NewArrayMultiplier(8, circuits.Cells)
 	c := Compile(nl)
@@ -52,9 +35,13 @@ func TestWideKernelRelease(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = uint64(3*i + 1)
 	}
-	run := func(k WideKernel) *traceMonitor {
-		m := &traceMonitor{}
-		k.AttachWideMonitor(m)
+	type result struct {
+		counter *core.Counter
+		values  []logic.W
+	}
+	run := func(k WideKernel) result {
+		counter := core.NewWideCounter(nl)
+		k.AttachWideMonitor(counter)
 		src := stimulus.NewWideRandom(nl.InputWidth(), seeds)
 		buf := make([]logic.W, nl.InputWidth())
 		for range 12 {
@@ -62,7 +49,15 @@ func TestWideKernelRelease(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return m
+		return result{counter.Counter(), k.ExportState(nil)}
+	}
+	sameStats := func(a, b *core.Counter) bool {
+		for i := range nl.NumNets() {
+			if a.Stats(netlist.NetID(i)) != b.Stats(netlist.NetID(i)) {
+				return false
+			}
+		}
+		return a.Cycles() == b.Cycles()
 	}
 	for _, tc := range []struct {
 		name    string
@@ -111,9 +106,12 @@ func TestWideKernelRelease(t *testing.T) {
 					reused = waves[0] != nil && slices.Equal(tc.buffers(b), waves)
 				}
 				got := run(b)
-				if !slices.Equal(got.trace, want.trace) || !slices.Equal(got.ends, want.ends) {
-					t.Fatalf("attempt %d: a kernel on released buffers reported %d changes over %d cycles, the released kernel %d over %d",
-						attempt, len(got.trace), len(got.ends), len(want.trace), len(want.ends))
+				if !sameStats(got.counter, want.counter) {
+					t.Fatalf("attempt %d: a kernel on released buffers counted %+v over %d lane-cycles, the released kernel %+v over %d",
+						attempt, got.counter.Totals(), got.counter.Cycles(), want.counter.Totals(), want.counter.Cycles())
+				}
+				if !slices.Equal(got.values, want.values) {
+					t.Fatalf("attempt %d: a kernel on released buffers settled at other values than the released kernel", attempt)
 				}
 				if b.Events() != a.Events() {
 					t.Fatalf("attempt %d: %d events, the released kernel %d", attempt, b.Events(), a.Events())

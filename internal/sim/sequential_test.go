@@ -39,15 +39,15 @@ func TestSequentialKernelEquivalence(t *testing.T) {
 		for bi, seeds := range blocks {
 			for di, dm := range []delay.Model{delay.Unit(), delay.Uniform(2)} {
 				name := fmt.Sprintf("%s/block%d/uniform%d", circuit, bi, di)
-				ref, refVals := mergedScalarRuns(t, c, dm, seeds, 24)
-				wide, wideVals := wideRun(t, c, dm, seeds, 24)
+				ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: dm}, seeds, 24)
+				wide, wideVals := wideRun(t, c, lockstep, sim.Options{Delay: dm}, seeds, 24)
 				compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 			}
 			for mi, dm := range nonUniformModels() {
 				opts := sim.Options{Delay: dm}
 				name := fmt.Sprintf("%s/block%d/nonuniform%d", circuit, bi, mi)
-				ref, refVals := mergedScalarModeRuns(t, c, opts, seeds, 12)
-				wide, wideVals := wideEventRun(t, c, opts, seeds, 12)
+				ref, refVals := mergedScalarRuns(t, c, opts, seeds, 12)
+				wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, 12)
 				compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 			}
 		}
@@ -58,8 +58,8 @@ func TestSequentialKernelEquivalence(t *testing.T) {
 	c := sim.Compile(nl)
 	opts := sim.Options{Delay: delay.Typical(), Mode: sim.Inertial}
 	seeds := seedBlock(5)
-	ref, refVals := mergedScalarModeRuns(t, c, opts, seeds, 12)
-	wide, wideVals := wideEventRun(t, c, opts, seeds, 12)
+	ref, refVals := mergedScalarRuns(t, c, opts, seeds, 12)
+	wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, 12)
 	compareWideToScalar(t, "pipemult8/inertial", nl, wide, wideVals, ref, refVals, seeds)
 }
 

@@ -47,8 +47,12 @@
 // WideSimulator (lockstep wavefronts, uniform delay) and
 // WideEventSimulator (lane-masked events, any delay model) advance 64
 // stimulus lanes at once and embed one wideCore holding the state and
-// code they share. The scalar and wide-event kernels share the event
-// queue; the lockstep kernel's two wave slices are its schedule.
+// code they share. A wide kernel counts into at most one
+// core.WideCounter: it hands each committed net change straight to
+// WideCounter.Change and each settled cycle to OnCycleEnd, with no
+// monitor interface or change buffer in between. The scalar and
+// wide-event kernels share the event queue; the lockstep kernel's two
+// wave slices are its schedule.
 //
 // # Hot-path layout
 //
@@ -58,8 +62,8 @@
 // pointer-rich netlist structures. A Compiled is immutable and can be
 // shared by many Simulators concurrently — the batch measurement layer
 // compiles each circuit once per process, not once per goroutine. When
-// no Monitor is attached, the per-instant change-coalescing bookkeeping
-// is skipped entirely.
+// no Monitor (for a wide kernel, no WideCounter) is attached, the
+// per-instant change-coalescing bookkeeping is skipped entirely.
 package sim
 
 import (

@@ -15,7 +15,8 @@ package sim
 // d >= 1 each instant consists of a single wave and
 // each net changes at most once per instant, so no per-instant
 // coalescing is needed: a popped event is always a real change in at
-// least one lane.
+// least one lane, and the kernel hands it straight to the attached
+// core.WideCounter as it commits the event.
 //
 // Lane l of a wide simulation is bit-identical to a scalar simulation
 // driven with lane l's stimulus: per-lane evaluation is identical by the
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"sync"
 
+	"glitchsim/internal/core"
 	"glitchsim/internal/delay"
 	"glitchsim/internal/logic"
 	"glitchsim/netlist"
@@ -66,22 +68,6 @@ func UniformDelay(n *netlist.Netlist, dm delay.Model) (int, bool) {
 	return min, true
 }
 
-// WideChange is one net transition of one wavefront, carrying the packed
-// before/after values of all lanes.
-type WideChange struct {
-	Net      netlist.NetID
-	Old, New logic.W
-}
-
-// WideMonitor observes wide net changes. The canonical implementation is
-// core.WideCounter, which classifies per-lane transitions with popcount
-// arithmetic. The changes slice passed to OnWideChanges is reused across
-// wavefronts and must not be retained.
-type WideMonitor interface {
-	OnWideChanges(cycle, t int, changes []WideChange)
-	OnCycleEnd(cycle int)
-}
-
 // WideKernel is the common face of the two word-parallel kernels: the
 // lockstep WideSimulator (uniform delay models) and the event-driven
 // WideEventSimulator (everything else). The measurement layer drives
@@ -90,8 +76,9 @@ type WideKernel interface {
 	// Step simulates one clock cycle for all lanes (see the concrete
 	// kernels' Step docs).
 	Step(pi []logic.W) error
-	// AttachWideMonitor registers a monitor for subsequent cycles.
-	AttachWideMonitor(m WideMonitor)
+	// AttachWideMonitor makes c count subsequent cycles, replacing any
+	// counter attached before.
+	AttachWideMonitor(c *core.WideCounter)
 	// Events returns the number of word events processed (each spans all
 	// lanes of one net).
 	Events() uint64
@@ -111,7 +98,7 @@ type WideKernel interface {
 	// had simulated to that boundary itself.
 	ImportState(vals []logic.W, cycle int)
 	// Release hands the kernel's grown per-step buffers (event arena,
-	// waves, change and touched-cell buffers) back to a pool the next
+	// waves, touched-cell and coalescing lists) back to a pool the next
 	// kernel draws from, so it starts at the grown capacity instead of
 	// regrowing it. The kernel must not be used afterwards; a second
 	// Release is a no-op, and a kernel that is never released is
@@ -133,16 +120,15 @@ func NewWideKernel(c *Compiled, opts Options) WideKernel {
 	return NewWideEvent(c, opts)
 }
 
-// stepBuffers are a wide kernel's growable per-step buffers: the change
-// and touched-cell buffers both kernels use, the lockstep kernel's
-// waves, and the event kernel's arena, free-slot and coalescing lists.
+// stepBuffers are a wide kernel's growable per-step buffers: the
+// touched-cell buffer both kernels use, the lockstep kernel's waves,
+// and the event kernel's arena, free-slot and coalescing lists.
 // Each grows to its workload's working set within the first steps. A
 // kernel takes one set from stepBufferPool at construction and Release
 // puts it back, so a measurement that builds a kernel per shard, or a
 // service that builds one per request, regrows nothing. A kernel leaves
 // the fields it does not use untouched, so one set serves both kernels.
 type stepBuffers struct {
-	changes     []WideChange
 	touched     []netlist.CellID
 	wave, next  []wideEvent
 	arena       []maskedEvent
@@ -154,10 +140,10 @@ var stepBufferPool = sync.Pool{New: func() any { return new(stepBuffers) }}
 
 // wideCore is the state and code the two word-parallel kernels share:
 // the compiled netlist, the settle guard, the packed net values and
-// flip-flop samples, the touched-cell epoch set, the monitors and their
-// change buffer, the cycle/settle/event counts and the poll. Both
-// kernels embed it; a kernel must not declare a field of the same name,
-// which would shadow the core's.
+// flip-flop samples, the touched-cell epoch set, the attached counter,
+// the cycle and event counts and the poll. Both kernels embed it; a
+// kernel must not declare a field of the same name, which would shadow
+// the core's.
 type wideCore struct {
 	c     *Compiled
 	guard int
@@ -170,11 +156,9 @@ type wideCore struct {
 	epoch      int32
 	touched    []netlist.CellID
 
-	monitors []WideMonitor
-	changes  []WideChange // the current instant's changes, for the monitors
-	cycle    int
-	settle   int
-	events   uint64 // word events processed (each spans all lanes)
+	counter *core.WideCounter // counts every committed change; nil counts nothing
+	cycle   int
+	events  uint64 // word events processed (each spans all lanes)
 
 	poll pollState // periodic cancellation + budget check
 }
@@ -192,7 +176,6 @@ func newWideCore(c *Compiled, opts Options) wideCore {
 		ffQ:        make([]logic.W, len(c.dffCells)),
 		touchEpoch: make([]int32, c.n.NumCells()),
 		touched:    b.touched[:0],
-		changes:    b.changes[:0],
 	}
 	s.poll.init(opts)
 	for i, v := range c.initVals {
@@ -208,23 +191,18 @@ func newWideCore(c *Compiled, opts Options) wideCore {
 // at construction; the kernel's Release stores its own first.
 func (s *wideCore) release() {
 	b := s.bufs
-	b.changes, b.touched = s.changes[:0], s.touched[:0]
-	s.bufs, s.changes, s.touched = nil, nil, nil
+	b.touched = s.touched[:0]
+	s.bufs, s.touched = nil, nil
 	stepBufferPool.Put(b)
 }
 
-// AttachWideMonitor registers a monitor for subsequent cycles.
-func (s *wideCore) AttachWideMonitor(m WideMonitor) { s.monitors = append(s.monitors, m) }
-
-// Netlist returns the simulated netlist.
-func (s *wideCore) Netlist() *netlist.Netlist { return s.c.n }
+// AttachWideMonitor makes c count subsequent cycles: the kernel calls
+// c.Change for every net it commits and c.OnCycleEnd once each cycle
+// has settled. It replaces any counter attached before.
+func (s *wideCore) AttachWideMonitor(c *core.WideCounter) { s.counter = c }
 
 // Cycle returns the number of completed cycles.
 func (s *wideCore) Cycle() int { return s.cycle }
-
-// SettleTime returns the time of the last instant of the most recent
-// cycle.
-func (s *wideCore) SettleTime() int { return s.settle }
 
 // Events returns the total number of word events processed; each word
 // event updates the lanes of one net at one instant.
@@ -288,23 +266,10 @@ func (s *wideCore) nextEpoch() int32 {
 	return s.epoch
 }
 
-// report hands the instant's buffered changes to the monitors and
-// empties the buffer.
-//
-//glitchsim:hotpath
-func (s *wideCore) report(t int) {
-	if len(s.changes) > 0 {
-		for _, m := range s.monitors {
-			m.OnWideChanges(s.cycle, t, s.changes)
-		}
-	}
-	s.changes = s.changes[:0]
-}
-
-// endCycle reports the settled cycle to the monitors and counts it.
+// endCycle classifies the settled cycle on the counter and counts it.
 func (s *wideCore) endCycle() {
-	for _, m := range s.monitors {
-		m.OnCycleEnd(s.cycle)
+	if s.counter != nil {
+		s.counter.OnCycleEnd()
 	}
 	s.cycle++
 }
@@ -378,8 +343,7 @@ func (s *WideSimulator) Step(pi []logic.W) error {
 	}
 
 	// 3. Advance wavefronts t = 0, d, 2d, … until no lane changes.
-	t, settle := 0, 0
-	for len(s.next) > 0 {
+	for t := 0; len(s.next) > 0; t += s.d {
 		if t > s.guard {
 			nets := make([]netlist.NetID, 0, maxHotNets)
 			for i := range s.next {
@@ -393,10 +357,8 @@ func (s *WideSimulator) Step(pi []logic.W) error {
 			return newOscillationError(s.c.n, s.cycle, s.guard, nets)
 		}
 		s.wave, s.next = s.next, s.wave[:0]
-		s.applyWave(t)
+		s.applyWave()
 		s.evalTouched()
-		settle = t
-		t += s.d
 		if s.poll.due(s.events) {
 			if err := s.poll.poll(s.events, s.cycle); err != nil {
 				s.discardInFlight()
@@ -404,7 +366,6 @@ func (s *WideSimulator) Step(pi []logic.W) error {
 			}
 		}
 	}
-	s.settle = settle
 	s.endCycle()
 	return nil
 }
@@ -422,20 +383,20 @@ func (s *WideSimulator) push(net netlist.NetID, v logic.W) {
 	s.next = append(s.next, wideEvent{net: net, val: v})
 }
 
-// applyWave commits every event of the current wavefront, reports the
+// applyWave commits every event of the current wavefront, counts the
 // changes, and marks the fanout cells for re-evaluation.
 //
 //glitchsim:hotpath
-func (s *WideSimulator) applyWave(t int) {
+func (s *WideSimulator) applyWave() {
 	epoch := s.nextEpoch()
 	s.events += uint64(len(s.wave))
-	monitored := len(s.monitors) > 0
+	counter := s.counter
 	fanStart, fanCells := s.c.fanStart, s.c.fanCells
 	values, touchEpoch := s.values, s.touchEpoch
 	for i := range s.wave {
 		e := &s.wave[i]
-		if monitored {
-			s.changes = append(s.changes, WideChange{Net: e.net, Old: values[e.net], New: e.val})
+		if counter != nil {
+			counter.Change(e.net, values[e.net], e.val)
 		}
 		values[e.net] = e.val
 		for _, cid := range fanCells[fanStart[e.net]:fanStart[e.net+1]] {
@@ -445,7 +406,6 @@ func (s *WideSimulator) applyWave(t int) {
 			}
 		}
 	}
-	s.report(t)
 }
 
 // evalTouched re-evaluates every cell with a changed input and schedules
@@ -482,7 +442,6 @@ func (s *WideSimulator) ImportState(vals []logic.W, cycle int) {
 func (s *WideSimulator) discardInFlight() {
 	s.wave = s.wave[:0]
 	s.next = s.next[:0]
-	s.changes = s.changes[:0]
 	s.touched = s.touched[:0]
 }
 

@@ -21,16 +21,16 @@ import (
 	"glitchsim/netlist"
 )
 
-// mergedScalarRuns simulates one scalar run per seed and merges the
-// counters in seed order, returning the aggregate plus per-seed final
-// net values.
-func mergedScalarRuns(t *testing.T, c *sim.Compiled, dm delay.Model, seeds []uint64, cycles int) (*core.Counter, [][]logic.V) {
+// mergedScalarRuns simulates one scalar run per seed under opts and
+// merges the counters in seed order, returning the aggregate plus
+// per-seed final net values.
+func mergedScalarRuns(t *testing.T, c *sim.Compiled, opts sim.Options, seeds []uint64, cycles int) (*core.Counter, [][]logic.V) {
 	t.Helper()
 	nl := c.Netlist()
 	var agg *core.Counter
 	finals := make([][]logic.V, len(seeds))
 	for i, seed := range seeds {
-		s := sim.NewFromCompiled(c, sim.Options{Delay: dm})
+		s := sim.NewFromCompiled(c, opts)
 		counter := core.NewCounter(nl)
 		s.AttachMonitor(counter)
 		src := stimulus.NewRandom(nl.InputWidth(), seed)
@@ -52,12 +52,23 @@ func mergedScalarRuns(t *testing.T, c *sim.Compiled, dm delay.Model, seeds []uin
 	return agg, finals
 }
 
-// wideRun simulates all seeds at once on the wide kernel and returns the
-// folded counter plus the packed final net values.
-func wideRun(t *testing.T, c *sim.Compiled, dm delay.Model, seeds []uint64, cycles int) (*core.Counter, []logic.W) {
+// kernelFunc builds a wide kernel: lockstep or eventDriven.
+type kernelFunc func(*sim.Compiled, sim.Options) (sim.WideKernel, error)
+
+// lockstep builds the lockstep wavefront kernel (uniform delays only).
+func lockstep(c *sim.Compiled, opts sim.Options) (sim.WideKernel, error) { return sim.NewWide(c, opts) }
+
+// eventDriven builds the lane-masked event kernel (any delay model).
+func eventDriven(c *sim.Compiled, opts sim.Options) (sim.WideKernel, error) {
+	return sim.NewWideEvent(c, opts), nil
+}
+
+// wideRun simulates all seeds at once on the kernel newKernel builds
+// and returns the folded counter plus the packed final net values.
+func wideRun(t *testing.T, c *sim.Compiled, newKernel kernelFunc, opts sim.Options, seeds []uint64, cycles int) (*core.Counter, []logic.W) {
 	t.Helper()
 	nl := c.Netlist()
-	ws, err := sim.NewWide(c, sim.Options{Delay: dm})
+	ws, err := newKernel(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +84,7 @@ func wideRun(t *testing.T, c *sim.Compiled, dm delay.Model, seeds []uint64, cycl
 			t.Fatal(err)
 		}
 	}
-	finals := make([]logic.W, nl.NumNets())
-	for n := range finals {
-		finals[n] = ws.Value(netlist.NetID(n))
-	}
-	return counter.Counter(), finals
+	return counter.Counter(), ws.ExportState(nil)
 }
 
 // compareWideToScalar asserts bit-identical per-net stats, cycles, and
@@ -120,8 +127,8 @@ func TestWideKernelEquivalence(t *testing.T) {
 		}
 		for bi, seeds := range blocks {
 			name := fmt.Sprintf("%s/block%d", circuit, bi)
-			ref, refVals := mergedScalarRuns(t, c, delay.Unit(), seeds, cycles)
-			wide, wideVals := wideRun(t, c, delay.Unit(), seeds, cycles)
+			ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: delay.Unit()}, seeds, cycles)
+			wide, wideVals := wideRun(t, c, lockstep, sim.Options{Delay: delay.Unit()}, seeds, cycles)
 			compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 		}
 	}
@@ -154,8 +161,8 @@ func TestWideKernelUniformDelays(t *testing.T) {
 		{"unit-partial", delay.Unit(), seedBlock(3)[:11]},
 		{"uniform2-single", delay.Uniform(2), []uint64{42}},
 	} {
-		ref, refVals := mergedScalarRuns(t, c, tc.dm, tc.seeds, 25)
-		wide, wideVals := wideRun(t, c, tc.dm, tc.seeds, 25)
+		ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: tc.dm}, tc.seeds, 25)
+		wide, wideVals := wideRun(t, c, lockstep, sim.Options{Delay: tc.dm}, tc.seeds, 25)
 		compareWideToScalar(t, tc.name, nl, wide, wideVals, ref, refVals, tc.seeds)
 	}
 }
@@ -179,8 +186,8 @@ func TestWidePropertyRandomNetlists(t *testing.T) {
 			seeds[i] = rng.Uint64()
 		}
 		name := fmt.Sprintf("trial%d(lanes=%d)", trial, len(seeds))
-		ref, refVals := mergedScalarRuns(t, c, delay.Unit(), seeds, 15)
-		wide, wideVals := wideRun(t, c, delay.Unit(), seeds, 15)
+		ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: delay.Unit()}, seeds, 15)
+		wide, wideVals := wideRun(t, c, lockstep, sim.Options{Delay: delay.Unit()}, seeds, 15)
 		compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 	}
 }

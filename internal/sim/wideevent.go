@@ -42,7 +42,7 @@ package sim
 //     their scalar run never cancel or reschedule anything.
 //   - Zero-delay pins re-schedule within the instant, exactly like the
 //     scalar kernel: an instant then spans several event batches and the
-//     per-instant coalescing machinery reports one change per net with
+//     per-instant coalescing machinery counts one change per net with
 //     the instant's initial and final packed values, dropping per-lane
 //     zero-width excursions.
 //
@@ -214,7 +214,7 @@ func (s *WideEventSimulator) alloc(ev maskedEvent) int32 {
 
 //glitchsim:hotpath
 func (s *WideEventSimulator) run() error {
-	flushAt := -1
+	instant := 0
 	for !s.q.empty() {
 		t := s.q.nextTime()
 		if t > s.guard {
@@ -237,10 +237,10 @@ func (s *WideEventSimulator) run() error {
 			s.discardInFlight()
 			return newOscillationError(s.c.n, s.cycle, s.guard, nets)
 		}
-		if flushAt >= 0 && t > flushAt {
-			s.flush(flushAt)
+		if t > instant {
+			s.flush()
+			instant = t
 		}
-		flushAt = t
 		s.applyBatch(t)
 		s.evalTouched(t)
 		if s.poll.due(s.events) {
@@ -250,27 +250,22 @@ func (s *WideEventSimulator) run() error {
 			}
 		}
 	}
-	if flushAt >= 0 {
-		s.flush(flushAt)
-		s.settle = flushAt
-	} else {
-		s.settle = 0
-	}
+	s.flush()
 	return nil
 }
 
 // applyBatch pops and commits every event at time t: masked lanes merge
-// into the packed net values, changes are recorded (directly, or into
-// the per-instant coalescing state when zero delays can split an
-// instant into several batches), fanout cells are marked, and the
-// events' arena slots are freed.
+// into the packed net values, changes are counted (directly, or once the
+// instant ends by flush when zero delays can split an instant into
+// several batches), fanout cells are marked, and the events' arena
+// slots are freed.
 //
 //glitchsim:hotpath
 func (s *WideEventSimulator) applyBatch(t int) {
 	epoch := s.nextEpoch()
 	batch := s.q.popBatch(t)
 	s.events += uint64(len(batch))
-	monitored := len(s.monitors) > 0
+	counter := s.counter
 	fanStart, fanCells := s.c.fanStart, s.c.fanCells
 	values, touchEpoch := s.values, s.touchEpoch
 	flushEpoch := s.flushEpoch
@@ -288,9 +283,9 @@ func (s *WideEventSimulator) applyBatch(t int) {
 		if cm == 0 {
 			continue
 		}
-		if monitored {
+		if counter != nil {
 			if !s.coalesce {
-				s.changes = append(s.changes, WideChange{Net: e.net, Old: old, New: old.Merge(e.val, cm)})
+				counter.Change(e.net, old, old.Merge(e.val, cm))
 			} else if s.changed[e.net].epoch != flushEpoch {
 				s.changed[e.net] = wideChangeState{epoch: flushEpoch, init: old}
 				s.changedList = append(s.changedList, e.net)
@@ -393,28 +388,22 @@ func (s *WideEventSimulator) unlist(net netlist.NetID, idx int32) {
 	}
 }
 
-// flush reports the instant's transitions to the monitors, folding the
-// coalescing state (zero-delay models) into per-net initial/final
-// changes and dropping lanes that excursed back to their initial value
-// within the instant.
+// flush ends a coalesced instant (zero-delay models): it counts one
+// change per net the instant touched, from the net's initial to its
+// final packed value, so lanes that excursed back to their initial
+// value within the instant count nothing. applyBatch lists nets only
+// when coalescing with a counter attached; otherwise the list is empty.
 //
 //glitchsim:hotpath
-func (s *WideEventSimulator) flush(t int) {
-	if s.coalesce {
-		buf := s.changes[:0]
-		for _, net := range s.changedList {
-			init := s.changed[net].init
-			final := s.values[net]
-			if init == final {
-				continue
-			}
-			buf = append(buf, WideChange{Net: net, Old: init, New: final})
-		}
-		s.changes = buf
-		s.flushEpoch++
-		s.changedList = s.changedList[:0]
+func (s *WideEventSimulator) flush() {
+	if len(s.changedList) == 0 {
+		return
 	}
-	s.report(t)
+	for _, net := range s.changedList {
+		s.counter.Change(net, s.changed[net].init, s.values[net])
+	}
+	s.flushEpoch++
+	s.changedList = s.changedList[:0]
 }
 
 // ImportState implements WideKernel: it restores the settled net
@@ -440,6 +429,5 @@ func (s *WideEventSimulator) discardInFlight() {
 	}
 	s.flushEpoch++
 	s.changedList = s.changedList[:0]
-	s.changes = s.changes[:0]
 	s.touched = s.touched[:0]
 }

@@ -12,9 +12,7 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"glitchsim/internal/core"
 	"glitchsim/internal/delay"
-	"glitchsim/internal/logic"
 	"glitchsim/internal/registry"
 	"glitchsim/internal/sim"
 	"glitchsim/internal/stimulus"
@@ -55,60 +53,6 @@ func randomDelay(seed uint64, spread int) delay.Model {
 	}
 }
 
-// wideEventRun simulates all seeds at once on the wide-event kernel and
-// returns the folded counter plus the packed final net values.
-func wideEventRun(t *testing.T, c *sim.Compiled, opts sim.Options, seeds []uint64, cycles int) (*core.Counter, []logic.W) {
-	t.Helper()
-	nl := c.Netlist()
-	ws := sim.NewWideEvent(c, opts)
-	counter := core.NewWideCounter(nl)
-	if len(seeds) < sim.MaxLanes {
-		counter.SetLaneMask(uint64(1)<<uint(len(seeds)) - 1)
-	}
-	ws.AttachWideMonitor(counter)
-	src := stimulus.NewWideRandom(nl.InputWidth(), seeds)
-	buf := make([]logic.W, nl.InputWidth())
-	for cy := 0; cy < cycles; cy++ {
-		if err := ws.Step(src.NextWide(buf)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	finals := make([]logic.W, nl.NumNets())
-	for n := range finals {
-		finals[n] = ws.Value(netlist.NetID(n))
-	}
-	return counter.Counter(), finals
-}
-
-// mergedScalarModeRuns is mergedScalarRuns with an explicit delay mode.
-func mergedScalarModeRuns(t *testing.T, c *sim.Compiled, opts sim.Options, seeds []uint64, cycles int) (*core.Counter, [][]logic.V) {
-	t.Helper()
-	nl := c.Netlist()
-	var agg *core.Counter
-	finals := make([][]logic.V, len(seeds))
-	for i, seed := range seeds {
-		s := sim.NewFromCompiled(c, opts)
-		counter := core.NewCounter(nl)
-		s.AttachMonitor(counter)
-		src := stimulus.NewRandom(nl.InputWidth(), seed)
-		for cy := 0; cy < cycles; cy++ {
-			if err := s.Step(src.Next()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		finals[i] = make([]logic.V, nl.NumNets())
-		for n := range finals[i] {
-			finals[i][n] = s.Value(netlist.NetID(n))
-		}
-		if agg == nil {
-			agg = counter
-		} else if err := agg.Merge(counter); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return agg, finals
-}
-
 // TestWideEventKernelEquivalence: for every built-in circuit and every
 // non-uniform delay model family, one 64-lane wide-event run must be
 // bit-identical to 64 scalar runs merged in seed order. Enforced in CI
@@ -128,8 +72,8 @@ func TestWideEventKernelEquivalence(t *testing.T) {
 		for _, dm := range nonUniformModels() {
 			name := fmt.Sprintf("%s/%s", circuit, dm.Name())
 			opts := sim.Options{Delay: dm}
-			ref, refVals := mergedScalarModeRuns(t, c, opts, seeds, cycles)
-			wide, wideVals := wideEventRun(t, c, opts, seeds, cycles)
+			ref, refVals := mergedScalarRuns(t, c, opts, seeds, cycles)
+			wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, cycles)
 			compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 		}
 	}
@@ -150,8 +94,8 @@ func TestWideEventKernelInertial(t *testing.T) {
 			name := fmt.Sprintf("%s/%s/inertial", circuit, dm.Name())
 			opts := sim.Options{Delay: dm, Mode: sim.Inertial}
 			seeds := seedBlock(5)
-			ref, refVals := mergedScalarModeRuns(t, c, opts, seeds, 15)
-			wide, wideVals := wideEventRun(t, c, opts, seeds, 15)
+			ref, refVals := mergedScalarRuns(t, c, opts, seeds, 15)
+			wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, 15)
 			compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 		}
 	}
@@ -176,8 +120,8 @@ func TestWideEventKernelPartialLanes(t *testing.T) {
 		{"typical-single", sim.Options{Delay: dm}, []uint64{42}},
 		{"huge-heap", sim.Options{Delay: hugeDelays(), MaxTimePerCycle: hugeGuard}, seedBlock(9)[:23]},
 	} {
-		ref, refVals := mergedScalarModeRuns(t, c, tc.opts, tc.seeds, 25)
-		wide, wideVals := wideEventRun(t, c, tc.opts, tc.seeds, 25)
+		ref, refVals := mergedScalarRuns(t, c, tc.opts, tc.seeds, 25)
+		wide, wideVals := wideRun(t, c, eventDriven, tc.opts, tc.seeds, 25)
 		compareWideToScalar(t, tc.name, nl, wide, wideVals, ref, refVals, tc.seeds)
 	}
 }
@@ -206,8 +150,8 @@ func TestWideEventPropertyRandomNetlists(t *testing.T) {
 			opts.Mode = sim.Inertial
 		}
 		name := fmt.Sprintf("trial%d(lanes=%d,mode=%v)", trial, len(seeds), opts.Mode)
-		ref, refVals := mergedScalarModeRuns(t, c, opts, seeds, 15)
-		wide, wideVals := wideEventRun(t, c, opts, seeds, 15)
+		ref, refVals := mergedScalarRuns(t, c, opts, seeds, 15)
+		wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, 15)
 		compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 	}
 }

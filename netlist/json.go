@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -74,6 +75,9 @@ func (n *Netlist) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON deserializes a netlist written by WriteJSON and validates it.
+// Every net it declares needs a non-empty name: the builder would
+// invent one for an empty name, which could collide with a declared
+// one, and WriteJSON never writes an empty name.
 func ReadJSON(r io.Reader) (*Netlist, error) {
 	var jn jsonNetlist
 	dec := json.NewDecoder(r)
@@ -85,6 +89,9 @@ func ReadJSON(r io.Reader) (*Netlist, error) {
 	nets := map[string]NetID{}
 	inputSet := make(map[string]bool, len(jn.PIs))
 	for _, pi := range jn.PIs {
+		if pi == "" {
+			return nil, errors.New("netlist: input with an empty name")
+		}
 		if inputSet[pi] {
 			return nil, fmt.Errorf("netlist: duplicate input %q", pi)
 		}
@@ -97,6 +104,9 @@ func ReadJSON(r io.Reader) (*Netlist, error) {
 		// the Fingerprint).
 		var piOrder []string
 		for _, name := range jn.Nets {
+			if name == "" {
+				return nil, errors.New("netlist: net with an empty name")
+			}
 			if _, dup := nets[name]; dup {
 				return nil, fmt.Errorf("netlist: duplicate net %q", name)
 			}
@@ -146,6 +156,9 @@ func ReadJSON(r io.Reader) (*Netlist, error) {
 					return nil, fmt.Errorf("netlist: net %q driven twice", outName)
 				}
 			} else {
+				if outName == "" {
+					return nil, fmt.Errorf("netlist: cell %d output with an empty name", ci)
+				}
 				if _, dup := nets[outName]; dup {
 					return nil, fmt.Errorf("netlist: net %q driven twice", outName)
 				}

@@ -69,6 +69,10 @@ func TestJSONErrors(t *testing.T) {
 		"unknown bus":   `{"name":"x","inputs":["a"],"cells":[],"outputs":["a"],"buses":{"b":["zz"]}}`,
 		"dup input":     `{"name":"x","inputs":["a","a"],"cells":[],"outputs":["a"]}`,
 		"dangling in":   `{"name":"x","inputs":["a"],"cells":[{"type":"not","in":["ghost"],"out":["z"]}],"outputs":["z"]}`,
+		"empty input":   `{"name":"x","inputs":[""],"cells":[],"outputs":[""]}`,
+		"empty net":     `{"name":"x","inputs":["a"],"cells":[],"outputs":["a"],"nets":["a",""]}`,
+		"empty names":   `{"name":"","inputs":[""],"outputs":["","",""],"nets":["0000","0001","n0",""]}`,
+		"empty out":     `{"name":"x","inputs":["a"],"cells":[{"type":"not","in":["a"],"out":[""]}],"outputs":["a"]}`,
 	}
 	for name, src := range cases {
 		if _, err := ReadJSON(strings.NewReader(src)); err == nil {

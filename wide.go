@@ -380,17 +380,17 @@ func (r *wideRun) measureSteps(ctx context.Context, s *wideScratch, k0, k1 int) 
 		src.Skip(cfg.Warmup + cp.Cycle)
 		k0 = cp.Cycle
 	} else {
-		// Warm-up runs unmonitored: the kernel skips change capture
-		// entirely, and attaching the counter afterwards is
-		// indistinguishable from attach-then-Reset (the counter carries no
-		// cross-cycle state beyond the statistics a reset would clear). A
-		// shard starting at step k0 warms up on the Warmup+k0 vectors
-		// before it. When warmupSteps settles them in fewer steps, the
-		// skipped vectors are fast-forwarded, and the kernel keeps its
-		// reset state but takes the cycle count the skipped steps would
-		// have reached: the last settling step is kernel cycle
-		// Warmup+k0-1, and measured cycles (BudgetError.Cycle,
-		// checkpoints) are numbered as after a step-by-step warm-up.
+		// Warm-up runs with no counter attached, so the kernel counts
+		// nothing, and the counter attached afterwards starts at the
+		// first measured cycle (it carries no state across cycles
+		// besides its statistics). A shard starting at step k0 warms up
+		// on the Warmup+k0 vectors before it. When warmupSteps settles
+		// them in fewer steps, the skipped vectors are fast-forwarded,
+		// and the kernel keeps its reset state but takes the cycle count
+		// the skipped steps would have reached: the last settling step
+		// is kernel cycle Warmup+k0-1, and measured cycles
+		// (BudgetError.Cycle, checkpoints) are numbered as after a
+		// step-by-step warm-up.
 		pre := cfg.Warmup + k0
 		levels, feedback := c.SequentialDepth()
 		steps := warmupSteps(levels, feedback, pre, r.lanes)
