@@ -31,7 +31,7 @@ func tripWide(t *testing.T, c *sim.Compiled, cfg Config, lanes, maxQ int) (*core
 	for budget := uint64(1 << 24); budget >= 1<<6; budget >>= 1 {
 		bcfg := cfg
 		bcfg.Budget = Budget{Events: budget}
-		counter, err := measureWide(ctx, c, bcfg, lanes, 1)
+		counter, err := measureWide(ctx, c, nil, bcfg, lanes, 1)
 		if err == nil {
 			continue // budget too large: finished untripped
 		}

@@ -66,14 +66,22 @@ func newCircuitMemo(src []byte) *circuitMemo {
 	return &circuitMemo{src: src, srcLen: len(src)}
 }
 
-// parse runs the format's parser exactly once and drops the source.
+// parse runs the format's parser exactly once and drops the source. A
+// parser that panics still completes the once, so the error is
+// recorded before it runs: the panic reaches the first caller, and
+// every later one gets the error instead of a nil netlist.
 func (m *circuitMemo) parse(f func([]byte) (*netlist.Netlist, error)) (*netlist.Netlist, error) {
 	m.once.Do(func() {
+		defer func() { m.src = nil }()
+		m.err = errParserPanicked
 		m.n, m.err = f(m.src)
-		m.src = nil
 	})
 	return m.n, m.err
 }
+
+// errParserPanicked is the resolve error of a source-form Circuit whose
+// parser panicked on its first resolve.
+var errParserPanicked = errors.New("glitchsim: the circuit's parser panicked on it")
 
 // CircuitNamed references a circuit by name: one of the built-in
 // registry circuits (see BuiltinCircuits) or a name provided by a

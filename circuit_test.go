@@ -300,3 +300,26 @@ func TestCircuitString(t *testing.T) {
 		t.Errorf("netlist: %q", got)
 	}
 }
+
+// TestCircuitParserPanic: a parser that panics on a source-form Circuit
+// poisons nothing. The first resolve panics; every later one gets an
+// error instead of a nil netlist, and so does a measurement of the
+// Circuit.
+func TestCircuitParserPanic(t *testing.T) {
+	c := CircuitFromJSON([]byte(`{}`))
+	boom := func([]byte) (*netlist.Netlist, error) { panic("parser bug") }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the first parse did not panic")
+			}
+		}()
+		c.memo.parse(boom)
+	}()
+	if n, err := c.memo.parse(boom); n != nil || err == nil {
+		t.Fatalf("second parse: (%v, %v), want an error", n, err)
+	}
+	if _, err := NewEngine().Measure(context.Background(), MeasureRequest{Circuit: c, Config: Config{Cycles: 4}}); err == nil {
+		t.Fatal("Measure of the Circuit returned no error")
+	}
+}

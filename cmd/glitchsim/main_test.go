@@ -2,8 +2,10 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,6 +61,27 @@ func TestDelayFlag(t *testing.T) {
 	}
 	if !strings.Contains(delayFlag(3, 3, false).Name(), "3") {
 		t.Error("uniform not selected")
+	}
+}
+
+// TestDelayFlagRange: -dsum and -dcarry accept delays in [0,
+// MaxInt32] and reject the rest as usage errors, which the simulator
+// would otherwise meet as a panic.
+func TestDelayFlagRange(t *testing.T) {
+	for _, tc := range []struct {
+		arg string
+		ok  bool
+	}{{"-1", false}, {"3000000000", false}, {"x", false}, {"0", true}, {"70000", true}, {"2147483647", true}} {
+		fs := flag.NewFlagSet("sim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		d := delayVar(fs, "dsum", "")
+		err := fs.Parse([]string{"-dsum", tc.arg})
+		if (err == nil) != tc.ok {
+			t.Errorf("-dsum %s: err %v, want ok %v", tc.arg, err, tc.ok)
+		}
+		if tc.ok && strconv.Itoa(int(*d)) != tc.arg {
+			t.Errorf("-dsum %s: parsed %d", tc.arg, *d)
+		}
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"strconv"
 
 	"glitchsim"
 	"glitchsim/internal/delay"
@@ -22,13 +24,36 @@ func delayFlag(dsum, dcarry int, typical bool) delay.Model {
 	return registry.DelayModel(dsum, dcarry, typical)
 }
 
+// delayValue is the value of a -dsum/-dcarry flag: a delay in [0,
+// MaxInt32], the range a delay table holds, so a value outside it is a
+// usage error rather than a panic in the simulator.
+type delayValue int
+
+func (d *delayValue) String() string { return strconv.Itoa(int(*d)) }
+
+func (d *delayValue) Set(s string) error {
+	v, err := strconv.ParseInt(s, 0, 64)
+	if err != nil || v < 0 || v > math.MaxInt32 {
+		return fmt.Errorf("want a delay between 0 and %d", math.MaxInt32)
+	}
+	*d = delayValue(v)
+	return nil
+}
+
+// delayVar defines a delay flag with default 1 on fs.
+func delayVar(fs *flag.FlagSet, name, usage string) *delayValue {
+	d := delayValue(1)
+	fs.Var(&d, name, usage)
+	return &d
+}
+
 func cmdSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "rca16")
 	cycles := fs.Int("cycles", 500, "measured cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
-	dsum := fs.Int("dsum", 1, "full-adder sum delay")
-	dcarry := fs.Int("dcarry", 1, "full-adder carry delay")
+	dsum := delayVar(fs, "dsum", "full-adder sum `delay`")
+	dcarry := delayVar(fs, "dcarry", "full-adder carry `delay`")
 	typical := fs.Bool("typical", false, "use the heterogeneous typical delay model")
 	inertial := fs.Bool("inertial", false, "inertial instead of transport delay")
 	top := fs.Int("top", 10, "list the N most glitching nets")
@@ -45,7 +70,7 @@ func cmdSim(args []string) error {
 	}
 	cfg := glitchsim.Config{
 		Cycles: *cycles, Seed: *seed,
-		Delay: delayFlag(*dsum, *dcarry, *typical), Inertial: *inertial,
+		Delay: delayFlag(int(*dsum), int(*dcarry), *typical), Inertial: *inertial,
 		Budget: glitchsim.Budget{Events: *budgetEvents, WallClock: *budgetWall},
 	}
 	if *stim != "" {

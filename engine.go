@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,16 +19,20 @@ import (
 
 // Engine is the execution core of the package: it owns a worker pool
 // configuration, an engine-wide simulation concurrency bound
-// (WithMaxConcurrency), default delay/technology models, and two
+// (WithMaxConcurrency), default delay/technology models, and three
 // bounded caches. The compiled-netlist cache is keyed by structural
 // fingerprint, so repeated measurements of the same circuit — across
 // calls, goroutines and service requests — pay for compilation once.
+// Beside it, the schedule cache holds the wide schedule kernel's
+// schedules, keyed by fingerprint and delay-table digest and bounded by
+// their bytes (scheduleCacheBytes), so a repeated measurement builds
+// no schedule either.
 // The experiment memo holds what the paper's drivers derive without
 // looking at a request's seed or cycle count: the fixed circuits they
 // measure (built once and hashed once), the retiming sweep subject's
 // clock period, and every retiming of a subject, keyed by the subject's
 // fingerprint, target period and latency budget. A repeated sweep
-// therefore only measures. Both caches are LRUs bounded by
+// therefore only measures. These two caches are LRUs bounded by
 // WithCacheSize, and the netlists they hold are shared read-only. All
 // measurement entry points take a context.Context and honour
 // cancellation promptly, with periodic checks inside the simulator's
@@ -47,8 +52,9 @@ type Engine struct {
 	sem       chan struct{}   // engine-wide simulation slots, cap = maxConc
 	sources   []CircuitSource // name-resolution chain ahead of the registry
 
-	cache *memo[*sim.Compiled] // compiled netlists by fingerprint
-	memo  *memo[derived]       // experiment circuits, clock periods, retimings
+	cache     *memo[*sim.Compiled] // compiled netlists by fingerprint
+	schedules *memo[*sim.Schedule] // wide-kernel schedules by fingerprint and delay digest
+	memo      *memo[derived]       // experiment circuits, clock periods, retimings
 
 	// hashes counts the netlists hashed for cache keys (fingerprint)
 	// and retimings the retime.ForPeriod searches run (retimed), so
@@ -58,19 +64,28 @@ type Engine struct {
 }
 
 // memo is a bounded LRU of values computed once per key: the structure
-// behind both Engine caches. A value is computed inside its entry's
+// behind the Engine caches. A value is computed inside its entry's
 // once, outside the memo's lock, so concurrent first requests for one
 // key compute it once without serializing other keys. A computation
 // that panics is never cached: the panic reaches the goroutine that ran
 // it, the entry is dropped, and goroutines that waited on it compute
 // afresh (and so report the panic too). capacity <= 0 disables the
-// memo: get computes every time.
+// memo: get computes every time. A memo built by newByteMemo is bounded
+// by the summed sizes of its computed values instead of their number,
+// and admits a key only on its second miss.
 type memo[V any] struct {
 	capacity int
+	maxBytes int         // with size: the bound on bytes
+	size     func(V) int // nil: entries are bounded by capacity alone
+	// seen, with size, holds the keys missed once and not admitted yet:
+	// a value asked for once (a fresh upload's schedule) is computed for
+	// its caller but never takes a share of the byte bound.
+	seen map[string]struct{}
 
 	mu                      sync.Mutex
 	lru                     *list.List // of *memoEntry[V]; front = most recently used
 	entries                 map[string]*list.Element
+	bytes                   int // summed sizes of the retained computed values
 	hits, misses, evictions uint64
 }
 
@@ -79,11 +94,32 @@ type memoEntry[V any] struct {
 	once sync.Once
 	ok   bool // the computation returned
 	v    V
+	size int // the value's size, once counted in memo.bytes
 }
 
 func newMemo[V any](capacity int) *memo[V] {
 	return &memo[V]{capacity: capacity, lru: list.New(), entries: make(map[string]*list.Element)}
 }
+
+// newByteMemo returns a memo bounded by the summed size of its values:
+// whenever a computed value takes the sum past maxBytes, the least
+// recently used entries are evicted until it fits again (a value larger
+// than maxBytes is returned but not retained). A key's first miss
+// computes its value without retaining it; the second admits it (the
+// doorkeeper of TinyLFU, Einziger et al., 2017). enabled false disables
+// the memo, like capacity <= 0.
+func newByteMemo[V any](enabled bool, maxBytes int, size func(V) int) *memo[V] {
+	m := newMemo[V](0)
+	if enabled {
+		m.capacity = math.MaxInt
+	}
+	m.maxBytes, m.size, m.seen = maxBytes, size, make(map[string]struct{})
+	return m
+}
+
+// doorkeeperKeys bounds a byte memo's set of keys missed once; a full
+// set is cleared, so a key evicted from it is admitted one miss later.
+const doorkeeperKeys = 1024
 
 // get returns the value memoized under key, computing it on a miss.
 func (m *memo[V]) get(key string, compute func() V) V {
@@ -95,15 +131,21 @@ func (m *memo[V]) get(key string, compute func() V) V {
 	if hit {
 		m.lru.MoveToFront(el)
 		m.hits++
+	} else if _, again := m.seen[key]; m.seen != nil && !again {
+		if len(m.seen) == doorkeeperKeys {
+			clear(m.seen)
+		}
+		m.seen[key] = struct{}{}
+		m.misses++
+		m.mu.Unlock()
+		return compute()
 	} else {
+		delete(m.seen, key)
 		el = m.lru.PushFront(&memoEntry[V]{key: key})
 		m.entries[key] = el
 		m.misses++
 		if m.lru.Len() > m.capacity {
-			oldest := m.lru.Back()
-			m.lru.Remove(oldest)
-			delete(m.entries, oldest.Value.(*memoEntry[V]).key)
-			m.evictions++
+			m.evictOldest()
 		}
 	}
 	ent := el.Value.(*memoEntry[V])
@@ -117,11 +159,41 @@ func (m *memo[V]) get(key string, compute func() V) V {
 	ent.once.Do(func() {
 		ent.v = compute()
 		ent.ok = true
+		if m.size != nil {
+			m.account(el, m.size(ent.v))
+		}
 	})
 	if !ent.ok {
 		return compute()
 	}
 	return ent.v
+}
+
+// evictOldest removes the least recently used entry. m.mu must be held.
+func (m *memo[V]) evictOldest() {
+	oldest := m.lru.Back()
+	m.lru.Remove(oldest)
+	ent := oldest.Value.(*memoEntry[V])
+	delete(m.entries, ent.key)
+	m.bytes -= ent.size
+	m.evictions++
+}
+
+// account counts a newly computed value's size, if its entry is still
+// retained, and evicts least recently used entries until the byte bound
+// holds.
+func (m *memo[V]) account(el *list.Element, size int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ent := el.Value.(*memoEntry[V])
+	if cur, ok := m.entries[ent.key]; !ok || cur != el {
+		return
+	}
+	ent.size = size
+	m.bytes += size
+	for m.bytes > m.maxBytes {
+		m.evictOldest()
+	}
 }
 
 // drop removes el unless its key has since been taken by a newer entry.
@@ -139,6 +211,12 @@ func (m *memo[V]) drop(el *list.Element) {
 // experiment memo entries, an Engine retains when WithCacheSize is not
 // given.
 const DefaultCacheSize = 128
+
+// scheduleCacheBytes bounds the Engine's wide-kernel schedule cache by
+// the schedules' summed Schedule.Bytes. The nine measure-heavy shapes
+// (three 16-bit multipliers under unit, full-adder-ratio and typical
+// delay) take about 0.56 MB of it.
+const scheduleCacheBytes = 8 << 20
 
 // EngineOption configures an Engine at construction.
 type EngineOption func(*Engine)
@@ -189,11 +267,13 @@ func WithMaxConcurrency(n int) EngineOption {
 	}
 }
 
-// WithCacheSize bounds each of the engine's two caches (LRU eviction):
-// the compiled-netlist cache to n distinct circuits, and the experiment
+// WithCacheSize bounds two of the engine's caches (LRU eviction): the
+// compiled-netlist cache to n distinct circuits, and the experiment
 // memo to n derived entries (fixed circuits, clock periods and
-// retimings). n <= 0 disables both: every measurement compiles its
-// netlist, as the pre-Engine API did, and every experiment driver call
+// retimings). The wide-kernel schedule cache beside the compiled
+// netlists is bounded by a fixed byte count instead. n <= 0 disables
+// all three: every measurement compiles its netlist and builds its
+// schedule, as the pre-Engine API did, and every experiment driver call
 // rebuilds and retimes its circuits.
 func WithCacheSize(n int) EngineOption {
 	return func(e *Engine) {
@@ -216,6 +296,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		o(e)
 	}
 	e.cache = newMemo[*sim.Compiled](e.cacheSize)
+	e.schedules = newByteMemo(e.cacheSize > 0, scheduleCacheBytes, (*sim.Schedule).Bytes)
 	e.memo = newMemo[derived](e.cacheSize)
 	if e.maxConc <= 0 {
 		e.maxConc = runtime.GOMAXPROCS(0)
@@ -431,7 +512,7 @@ func (e *Engine) measureNetlist(ctx context.Context, nl *netlist.Netlist, fp str
 			e.release()
 		}
 	}()
-	return measureCompiled(ctx, c, cfg, lanes, 1+extra)
+	return measureCompiled(ctx, c, e.schedules, cfg, lanes, 1+extra)
 }
 
 // MeasureDetailed simulates the request and returns the attached
@@ -547,7 +628,7 @@ func (e *Engine) measureMany(ctx context.Context, jobs []MeasureJob, workers int
 			results[i].Err = err
 		} else {
 			cfg := e.fillDefaults(jobs[i].Config)
-			counter, err := measureCompiled(ctx, compiled[nets[i]], cfg, e.laneCount(cfg), 1)
+			counter, err := measureCompiled(ctx, compiled[nets[i]], e.schedules, cfg, e.laneCount(cfg), 1)
 			e.release()
 			if err != nil {
 				results[i].Err = err

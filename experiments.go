@@ -20,9 +20,9 @@ import (
 // a context and routes all measurement through the engine's compiled-
 // netlist cache, worker pool and lane decomposition: with the default
 // 64 lanes, a Table 1–3 row's ~500 random vectors run as ⌈500/64⌉
-// word-parallel passes, on the lockstep kernel for the unit-delay rows
-// and on the lane-masked wide-event kernel for the delay-imbalance rows.
-// Both kernels decompose the vectors into the same lane streams, so
+// word-parallel passes on the schedule kernel, under unit delay and
+// under the delay-imbalance models alike. Every kernel decomposes the
+// vectors into the same lane streams, so
 // delay-model comparisons like Table 2's useful-count invariance stay
 // exact. Zero-valued cycle/width fields select each experiment's paper
 // defaults. The drivers a Session streams (Table1–3, Figure10) each run

@@ -95,17 +95,18 @@ type Config struct {
 	// Lanes selects how many independent seeded stimulus streams the
 	// measured Cycles are distributed over (see wide.go): all lanes
 	// advance in one word-parallel simulation, evaluating every gate for
-	// up to 64 patterns at once — under every delay model. Uniform
-	// models ride the lockstep wavefront kernel (in either delay mode:
-	// inertial and transport coincide under uniform delay), everything
-	// else (the full-adder sum/carry ratios and per-type models of
-	// Tables 2 and 3, zero delay) rides the lane-masked wide-event
-	// kernel; both are bit-identical to running the L streams one after
-	// another on the scalar kernel. 0 selects the engine's WithLanes
-	// value, MaxLanes without that option; 1 is the historical
-	// single-stream measurement; values are capped at MaxLanes. Ignored
-	// when an explicit Source is set (external sources are inherently
-	// single-stream) or when at most one cycle is measured.
+	// up to 64 patterns at once — under every delay model. Transport
+	// runs whose evaluated delays are all >= 1 (unit delay, the
+	// full-adder sum/carry ratios and per-type models of Tables 2 and 3)
+	// and uniform-delay runs in either mode ride the schedule kernel;
+	// inertial runs under non-uniform delays and zero-delay models ride
+	// the lane-masked event kernel. Both are bit-identical to running the
+	// L streams one after another on the scalar kernel. 0 selects the
+	// engine's WithLanes value, MaxLanes without that option; 1 is the
+	// historical single-stream measurement; values are capped at
+	// MaxLanes. Ignored when an explicit Source is set (external sources
+	// are inherently single-stream) or when at most one cycle is
+	// measured.
 	//
 	// Lane decomposition keeps stimulus streams invariant across delay
 	// models: Table 2's unit and dsum=2·dcarry rows see identical vector
@@ -217,8 +218,9 @@ func warmupSteps(levels int, feedback bool, warmup, lanes int) int {
 // lanes is the resolved lane count (see Engine.laneCount); splitLanes
 // decides how many parallel stimulus streams the measurement runs on a
 // word-parallel kernel (measureWide), over at most shards shards (see
-// shardCap). A single lane takes the single-stream path.
-func measureCompiled(ctx context.Context, c *sim.Compiled, cfg Config, lanes, shards int) (*core.Counter, error) {
+// shardCap), with wide-kernel schedules from the schedules cache (nil:
+// built per measurement). A single lane takes the single-stream path.
+func measureCompiled(ctx context.Context, c *sim.Compiled, schedules *memo[*sim.Schedule], cfg Config, lanes, shards int) (*core.Counter, error) {
 	n := c.Netlist()
 	lanes = splitLanes(cfg, lanes)
 	cfg = cfg.withDefaults(n)
@@ -227,7 +229,7 @@ func measureCompiled(ctx context.Context, c *sim.Compiled, cfg Config, lanes, sh
 			cfg.Source.Width(), n.Name, n.InputWidth())
 	}
 	if lanes > 1 {
-		return measureWide(ctx, c, cfg, lanes, shards)
+		return measureWide(ctx, c, schedules, cfg, lanes, shards)
 	}
 	if cfg.CheckpointEvery > 0 || cfg.Resume != nil {
 		return nil, fmt.Errorf("%w: circuit %q would run single-stream", ErrCheckpointUnsupported, n.Name)

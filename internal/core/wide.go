@@ -4,8 +4,11 @@ package core
 // word-parallel kernels. Where Counter tallies one lane, WideCounter
 // classifies all 64 lanes of a wide simulation at once and produces
 // statistics bit-identical to 64 scalar Counters merged in lane order.
-// The wide kernels in internal/sim call Change for every net they
-// commit and OnCycleEnd once each cycle has settled.
+// The event-driven wide kernel in internal/sim calls Change for every
+// net it commits and OnCycleEnd once each cycle has settled; the
+// schedule kernel, which sees each net's every value of a cycle at
+// once, counts the cycle itself and hands each net's totals to
+// CountCycle before OnCycleEnd.
 //
 // Per change, the lanes that made a counted (known→known) transition
 // on a net form one 64-bit mask: XOR of the packed old/new values ANDed
@@ -50,7 +53,8 @@ type WideCounter struct {
 	// Per-net activity within the current cycle: total and rising
 	// transition counts summed over active lanes, plus the per-lane
 	// binary counter in bit-plane form (planes[p][net] holds bit p of
-	// every lane's count).
+	// every lane's count). Allocated by the first Change: a counter fed
+	// by CountCycle alone never needs them.
 	curT    []uint32
 	curRise []uint32
 	planes  [][]uint64
@@ -67,12 +71,6 @@ func NewWideCounter(n *netlist.Netlist) *WideCounter {
 		include:  make([]bool, n.NumNets()),
 		stats:    make([]NetStats, n.NumNets()),
 		laneMask: ^uint64(0),
-		curT:     make([]uint32, n.NumNets()),
-		curRise:  make([]uint32, n.NumNets()),
-		planes:   make([][]uint64, initialPlanes),
-	}
-	for p := range c.planes {
-		c.planes[p] = make([]uint64, n.NumNets())
 	}
 	for _, id := range n.InternalNets() {
 		c.include[id] = true
@@ -85,6 +83,30 @@ func NewWideCounter(n *netlist.Netlist) *WideCounter {
 // change); transitions in masked-out lanes are ignored entirely.
 func (c *WideCounter) SetLaneMask(mask uint64) { c.laneMask = mask }
 
+// LaneMask returns the lanes counting is restricted to.
+func (c *WideCounter) LaneMask() uint64 { return c.laneMask }
+
+// CountCycle adds one net's classified activity over one cycle, counted
+// by the caller over the active lanes (LaneMask): t transitions, rise of
+// them rising, useful the number of lanes that made an odd number of
+// transitions, and max the largest count of any lane. It is the
+// whole-cycle form of Change followed by OnCycleEnd's classification of
+// the net; OnCycleEnd still advances the cycle tally.
+func (c *WideCounter) CountCycle(net netlist.NetID, t, rise, useful uint64, max uint32) {
+	if !c.include[net] {
+		return
+	}
+	st := &c.stats[net]
+	st.Transitions += t
+	st.Rising += rise
+	st.Useful += useful
+	st.Useless += t - useful
+	st.Glitches += (t - useful) / 2
+	if max > st.MaxPerCycle {
+		st.MaxPerCycle = max
+	}
+}
+
 // Change records one net's packed values before and after one instant:
 // one ripple-carry increment of the net's per-lane counts. Transitions
 // from or to X are not counted, matching the scalar Counter.
@@ -95,6 +117,14 @@ func (c *WideCounter) Change(net netlist.NetID, old, new logic.W) {
 	m := (old.Zero | old.One) & (new.Zero | new.One) & (old.One ^ new.One) & c.laneMask
 	if m == 0 {
 		return
+	}
+	if c.curT == nil {
+		nn := len(c.stats)
+		c.curT, c.curRise = make([]uint32, nn), make([]uint32, nn)
+		c.planes = make([][]uint64, initialPlanes)
+		for p := range c.planes {
+			c.planes[p] = make([]uint64, nn)
+		}
 	}
 	if c.curT[net] == 0 {
 		c.dirty = append(c.dirty, net)

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"container/list"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -269,9 +268,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		// Decode the JSON envelope under the same size bound as the raw
 		// shape (the generic decodeParams limit is tighter).
 		var req UploadRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxUploadBytes), &req); err != nil {
 			s.writeBodyError(w, fmt.Errorf("invalid JSON body: %w", err))
 			return
 		}

@@ -165,9 +165,10 @@ type MeasureResponse struct {
 	// Seeds is the number of merged stimulus streams (0 for a plain
 	// single-seed measurement).
 	Seeds int `json:"seeds,omitempty"`
-	// Kernel names the simulation kernel the measurement ran on
-	// ("scalar", "wide-lockstep" or "wide-event"), so callers can
-	// confirm the word-parallel fast path engaged.
+	// Kernel names the kernel class the measurement ran in ("scalar",
+	// or the word-parallel delay classes "wide-lockstep" for a uniform
+	// delay >= 1 and "wide-event" for every other model), so callers
+	// can confirm the word-parallel fast path engaged.
 	Kernel string `json:"kernel,omitempty"`
 }
 

@@ -232,9 +232,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var p JobSubmitParams
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &p); err != nil {
 		s.writeBodyError(w, fmt.Errorf("invalid JSON body: %w", err))
 		return
 	}

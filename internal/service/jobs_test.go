@@ -505,8 +505,8 @@ func TestDrainServiceCheckpointRestart(t *testing.T) {
 }
 
 // TestJobsServiceValidation: admission rejects what it can see is
-// broken — unknown kinds, missing circuits, unknown circuit names —
-// without burning a queue slot.
+// broken — unknown kinds, missing circuits, unknown circuit names,
+// out-of-range delays — without burning a queue slot.
 func TestJobsServiceValidation(t *testing.T) {
 	_, ts := newJobServer(t, glitchsim.NewEngine(), jobs.Options{})
 	cases := []struct {
@@ -518,6 +518,7 @@ func TestJobsServiceValidation(t *testing.T) {
 		{`{"kind":"measure","measure":{"circuit":"no-such-circuit"}}`, http.StatusNotFound},
 		{`{"kind":"table1","experiment":{"circuit":"rca8"}}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
+		{`{"kind":"measure","measure":{"circuit":"rca8","cycles":4,"dcarry":-1}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))

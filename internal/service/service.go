@@ -35,7 +35,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
+	"math"
 	"net/http"
 	"net/url"
 	"reflect"
@@ -259,8 +261,9 @@ func (p *MeasureParams) config() glitchsim.Config {
 // validate rejects negative counts. The Config sentinels would coerce
 // them silently (a negative cycles or warmup to ExplicitZero, negative
 // lanes to a single-stream run), so the wire refuses them instead. It
-// also refuses power over zero measured cycles, which the engine
-// cannot evaluate.
+// also refuses delays outside [0, MaxInt32], the range a delay table
+// holds, and power over zero measured cycles, which the engine cannot
+// evaluate.
 func (p *MeasureParams) validate() error {
 	for _, f := range []struct {
 		name string
@@ -273,6 +276,14 @@ func (p *MeasureParams) validate() error {
 	} {
 		if f.v != nil && *f.v < 0 {
 			return fmt.Errorf("%s must not be negative, got %d", f.name, *f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"dsum", p.DSum}, {"dcarry", p.DCarry}} {
+		if f.v < 0 || f.v > math.MaxInt32 {
+			return fmt.Errorf("%s must be between 0 and %d, got %d", f.name, math.MaxInt32, f.v)
 		}
 	}
 	if p.Power && p.Cycles != nil && *p.Cycles == 0 {
@@ -536,9 +547,7 @@ func (s *Server) decodeParams(w http.ResponseWriter, r *http.Request, v any) boo
 		}
 		return true
 	case http.MethodPost:
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(v); err != nil {
+		if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), v); err != nil {
 			s.writeBodyError(w, fmt.Errorf("invalid JSON body: %w", err))
 			return false
 		}
@@ -547,6 +556,14 @@ func (s *Server) decodeParams(w http.ResponseWriter, r *http.Request, v any) boo
 		s.writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, fmt.Errorf("use GET or POST"))
 		return false
 	}
+}
+
+// decodeStrict decodes one JSON value from r into v, refusing fields v
+// does not define: every POST body's decoder.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // statusForBodyError distinguishes "the body is too large" (413, the

@@ -302,6 +302,9 @@ func TestServiceErrors(t *testing.T) {
 		{"unknown query key", http.MethodGet, "/v1/measure?circuit=rca4&bogus=1", ``, http.StatusBadRequest},
 		{"unknown experiment query key", http.MethodGet, "/v1/experiments/table1?bogus=1", ``, http.StatusBadRequest},
 		{"bad method", http.MethodDelete, "/v1/experiments/table1", ``, http.StatusMethodNotAllowed},
+		{"negative dsum", http.MethodPost, "/v1/measure", `{"circuit":"rca8","cycles":4,"dsum":-1}`, http.StatusBadRequest},
+		{"negative dsum and dcarry", http.MethodPost, "/v1/measure", `{"circuit":"rca8","cycles":4,"dsum":-2,"dcarry":-2}`, http.StatusBadRequest},
+		{"dsum beyond MaxInt32", http.MethodPost, "/v1/measure", `{"circuit":"rca8","cycles":4,"dsum":3000000000,"dcarry":1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader([]byte(tc.body)))
@@ -318,6 +321,9 @@ func TestServiceErrors(t *testing.T) {
 		var e ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 			t.Errorf("%s: missing JSON error body (err=%v)", tc.name, err)
+		}
+		if strings.Contains(tc.name, "dsum") && (e.Code != CodeBadRequest || !strings.Contains(e.Error, "dsum")) {
+			t.Errorf("%s: code %q error %q, want %q naming dsum", tc.name, e.Code, e.Error, CodeBadRequest)
 		}
 		resp.Body.Close()
 	}

@@ -55,32 +55,45 @@ func TestStepAllocFree(t *testing.T) {
 	}
 }
 
+// TestWideStepAllocFree: the schedule kernel's step — injection,
+// instructions, poll and the counting pass — must not allocate, under a
+// uniform and two non-uniform delay models.
 func TestWideStepAllocFree(t *testing.T) {
 	nl := circuits.NewArrayMultiplier(8, circuits.Cells)
-	ws, err := sim.NewWide(sim.Compile(nl), sim.Options{Delay: delay.Unit()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := core.NewWideCounter(nl)
-	ws.AttachWideMonitor(counter)
-	seeds := make([]uint64, sim.MaxLanes)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	src := stimulus.NewWideRandom(nl.InputWidth(), seeds)
-	buf := make([]logic.W, nl.InputWidth())
-	for i := 0; i < 100; i++ {
-		if err := ws.Step(src.NextWide(buf)); err != nil {
+	comp := sim.Compile(nl)
+	for _, tc := range []struct {
+		name string
+		opts sim.Options
+	}{
+		{"unit", sim.Options{Delay: delay.Unit()}},
+		{"faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
+		{"typical-budget", sim.Options{Delay: delay.Typical(), Budget: sim.Budget{Events: 1 << 40}}},
+	} {
+		ws, err := scheduled(comp, tc.opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if err := ws.Step(src.NextWide(buf)); err != nil {
-			t.Fatal(err)
+		counter := core.NewWideCounter(nl)
+		ws.AttachWideMonitor(counter)
+		seeds := make([]uint64, sim.MaxLanes)
+		for i := range seeds {
+			seeds[i] = uint64(i + 1)
 		}
-	})
-	if avg > allocTolerance {
-		t.Errorf("wide kernel: %.2f allocs per warmed-up Step, want 0", avg)
+		src := stimulus.NewWideRandom(nl.InputWidth(), seeds)
+		buf := make([]logic.W, nl.InputWidth())
+		for i := 0; i < 100; i++ {
+			if err := ws.Step(src.NextWide(buf)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			if err := ws.Step(src.NextWide(buf)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > allocTolerance {
+			t.Errorf("%s: %.2f allocs per warmed-up Step, want 0", tc.name, avg)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 package sim
 
-// Budget-enforcement and typed-failure tests shared by all three
-// kernels: a tripped budget returns *BudgetError with the completed
-// cycle count, a tripped settle guard returns *OscillationError naming
-// the hot nets, and both leave the simulator consistent enough that a
-// subsequent Step works.
+// Budget-enforcement and typed-failure tests shared by the kernels: a
+// tripped budget returns *BudgetError with the completed cycle count, a
+// tripped settle guard returns *OscillationError naming the hot nets,
+// and both leave the simulator consistent enough that a subsequent Step
+// works.
 
 import (
 	"errors"
@@ -49,24 +49,28 @@ func (st *wideStepper) step() error {
 func (st *wideStepper) events() uint64 { return st.s.Events() }
 func (st *wideStepper) cycles() int    { return st.s.Cycle() }
 
-// buildSteppers constructs the three kernels over the same 8-bit RCA
-// with the given options, each with its own equal stimulus stream.
+// buildSteppers constructs the kernels over the same 8-bit RCA with the
+// given options, each with its own equal stimulus stream: the scalar
+// and event kernels always, the schedule kernel when the options are
+// Scheduled (it cannot trip the settle guard, so a guard that could trip
+// leaves it out).
 func buildSteppers(t *testing.T, opts Options) map[string]stepper {
 	t.Helper()
 	n, _ := buildRCA(t, 8)
 	c := Compile(n)
 	width := n.InputWidth()
-	scalar := NewFromCompiled(c, opts)
-	lockstep, err := NewWide(c, opts)
-	if err != nil {
-		t.Fatalf("NewWide: %v", err)
+	steppers := map[string]stepper{
+		"scalar":     &scalarStepper{s: NewFromCompiled(c, opts), src: stimulus.NewRandom(width, 7)},
+		"wide-event": &wideStepper{s: NewWideEvent(c, opts), src: stimulus.NewRandom(width, 7), pi: make([]logic.W, width)},
 	}
-	event := NewWideEvent(c, opts)
-	return map[string]stepper{
-		"scalar":        &scalarStepper{s: scalar, src: stimulus.NewRandom(width, 7)},
-		"wide-lockstep": &wideStepper{s: lockstep, src: stimulus.NewRandom(width, 7), pi: make([]logic.W, width)},
-		"wide-event":    &wideStepper{s: event, src: stimulus.NewRandom(width, 7), pi: make([]logic.W, width)},
+	if opts.Scheduled(c) {
+		k := NewWideKernel(c, opts)
+		if _, ok := k.(*scheduleKernel); !ok {
+			t.Fatalf("NewWideKernel built %T for Scheduled options", k)
+		}
+		steppers["wide-schedule"] = &wideStepper{s: k, src: stimulus.NewRandom(width, 7), pi: make([]logic.W, width)}
 	}
+	return steppers
 }
 
 func TestBudgetEventsTripsEveryKernel(t *testing.T) {

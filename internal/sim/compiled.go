@@ -219,10 +219,11 @@ func (c *Compiled) visitDelays(dm delay.Model, f func(key, d int)) {
 // shared by any number of simulators, like the Compiled it was built
 // from.
 type DelayTable struct {
-	c      *Compiled
-	delays []int32 // per cell-output key (outputsPerCell*cell + pin)
-	min    int32   // smallest per-output delay; 1 when no combinational outputs
-	max    int32   // largest per-output delay; 1 when no combinational outputs
+	c       *Compiled
+	delays  []int32 // per cell-output key (outputsPerCell*cell + pin)
+	min     int32   // smallest per-output delay; 1 when no combinational outputs
+	max     int32   // largest per-output delay; 1 when no combinational outputs
+	minEval int32   // smallest delay of a cell that has inputs; 1 when none has
 }
 
 // NewDelayTable resolves the delay model on every combinational output
@@ -233,9 +234,10 @@ func NewDelayTable(c *Compiled, dm delay.Model) *DelayTable {
 		dm = delay.Unit()
 	}
 	t := &DelayTable{
-		c:      c,
-		delays: make([]int32, outputsPerCell*c.n.NumCells()),
-		min:    -1,
+		c:       c,
+		delays:  make([]int32, outputsPerCell*c.n.NumCells()),
+		min:     -1,
+		minEval: -1,
 	}
 	c.visitDelays(dm, func(key, d int) {
 		t.delays[key] = int32(d)
@@ -245,10 +247,16 @@ func NewDelayTable(c *Compiled, dm delay.Model) *DelayTable {
 		if int32(d) > t.max {
 			t.max = int32(d)
 		}
+		if cid := key / outputsPerCell; c.inStart[cid+1] > c.inStart[cid] && (t.minEval < 0 || int32(d) < t.minEval) {
+			t.minEval = int32(d)
+		}
 	})
 	if t.min < 0 {
 		// No combinational outputs: trivially uniform unit delay.
 		t.min, t.max = 1, 1
+	}
+	if t.minEval < 0 {
+		t.minEval = 1
 	}
 	return t
 }
@@ -264,6 +272,13 @@ func (t *DelayTable) Min() int { return int(t.min) }
 
 // Max returns the largest per-output delay.
 func (t *DelayTable) Max() int { return int(t.max) }
+
+// MinEvaluated returns the smallest delay of an output pin of a cell
+// that has inputs. Constant cells are never evaluated, so their delay
+// (0 under the typical model) can neither split an instant nor
+// schedule anything: a table whose MinEvaluated is at least 1 runs
+// every instant as one event batch, even when Min is 0.
+func (t *DelayTable) MinEvaluated() int { return int(t.minEval) }
 
 // Digest returns an FNV-1a hash over the table's per-output delays, in
 // key order. Two tables digest equal exactly when they assign the same
@@ -287,8 +302,8 @@ func (t *DelayTable) Digest() uint64 {
 }
 
 // Uniform reports whether every combinational output shares one delay,
-// and returns it. This is the eligibility test of the lockstep
-// word-parallel kernel (which additionally requires the delay >= 1).
+// and returns it. Under a uniform delay >= 1 no pulse is narrower than
+// a cell delay, so inertial and transport mode coincide.
 func (t *DelayTable) Uniform() (int, bool) {
 	if t.min != t.max {
 		return 0, false

@@ -3,9 +3,11 @@ package sim
 // Typed kernel failures and the shared in-loop poll behind them. Every
 // way a Step can fail for resource reasons — cancellation, budget
 // exhaustion, a settle-guard trip — funnels through the machinery in
-// this file, so all three kernels (scalar, wide-lockstep, wide-event)
-// fail with the same error types and the layers above can route on
-// errors.Is/errors.As instead of string matching.
+// this file, so all three kernels (scalar, schedule, wide-event) fail
+// with the same error types and the layers above can route on
+// errors.Is/errors.As instead of string matching. The schedule kernel
+// never trips the settle guard: NewWideKernel gives it only runs whose
+// critical path fits under the guard.
 
 import (
 	"errors"

@@ -1,15 +1,16 @@
 package sim_test
 
 import (
-	"fmt"
 	"testing"
 
 	"glitchsim/internal/circuits"
 	"glitchsim/internal/core"
 	"glitchsim/internal/delay"
 	"glitchsim/internal/logic"
+	"glitchsim/internal/registry"
 	"glitchsim/internal/sim"
 	"glitchsim/internal/stimulus"
+	"glitchsim/netlist"
 )
 
 // BenchmarkKernel runs the scalar kernel on the 16x16 array multiplier
@@ -48,13 +49,72 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
+// wideBench steps ws b.N times on 64 seeded lanes with a counter
+// attached, and reports the lane throughput. One iteration is one wide
+// Step = 64 simulated cycles; lane-cycles/s is directly comparable to
+// BenchmarkKernel's implicit cycles/s, and lane-events/s (classified
+// per-lane transitions) to its events/s.
+func wideBench(b *testing.B, ws sim.WideKernel, nl *netlist.Netlist) {
+	counter := core.NewWideCounter(nl)
+	ws.AttachWideMonitor(counter)
+	seeds := make([]uint64, sim.MaxLanes)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	src := stimulus.NewWideRandom(nl.InputWidth(), seeds)
+	buf := make([]logic.W, nl.InputWidth())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ws.Step(src.NextWide(buf)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	secs := b.Elapsed().Seconds()
+	folded := counter.Counter()
+	b.ReportMetric(float64(b.N*sim.MaxLanes)/secs, "lane-cycles/s")
+	b.ReportMetric(float64(folded.Totals().Transitions)/secs, "lane-events/s")
+	b.ReportMetric(secs*1e9/float64(b.N), "ns/wide-cycle")
+}
+
+// heavyCircuits and heavyModels span the measure-heavy workload's nine
+// kernel shapes: the three 16-bit multipliers under unit,
+// full-adder-ratio and typical delay.
+var (
+	heavyCircuits = []string{"array16", "booth16", "wallace16"}
+	heavyModels   = []struct {
+		name string
+		dm   delay.Model
+	}{{"unit", delay.Unit()}, {"fa21", delay.FullAdderRatio(2, 1)}, {"typical", delay.Typical()}}
+)
+
+// BenchmarkWideKernel runs the schedule kernel on the nine measure-heavy
+// shapes (see wideBench for the metrics).
+func BenchmarkWideKernel(b *testing.B) {
+	for _, name := range heavyCircuits {
+		nl, err := registry.Build(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		comp := sim.Compile(nl)
+		for _, m := range heavyModels {
+			b.Run(name+"/"+m.name, func(b *testing.B) {
+				ws := sim.NewWideKernel(comp, sim.Options{Delay: m.dm})
+				if sim.ScheduleOf(ws) == nil {
+					b.Fatal("not on the schedule kernel")
+				}
+				defer ws.Release()
+				wideBench(b, ws, nl)
+			})
+		}
+	}
+}
+
 // BenchmarkWideEventKernel runs the 16x16 array-multiplier workload on
-// the lane-masked event-driven word-parallel kernel, per delay-model
-// family — the non-uniform models are the configurations only this
-// kernel can run word-parallel (compare BenchmarkKernel/calendar-faratio
-// for the scalar cost of the same model, and BenchmarkWideKernel for the
-// lockstep kernel's uniform-delay ceiling). One iteration is one wide
-// Step = 64 simulated cycles.
+// the lane-masked event-driven kernel in the configurations NewWideKernel
+// still routes to it: inertial mode under non-uniform delays, and
+// evaluated zero-delay pins (see wideBench for the metrics).
 func BenchmarkWideEventKernel(b *testing.B) {
 	nl := circuits.NewArrayMultiplier(16, circuits.Cells)
 	comp := sim.Compile(nl)
@@ -62,77 +122,45 @@ func BenchmarkWideEventKernel(b *testing.B) {
 		name string
 		opts sim.Options
 	}{
-		{"faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
-		{"typical", sim.Options{Delay: delay.Typical()}},
-		{"unit", sim.Options{}}, // event kernel on a uniform model, for the lockstep comparison
 		{"faratio-inertial", sim.Options{Delay: delay.FullAdderRatio(2, 1), Mode: sim.Inertial}},
+		{"typical-inertial", sim.Options{Delay: delay.Typical(), Mode: sim.Inertial}},
+		{"zero", sim.Options{Delay: delay.Zero()}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			ws := sim.NewWideEvent(comp, tc.opts)
-			counter := core.NewWideCounter(nl)
-			ws.AttachWideMonitor(counter)
-			seeds := make([]uint64, sim.MaxLanes)
-			for i := range seeds {
-				seeds[i] = uint64(i + 1)
+			ws := sim.NewWideKernel(comp, tc.opts)
+			if sim.ScheduleOf(ws) != nil {
+				b.Fatal("not on the event kernel")
 			}
-			src := stimulus.NewWideRandom(nl.InputWidth(), seeds)
-			buf := make([]logic.W, nl.InputWidth())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ws.Step(src.NextWide(buf)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			secs := b.Elapsed().Seconds()
-			folded := counter.Counter()
-			b.ReportMetric(float64(b.N*sim.MaxLanes)/secs, "lane-cycles/s")
-			b.ReportMetric(float64(folded.Totals().Transitions)/secs, "lane-events/s")
-			b.ReportMetric(secs*1e9/float64(b.N), "ns/wide-cycle")
+			defer ws.Release()
+			wideBench(b, ws, nl)
 		})
 	}
 }
 
-// BenchmarkWideKernel runs the same 16x16 array-multiplier workload on
-// the 64-lane word-parallel kernel with the wide activity counter
-// attached. One iteration is one wide Step = 64 simulated cycles;
-// lane-cycles/s is directly comparable to BenchmarkKernel's implicit
-// cycles/s, and lane-events/s (classified per-lane transitions) to its
-// events/s.
-func BenchmarkWideKernel(b *testing.B) {
-	nl := circuits.NewArrayMultiplier(16, circuits.Cells)
-	comp := sim.Compile(nl)
-	for _, lanes := range []int{64, 16} {
-		b.Run(fmt.Sprintf("unit-%dlanes", lanes), func(b *testing.B) {
-			ws, err := sim.NewWide(comp, sim.Options{Delay: delay.Unit()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			counter := core.NewWideCounter(nl)
-			if lanes < sim.MaxLanes {
-				counter.SetLaneMask(uint64(1)<<uint(lanes) - 1)
-			}
-			ws.AttachWideMonitor(counter)
-			seeds := make([]uint64, lanes)
-			for i := range seeds {
-				seeds[i] = uint64(i + 1)
-			}
-			src := stimulus.NewWideRandom(nl.InputWidth(), seeds)
-			buf := make([]logic.W, nl.InputWidth())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ws.Step(src.NextWide(buf)); err != nil {
-					b.Fatal(err)
+// BenchmarkScheduleBuild times NewSchedule on the nine measure-heavy
+// shapes, per instruction.
+func BenchmarkScheduleBuild(b *testing.B) {
+	for _, name := range heavyCircuits {
+		nl, err := registry.Build(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		comp := sim.Compile(nl)
+		for _, m := range heavyModels {
+			b.Run(name+"/"+m.name, func(b *testing.B) {
+				dt := sim.NewDelayTable(comp, m.dm)
+				var sc *sim.Schedule
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sc = sim.NewSchedule(comp, dt)
 				}
-			}
-			b.StopTimer()
-			secs := b.Elapsed().Seconds()
-			folded := counter.Counter()
-			b.ReportMetric(float64(b.N*lanes)/secs, "lane-cycles/s")
-			b.ReportMetric(float64(folded.Totals().Transitions)/secs, "lane-events/s")
-			b.ReportMetric(secs*1e9/float64(b.N), "ns/wide-cycle")
-		})
+				b.StopTimer()
+				instrs := float64(sc.Instructions())
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/instrs, "ns/instr")
+				b.ReportMetric(float64(sc.Bytes())/instrs, "B/instr")
+				b.ReportMetric(instrs, "instrs")
+			})
+		}
 	}
 }

@@ -4,8 +4,8 @@ package sim
 // element it carries. The scalar kernel stores its events directly; the
 // word-parallel event kernel stores arena indices (its events are wide
 // and live in a per-cycle arena, where inertial cancellation edits them
-// in place). The lockstep wide kernel needs no queue: its two wave
-// slices are its schedule.
+// in place). The schedule kernel needs no queue: its instructions are
+// sorted by instant once, when the schedule is built.
 //
 // Events pop in (time, push order). Both kernels push exactly once per
 // scheduled event, so push order is the scalar kernel's serial order

@@ -21,9 +21,9 @@ func backing[E any](s []E) *E {
 	return &s[:1][0]
 }
 
-// TestWideKernelRelease: a kernel built after another's Release takes
-// the released step buffers from the pool (the event kernel's arena, the
-// lockstep kernel's waves) and runs bit-identically to the released
+// TestWideKernelRelease: an event kernel built after another's Release
+// takes the released step buffers from the pool (the arena among them)
+// and runs bit-identically to the released
 // kernel on the same stimulus: the same statistics, settled values and
 // event count. The pool may hand a Get a different set (another P's,
 // or none after a collection, and the race detector drops a quarter of
@@ -60,29 +60,14 @@ func TestWideKernelRelease(t *testing.T) {
 		return a.Cycles() == b.Cycles()
 	}
 	for _, tc := range []struct {
-		name    string
-		kernel  func() WideKernel
-		buffers func(WideKernel) []*wideEvent // nil for the event kernel
-		arena   func(WideKernel) *maskedEvent // nil for the lockstep kernel
+		name   string
+		kernel func() WideKernel
+		arena  func(WideKernel) *maskedEvent
 	}{
 		{
 			name:   "wide-event",
 			kernel: func() WideKernel { return NewWideEvent(c, Options{Delay: delay.Typical()}) },
 			arena:  func(k WideKernel) *maskedEvent { return backing(k.(*WideEventSimulator).arena) },
-		},
-		{
-			name: "wide-lockstep",
-			kernel: func() WideKernel {
-				k, err := NewWide(c, Options{Delay: delay.Unit()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return k
-			},
-			buffers: func(k WideKernel) []*wideEvent {
-				s := k.(*WideSimulator)
-				return []*wideEvent{backing(s.wave), backing(s.next)}
-			},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,21 +75,11 @@ func TestWideKernelRelease(t *testing.T) {
 			for attempt := 0; attempt < 40 && !reused; attempt++ {
 				a := tc.kernel()
 				want := run(a)
-				var arena *maskedEvent
-				var waves []*wideEvent
-				if tc.arena != nil {
-					arena = tc.arena(a)
-				} else {
-					waves = tc.buffers(a)
-				}
+				arena := tc.arena(a)
 				a.Release()
 				a.Release() // a no-op
 				b := tc.kernel()
-				if tc.arena != nil {
-					reused = arena != nil && tc.arena(b) == arena
-				} else {
-					reused = waves[0] != nil && slices.Equal(tc.buffers(b), waves)
-				}
+				reused = arena != nil && tc.arena(b) == arena
 				got := run(b)
 				if !sameStats(got.counter, want.counter) {
 					t.Fatalf("attempt %d: a kernel on released buffers counted %+v over %d lane-cycles, the released kernel %+v over %d",

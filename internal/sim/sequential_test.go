@@ -5,9 +5,10 @@ package sim_test
 // feedback) must satisfy the same word-parallel contract as the
 // combinational circuits — lane-summed statistics and per-lane packed
 // register state bit-identical to the merged scalar runs — on the
-// lockstep kernel under uniform delays and on the wide-event kernel
-// under every non-uniform model, and the clocked step path must not
-// allocate once warm. Selected in CI's -race step via TestSequential.
+// schedule kernel under uniform delays and on the wide-event kernel
+// under every non-uniform model (and on the schedule kernel too where
+// it applies), and the clocked step path must not allocate once warm.
+// Selected in CI's -race step via TestSequential.
 
 import (
 	"fmt"
@@ -24,8 +25,9 @@ import (
 var sequentialCircuits = []string{"pipemult8", "accum16", "accum16cg"}
 
 // TestSequentialKernelEquivalence: sequential circuits × delay models ×
-// seed blocks. Uniform models run the lockstep wavefront kernel,
-// non-uniform ones the lane-masked wide-event kernel; both must be
+// seed blocks. Uniform models run the schedule kernel, non-uniform ones
+// the lane-masked wide-event kernel and, in transport mode with every
+// evaluated delay >= 1, the schedule kernel too; all must be
 // bit-identical to running the lanes one at a time on the scalar kernel
 // — including the per-lane register state carried across cycles.
 func TestSequentialKernelEquivalence(t *testing.T) {
@@ -40,15 +42,11 @@ func TestSequentialKernelEquivalence(t *testing.T) {
 			for di, dm := range []delay.Model{delay.Unit(), delay.Uniform(2)} {
 				name := fmt.Sprintf("%s/block%d/uniform%d", circuit, bi, di)
 				ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: dm}, seeds, 24)
-				wide, wideVals := wideRun(t, c, lockstep, sim.Options{Delay: dm}, seeds, 24)
+				wide, wideVals := wideRun(t, c, scheduled, sim.Options{Delay: dm}, seeds, 24)
 				compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 			}
 			for mi, dm := range nonUniformModels() {
-				opts := sim.Options{Delay: dm}
-				name := fmt.Sprintf("%s/block%d/nonuniform%d", circuit, bi, mi)
-				ref, refVals := mergedScalarRuns(t, c, opts, seeds, 12)
-				wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, 12)
-				compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
+				compareWideKernels(t, fmt.Sprintf("%s/block%d/nonuniform%d", circuit, bi, mi), c, sim.Options{Delay: dm}, seeds, 12)
 			}
 		}
 	}
@@ -101,8 +99,9 @@ func TestSequentialStepAllocFree(t *testing.T) {
 		name string
 		opts sim.Options
 	}{
-		{"wide-lockstep-unit", sim.Options{Delay: delay.Unit()}},
-		{"wide-event-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
+		{"wide-schedule-unit", sim.Options{Delay: delay.Unit()}},
+		{"wide-schedule-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
+		{"wide-event-inertial", sim.Options{Delay: delay.FullAdderRatio(2, 1), Mode: sim.Inertial}},
 	} {
 		ws := sim.NewWideKernel(comp, tc.opts)
 		counter := core.NewWideCounter(nl)

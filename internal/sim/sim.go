@@ -43,16 +43,24 @@
 // # Kernels
 //
 // Simulator is the scalar kernel: one stimulus stream, and the
-// reference the word-parallel kernels are checked against.
-// WideSimulator (lockstep wavefronts, uniform delay) and
-// WideEventSimulator (lane-masked events, any delay model) advance 64
-// stimulus lanes at once and embed one wideCore holding the state and
-// code they share. A wide kernel counts into at most one
-// core.WideCounter: it hands each committed net change straight to
-// WideCounter.Change and each settled cycle to OnCycleEnd, with no
-// monitor interface or change buffer in between. The scalar and
-// wide-event kernels share the event queue; the lockstep kernel's two
-// wave slices are its schedule.
+// reference the word-parallel kernels are checked against. Two wide
+// kernels advance 64 stimulus lanes at once and embed one wideCore
+// holding the state and code they share; NewWideKernel picks one:
+//
+//   - The schedule kernel (schedule.go) runs transport-mode runs whose
+//     evaluated pins all have delay >= 1, and uniform-delay runs in
+//     either mode, unless the settle guard could trip. It runs a
+//     Schedule — one value slot per (net, potential-change instant) and
+//     one instruction per (cell, instant), built once per compiled
+//     netlist and delay table and cached by the Engine — with no event
+//     queue, and counts each net once per step with
+//     core.WideCounter.CountCycle.
+//   - WideEventSimulator (lane-masked events, any delay model) runs the
+//     rest: inertial runs under non-uniform delays, evaluated zero-delay
+//     pins, and models that could trip the settle guard. It hands each
+//     committed net change straight to WideCounter.Change and each
+//     settled cycle to OnCycleEnd. It shares the event queue with the
+//     scalar kernel.
 //
 // # Hot-path layout
 //
@@ -105,6 +113,12 @@ type Options struct {
 	// measurement resolve a delay model once and share the table across
 	// every kernel it constructs; when nil, constructors build their own.
 	Delays *DelayTable
+	// Schedule, when non-nil, is NewSchedule of the Compiled netlist (or
+	// of one with the same Fingerprint) under Delays (or a table with the
+	// same Digest). NewWideKernel runs it when Scheduled holds and builds
+	// its own when nil, so a measurement or an Engine cache can build a
+	// schedule once and share it across kernels.
+	Schedule *Schedule
 	// Mode selects transport (default) or inertial delay handling.
 	Mode Mode
 	// MaxTimePerCycle guards against runaway event cascades; Step fails
@@ -263,12 +277,12 @@ func NewFromCompiled(c *Compiled, opts Options) *Simulator {
 		s.ffQ[i] = logic.L0
 	}
 
-	// With every delay >= 1, an instant consists of exactly one event
-	// batch and each net (single driver pin, fixed per-pin delay) changes
-	// at most once per instant, so transitions can be recorded directly
-	// as they commit. Zero-delay pins re-schedule within the instant and
-	// need the full per-instant coalescing machinery.
-	s.coalesce = dt.Min() == 0
+	// With every evaluated delay >= 1, an instant consists of exactly one
+	// event batch and each net (single driver pin, fixed per-pin delay)
+	// changes at most once per instant, so transitions can be recorded
+	// directly as they commit. Zero-delay pins re-schedule within the
+	// instant and need the full per-instant coalescing machinery.
+	s.coalesce = dt.MinEvaluated() == 0
 	return s
 }
 

@@ -1,13 +1,14 @@
 package sim_test
 
-// Wide-kernel equivalence: the 64-lane word-parallel kernel must be
+// Wide-kernel equivalence: the 64-lane schedule kernel must be
 // bit-identical to 64 independent scalar runs — per-lane settled values
 // and, after folding the WideCounter, every per-net activity statistic
 // of the merged scalar counters. This is the test that licenses the
-// parallel-pattern kernel to replace 64 scalar simulations.
+// parallel-pattern kernel to replace 64 scalar simulations. The
+// non-uniform delay models run it in wideevent_test.go, beside the event
+// kernel on the same scalar reference.
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -52,11 +53,18 @@ func mergedScalarRuns(t *testing.T, c *sim.Compiled, opts sim.Options, seeds []u
 	return agg, finals
 }
 
-// kernelFunc builds a wide kernel: lockstep or eventDriven.
+// kernelFunc builds a wide kernel: scheduled or eventDriven.
 type kernelFunc func(*sim.Compiled, sim.Options) (sim.WideKernel, error)
 
-// lockstep builds the lockstep wavefront kernel (uniform delays only).
-func lockstep(c *sim.Compiled, opts sim.Options) (sim.WideKernel, error) { return sim.NewWide(c, opts) }
+// scheduled builds the schedule kernel through NewWideKernel, and fails
+// when NewWideKernel routes the options to the event kernel instead.
+func scheduled(c *sim.Compiled, opts sim.Options) (sim.WideKernel, error) {
+	k := sim.NewWideKernel(c, opts)
+	if sim.ScheduleOf(k) == nil {
+		return nil, fmt.Errorf("NewWideKernel ran %s on the event kernel", c.Netlist().Name)
+	}
+	return k, nil
+}
 
 // eventDriven builds the lane-masked event kernel (any delay model).
 func eventDriven(c *sim.Compiled, opts sim.Options) (sim.WideKernel, error) {
@@ -128,7 +136,7 @@ func TestWideKernelEquivalence(t *testing.T) {
 		for bi, seeds := range blocks {
 			name := fmt.Sprintf("%s/block%d", circuit, bi)
 			ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: delay.Unit()}, seeds, cycles)
-			wide, wideVals := wideRun(t, c, lockstep, sim.Options{Delay: delay.Unit()}, seeds, cycles)
+			wide, wideVals := wideRun(t, c, scheduled, sim.Options{Delay: delay.Unit()}, seeds, cycles)
 			compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 		}
 	}
@@ -143,7 +151,7 @@ func seedBlock(base uint64) []uint64 {
 	return seeds
 }
 
-// TestWideKernelUniformDelays: the wide kernel must also match under
+// TestWideKernelUniformDelays: the schedule kernel must also match under
 // non-unit uniform delays, and with fewer active lanes than the word
 // holds (the tail chunk of a seed sweep).
 func TestWideKernelUniformDelays(t *testing.T) {
@@ -162,7 +170,7 @@ func TestWideKernelUniformDelays(t *testing.T) {
 		{"uniform2-single", delay.Uniform(2), []uint64{42}},
 	} {
 		ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: tc.dm}, tc.seeds, 25)
-		wide, wideVals := wideRun(t, c, lockstep, sim.Options{Delay: tc.dm}, tc.seeds, 25)
+		wide, wideVals := wideRun(t, c, scheduled, sim.Options{Delay: tc.dm}, tc.seeds, 25)
 		compareWideToScalar(t, tc.name, nl, wide, wideVals, ref, refVals, tc.seeds)
 	}
 }
@@ -187,7 +195,7 @@ func TestWidePropertyRandomNetlists(t *testing.T) {
 		}
 		name := fmt.Sprintf("trial%d(lanes=%d)", trial, len(seeds))
 		ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: delay.Unit()}, seeds, 15)
-		wide, wideVals := wideRun(t, c, lockstep, sim.Options{Delay: delay.Unit()}, seeds, 15)
+		wide, wideVals := wideRun(t, c, scheduled, sim.Options{Delay: delay.Unit()}, seeds, 15)
 		compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 	}
 }
@@ -224,19 +232,4 @@ func mustBuild(t *testing.T, name string) *netlist.Netlist {
 		t.Fatal(err)
 	}
 	return nl
-}
-
-// TestNewWideRejectsNonUniform: the constructor refuses delay models the
-// wavefront cannot represent, including uniform zero delay.
-func TestNewWideRejectsNonUniform(t *testing.T) {
-	c := sim.Compile(mustBuild(t, "array8"))
-	if _, err := sim.NewWide(c, sim.Options{Delay: delay.FullAdderRatio(2, 1)}); !errors.Is(err, sim.ErrNonUniformDelay) {
-		t.Errorf("fa-ratio: err = %v, want ErrNonUniformDelay", err)
-	}
-	if _, err := sim.NewWide(c, sim.Options{Delay: delay.Zero()}); !errors.Is(err, sim.ErrNonUniformDelay) {
-		t.Errorf("zero delay: err = %v, want ErrNonUniformDelay", err)
-	}
-	if _, err := sim.NewWide(c, sim.Options{}); err != nil {
-		t.Errorf("default unit delay rejected: %v", err)
-	}
 }

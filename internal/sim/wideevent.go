@@ -2,10 +2,10 @@ package sim
 
 // The word-parallel EVENT-DRIVEN kernel: 64 independent stimulus lanes
 // advanced by one event-driven simulation under an arbitrary
-// non-negative integer delay model — the kernel behind the paper's
-// realistic-delay experiments (full-adder sum/carry ratios, per-type
-// delays), where the lockstep wavefront kernel does not apply because
-// different cells finish at different times.
+// non-negative integer delay model. NewWideKernel gives it the runs the
+// schedule kernel does not take: inertial runs under non-uniform
+// delays, delay models that evaluate a zero-delay pin, and models whose
+// critical path could trip the settle guard.
 //
 // # Lane-masked events
 //
@@ -84,7 +84,15 @@ type wideChangeState struct {
 // any number may share one Compiled netlist (and one DelayTable).
 type WideEventSimulator struct {
 	wideCore
-	delays []int32 // per cell-output key, from the DelayTable
+	guard  int
+	delays []int32      // per cell-output key, from the DelayTable
+	bufs   *stepBuffers // pooled backing of the growable buffers; nil once released
+
+	values []logic.W // per net: packed settled value
+
+	touchEpoch []int32
+	epoch      int32
+	touched    []netlist.CellID
 
 	sched []logic.W // per net: projected value after all in-flight events
 
@@ -108,22 +116,31 @@ type WideEventSimulator struct {
 // NewWideEvent returns a word-parallel event-driven simulator. It
 // accepts every delay model the scalar kernel accepts — unequal
 // per-cell delays, zero delays, transport and inertial modes — so it
-// never fails; use NewWideKernel to get the faster lockstep kernel when
-// the model happens to be uniform.
+// never fails; NewWideKernel builds the faster schedule kernel instead
+// whenever the options allow it (Options.Scheduled).
 func NewWideEvent(c *Compiled, opts Options) *WideEventSimulator {
-	dt := opts.delayTable(c)
+	opts.Delays = opts.delayTable(c)
+	dt := opts.Delays
 	nc, nn := c.n.NumCells(), c.n.NumNets()
 	s := &WideEventSimulator{
 		wideCore:   newWideCore(c, opts),
+		guard:      opts.guardTime(),
 		delays:     dt.delays,
+		bufs:       stepBufferPool.Get().(*stepBuffers),
+		values:     make([]logic.W, nn),
+		touchEpoch: make([]int32, nc),
 		sched:      make([]logic.W, nn),
 		q:          newEventQueue[int32](dt.Max()),
 		inertial:   opts.Mode == Inertial,
-		coalesce:   dt.Min() == 0,
+		coalesce:   dt.MinEvaluated() == 0,
 		flushEpoch: 1,
 		changed:    make([]wideChangeState, nn),
 	}
-	s.arena, s.free, s.changedList = s.bufs.arena[:0], s.bufs.free[:0], s.bufs.changedList[:0]
+	b := s.bufs
+	s.touched, s.arena, s.free, s.changedList = b.touched[:0], b.arena[:0], b.free[:0], b.changedList[:0]
+	for i, v := range c.initVals {
+		s.values[i] = logic.SplatW(v)
+	}
 	copy(s.sched, s.values)
 	if s.inertial {
 		s.inflight = make([][]int32, nn)
@@ -132,17 +149,38 @@ func NewWideEvent(c *Compiled, opts Options) *WideEventSimulator {
 	return s
 }
 
-// KernelName implements WideKernel.
-func (s *WideEventSimulator) KernelName() string { return "wide-event" }
-
 // Release implements WideKernel.
 func (s *WideEventSimulator) Release() {
 	if s.bufs == nil {
 		return
 	}
-	s.bufs.arena, s.bufs.free, s.bufs.changedList = s.arena[:0], s.free[:0], s.changedList[:0]
-	s.arena, s.free, s.changedList = nil, nil, nil
-	s.release()
+	b := s.bufs
+	b.touched, b.arena, b.free, b.changedList = s.touched[:0], s.arena[:0], s.free[:0], s.changedList[:0]
+	s.touched, s.arena, s.free, s.changedList = nil, nil, nil, nil
+	stepBufferPool.Put(b)
+	s.bufs = nil
+}
+
+// ExportState implements WideKernel: at a cycle boundary the settled
+// net values are the kernel's entire dynamic state. Step returns with
+// no event in flight, and ffQ was injected onto the Q nets — which each
+// flip-flop drives alone — so ffQ[i] == values[dffQ[i]].
+func (s *WideEventSimulator) ExportState(dst []logic.W) []logic.W {
+	return append(dst, s.values...)
+}
+
+// nextEpoch starts the touched-cell epoch of a new batch. When the
+// 32-bit stamp is about to wrap it first clears every stale stamp, so
+// old epochs can never alias new ones (one clear per ~2^31 batches).
+//
+//glitchsim:hotpath
+func (s *WideEventSimulator) nextEpoch() int32 {
+	if s.epoch == 1<<31-1 {
+		clear(s.touchEpoch)
+		s.epoch = 0
+	}
+	s.epoch++
+	return s.epoch
 }
 
 // Step simulates one clock cycle for all lanes: pi holds, per primary
@@ -153,7 +191,10 @@ func (s *WideEventSimulator) Release() {
 //glitchsim:hotpath
 func (s *WideEventSimulator) Step(pi []logic.W) error {
 	// 1. Sample DFF D inputs.
-	s.sampleDFFs(pi)
+	s.checkWidth(pi)
+	for i, d := range s.c.dffD {
+		s.sample(i, s.values[d])
+	}
 
 	// 2. Inject PI changes and DFF Q updates at t=0. The queue is empty
 	// here, so projections equal settled values and the diff against the
@@ -410,7 +451,12 @@ func (s *WideEventSimulator) flush() {
 // values captured by ExportState, resyncs the projections, and resets
 // per-cycle bookkeeping.
 func (s *WideEventSimulator) ImportState(vals []logic.W, cycle int) {
-	s.importState(vals, cycle)
+	s.checkImport(vals)
+	copy(s.values, vals)
+	for i, q := range s.c.dffQ {
+		s.ffQ[i] = s.values[q]
+	}
+	s.cycle = cycle
 	s.discardInFlight()
 }
 
@@ -430,4 +476,73 @@ func (s *WideEventSimulator) discardInFlight() {
 	s.flushEpoch++
 	s.changedList = s.changedList[:0]
 	s.touched = s.touched[:0]
+}
+
+// evalCellWide computes a cell's packed outputs from the current net
+// values: the word-parallel image of the scalar evalCell, built from the
+// init-cross-checked wide ops in internal/logic.
+//
+//glitchsim:hotpath
+func evalCellWide(c *Compiled, v []logic.W, cid netlist.CellID) (o0, o1 logic.W, twoOut bool) {
+	in := c.inNets[c.inStart[cid]:c.inStart[cid+1]]
+	switch c.cellType[cid] {
+	case netlist.FA:
+		sum, cout := logic.FullAddW(v[in[0]], v[in[1]], v[in[2]])
+		return sum, cout, true
+	case netlist.HA:
+		sum, cout := logic.HalfAddW(v[in[0]], v[in[1]])
+		return sum, cout, true
+	case netlist.And:
+		r := v[in[0]]
+		for _, id := range in[1:] {
+			r = logic.AndW(r, v[id])
+		}
+		return r, logic.W{}, false
+	case netlist.Nand:
+		r := v[in[0]]
+		for _, id := range in[1:] {
+			r = logic.AndW(r, v[id])
+		}
+		return logic.NotW(r), logic.W{}, false
+	case netlist.Or:
+		r := v[in[0]]
+		for _, id := range in[1:] {
+			r = logic.OrW(r, v[id])
+		}
+		return r, logic.W{}, false
+	case netlist.Nor:
+		r := v[in[0]]
+		for _, id := range in[1:] {
+			r = logic.OrW(r, v[id])
+		}
+		return logic.NotW(r), logic.W{}, false
+	case netlist.Xor:
+		r := v[in[0]]
+		for _, id := range in[1:] {
+			r = logic.XorW(r, v[id])
+		}
+		return r, logic.W{}, false
+	case netlist.Xnor:
+		r := v[in[0]]
+		for _, id := range in[1:] {
+			r = logic.XorW(r, v[id])
+		}
+		return logic.NotW(r), logic.W{}, false
+	case netlist.Not:
+		return logic.NotW(v[in[0]]), logic.W{}, false
+	case netlist.Buf:
+		return v[in[0]], logic.W{}, false
+	case netlist.Mux2:
+		return logic.MuxW(v[in[2]], v[in[0]], v[in[1]]), logic.W{}, false
+	case netlist.Maj3:
+		return logic.Maj3W(v[in[0]], v[in[1]], v[in[2]]), logic.W{}, false
+	case netlist.Const0:
+		return logic.SplatW(logic.L0), logic.W{}, false
+	case netlist.Const1:
+		return logic.SplatW(logic.L1), logic.W{}, false
+	default:
+		// Compile keeps DFFs out of every fanout list, and every
+		// combinational type has a case above.
+		panic("sim: evalCellWide on a cell type without a case")
+	}
 }

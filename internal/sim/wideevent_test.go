@@ -3,9 +3,9 @@ package sim_test
 // Wide-event-kernel equivalence: the masked word-parallel event kernel
 // must be bit-identical to 64 independent scalar runs under EVERY delay
 // model — the non-uniform ones (full-adder ratios, per-type, randomized
-// per-pin) are exactly the configurations the lockstep kernel cannot
-// run. This is the test that licenses deleting the measurement layer's
-// scalar lane-by-lane fallback.
+// per-pin) included. Wherever NewWideKernel routes a configuration to
+// the schedule kernel instead (transport mode, every evaluated delay >=
+// 1), the schedule kernel must match the same scalar reference too.
 
 import (
 	"fmt"
@@ -22,10 +22,8 @@ import (
 
 // nonUniformModels returns the delay-model families of the paper's
 // realistic-delay experiments plus a deterministic pseudo-random per-pin
-// model: the configurations the wide-event kernel exists for. (On
-// circuits without FA/HA cells the ratio model degenerates to unit
-// delay — NewWideKernel would pick the lockstep kernel there, so these
-// tests construct the event kernel explicitly.)
+// model. These tests construct the event kernel explicitly, and run the
+// schedule kernel beside it where NewWideKernel would pick that one.
 func nonUniformModels() []delay.Model {
 	return []delay.Model{
 		delay.FullAdderRatio(2, 1),
@@ -53,10 +51,26 @@ func randomDelay(seed uint64, spread int) delay.Model {
 	}
 }
 
+// compareWideKernels checks the event kernel, and the schedule kernel
+// whenever the options are Scheduled, against one merged scalar
+// reference.
+func compareWideKernels(t *testing.T, name string, c *sim.Compiled, opts sim.Options, seeds []uint64, cycles int) {
+	t.Helper()
+	nl := c.Netlist()
+	ref, refVals := mergedScalarRuns(t, c, opts, seeds, cycles)
+	wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, cycles)
+	compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
+	if opts.Scheduled(c) {
+		wide, wideVals = wideRun(t, c, scheduled, opts, seeds, cycles)
+		compareWideToScalar(t, name+"/schedule", nl, wide, wideVals, ref, refVals, seeds)
+	}
+}
+
 // TestWideEventKernelEquivalence: for every built-in circuit and every
-// non-uniform delay model family, one 64-lane wide-event run must be
-// bit-identical to 64 scalar runs merged in seed order. Enforced in CI
-// under -race alongside the lockstep equivalence test.
+// non-uniform delay model family, one 64-lane wide-event run — and one
+// schedule-kernel run where the model allows it — must be bit-identical
+// to 64 scalar runs merged in seed order. Enforced in CI under -race
+// alongside TestWideKernelEquivalence.
 func TestWideEventKernelEquivalence(t *testing.T) {
 	seeds := seedBlock(77)
 	for _, circuit := range registry.Names() {
@@ -70,11 +84,7 @@ func TestWideEventKernelEquivalence(t *testing.T) {
 			cycles = 4 // the 16x16 multipliers: keep the 64x scalar reference affordable
 		}
 		for _, dm := range nonUniformModels() {
-			name := fmt.Sprintf("%s/%s", circuit, dm.Name())
-			opts := sim.Options{Delay: dm}
-			ref, refVals := mergedScalarRuns(t, c, opts, seeds, cycles)
-			wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, cycles)
-			compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
+			compareWideKernels(t, fmt.Sprintf("%s/%s", circuit, dm.Name()), c, sim.Options{Delay: dm}, seeds, cycles)
 		}
 	}
 }
@@ -120,9 +130,7 @@ func TestWideEventKernelPartialLanes(t *testing.T) {
 		{"typical-single", sim.Options{Delay: dm}, []uint64{42}},
 		{"huge-heap", sim.Options{Delay: hugeDelays(), MaxTimePerCycle: hugeGuard}, seedBlock(9)[:23]},
 	} {
-		ref, refVals := mergedScalarRuns(t, c, tc.opts, tc.seeds, 25)
-		wide, wideVals := wideRun(t, c, eventDriven, tc.opts, tc.seeds, 25)
-		compareWideToScalar(t, tc.name, nl, wide, wideVals, ref, refVals, tc.seeds)
+		compareWideKernels(t, tc.name, c, tc.opts, tc.seeds, 25)
 	}
 }
 
@@ -149,34 +157,38 @@ func TestWideEventPropertyRandomNetlists(t *testing.T) {
 		if trial%4 == 3 {
 			opts.Mode = sim.Inertial
 		}
-		name := fmt.Sprintf("trial%d(lanes=%d,mode=%v)", trial, len(seeds), opts.Mode)
-		ref, refVals := mergedScalarRuns(t, c, opts, seeds, 15)
-		wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, 15)
-		compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
+		compareWideKernels(t, fmt.Sprintf("trial%d(lanes=%d,mode=%v)", trial, len(seeds), opts.Mode), c, opts, seeds, 15)
 	}
 }
 
-// TestNewWideKernelSelection: the auto constructor picks the lockstep
-// kernel exactly when the model is uniform with delay >= 1, the event
-// kernel otherwise (non-uniform, zero-delay, or any inertial run where
-// the two modes can diverge is still fine — uniform inertial equals
-// transport, so lockstep remains legal there).
+// TestNewWideKernelSelection: NewWideKernel runs the schedule kernel
+// when the delays are uniform or the mode is transport, every evaluated
+// delay is >= 1 and the settle guard cannot trip; the event kernel
+// otherwise. KernelName reports the delay class either way: uniform
+// delay >= 1 is "wide-lockstep", everything else "wide-event".
 func TestNewWideKernelSelection(t *testing.T) {
 	c := sim.Compile(mustBuild(t, "array8"))
 	for _, tc := range []struct {
-		name string
-		opts sim.Options
-		want string
+		name      string
+		opts      sim.Options
+		scheduled bool
+		want      string
 	}{
-		{"unit", sim.Options{}, "wide-lockstep"},
-		{"uniform3", sim.Options{Delay: delay.Uniform(3)}, "wide-lockstep"},
-		{"uniform-inertial", sim.Options{Mode: sim.Inertial}, "wide-lockstep"},
-		{"faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}, "wide-event"},
-		{"typical", sim.Options{Delay: delay.Typical()}, "wide-event"},
-		{"zero", sim.Options{Delay: delay.Zero()}, "wide-event"},
+		{"unit", sim.Options{}, true, "wide-lockstep"},
+		{"uniform3", sim.Options{Delay: delay.Uniform(3)}, true, "wide-lockstep"},
+		{"uniform-inertial", sim.Options{Mode: sim.Inertial}, true, "wide-lockstep"},
+		{"faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}, true, "wide-event"},
+		{"typical", sim.Options{Delay: delay.Typical()}, true, "wide-event"},
+		{"faratio-inertial", sim.Options{Delay: delay.FullAdderRatio(2, 1), Mode: sim.Inertial}, false, "wide-event"},
+		{"zero", sim.Options{Delay: delay.Zero()}, false, "wide-event"},
+		{"unit-guard", sim.Options{MaxTimePerCycle: 4}, false, "wide-lockstep"},
 	} {
-		if got := sim.NewWideKernel(c, tc.opts).KernelName(); got != tc.want {
-			t.Errorf("%s: kernel %q, want %q", tc.name, got, tc.want)
+		k := sim.NewWideKernel(c, tc.opts)
+		if got := sim.ScheduleOf(k) != nil; got != tc.scheduled || got != tc.opts.Scheduled(c) {
+			t.Errorf("%s: schedule kernel %v, Scheduled %v, want %v", tc.name, got, tc.opts.Scheduled(c), tc.scheduled)
+		}
+		if got := k.KernelName(); got != tc.want {
+			t.Errorf("%s: kernel name %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ package testutil
 
 import (
 	"fmt"
+	"slices"
 
 	"glitchsim/internal/stimulus"
 	"glitchsim/netlist"
@@ -95,4 +96,62 @@ func RandomVector(rng *stimulus.PRNG, n *netlist.Netlist) []uint64 {
 		v[i] = rng.Uint64() & 1
 	}
 	return v
+}
+
+// RandomDAG builds a deterministic random combinational netlist shaped
+// like the benchmark's uploaded circuits: 24–32 inputs and 800–1200
+// cells of mixed types (two- and three-input gates, Mux2, Maj3, FA,
+// Not) whose inputs come mostly from the last 512 nets, so paths run
+// deep; every net no cell reads is folded by XOR cells into at most 32
+// outputs.
+func RandomDAG(rng *stimulus.PRNG) *netlist.Netlist {
+	const window, maxOutputs = 512, 32
+	types := []netlist.CellType{
+		netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor,
+		netlist.Mux2, netlist.Maj3, netlist.FA, netlist.Not,
+	}
+	b := netlist.NewBuilder(fmt.Sprintf("dag%d", rng.Uintn(1<<30)))
+	nIn := 24 + int(rng.Uintn(9))
+	nets := b.InputBus("in", nIn)
+	read := make([]bool, len(nets))
+	pick := func() netlist.NetID {
+		if len(nets) > window && rng.Uintn(5) != 0 {
+			return nets[len(nets)-1-int(rng.Uintn(window))]
+		}
+		return nets[rng.Uintn(uint64(len(nets)))]
+	}
+	for c, nCells := 0, 800+int(rng.Uintn(401)); c < nCells; c++ {
+		t := types[rng.Uintn(uint64(len(types)))]
+		k, _ := t.InputRange()
+		if k == 2 && rng.Uintn(4) == 0 {
+			k = 3
+		}
+		var ins []netlist.NetID
+		if c < nIn {
+			ins = append(ins, nets[c])
+		}
+		for len(ins) < k {
+			if n := pick(); !slices.Contains(ins, n) {
+				ins = append(ins, n)
+			}
+		}
+		for _, in := range ins {
+			read[in] = true
+		}
+		for _, out := range b.AddCell(t, "", ins...) {
+			nets = append(nets, out)
+			read = append(read, false)
+		}
+	}
+	var unread []netlist.NetID
+	for _, n := range nets {
+		if !read[n] {
+			unread = append(unread, n)
+		}
+	}
+	for len(unread) > maxOutputs {
+		unread = append(unread[2:], b.Xor(unread[0], unread[1]))
+	}
+	b.OutputBus("out", unread)
+	return b.MustBuild()
 }

@@ -172,7 +172,7 @@ func TestSequentialMeasureLanes(t *testing.T) {
 			name := fmt.Sprintf("%s/warmup=%d", tc.name, warmup)
 			cfg := Config{Cycles: tc.cycles, Seed: 9, Delay: tc.dm, Inertial: tc.inertial, Warmup: warmup}.withDefaults(nl)
 			lanes := min(tc.lanes, cfg.Cycles)
-			wide, err := measureWide(ctx, c, cfg, lanes, 1)
+			wide, err := measureWide(ctx, c, nil, cfg, lanes, 1)
 			if err != nil {
 				t.Fatalf("%s: wide: %v", name, err)
 			}
@@ -219,7 +219,7 @@ func TestFeedforwardWarmupSettlesInDepthSteps(t *testing.T) {
 		bcfg := cfg
 		bcfg.Budget = Budget{Events: ws.Events() - 1}
 
-		wide, err := measureWide(context.Background(), c, bcfg, lanes, 1)
+		wide, err := measureWide(context.Background(), c, nil, bcfg, lanes, 1)
 		if tc.trips {
 			if !errors.Is(err, ErrBudgetExceeded) {
 				t.Errorf("%s: err = %v, want the %d-event budget exceeded during warm-up", tc.name, err, bcfg.Budget.Events)

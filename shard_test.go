@@ -74,13 +74,13 @@ func TestMeasureShards(t *testing.T) {
 			if lanes == 7 && nl.NumCells() > 1000 {
 				lanes = 64 // keeps the 16-bit multipliers at 16 steps
 			}
-			serial, err := measureWide(context.Background(), c, cfg, lanes, 1)
+			serial, err := measureWide(context.Background(), c, nil, cfg, lanes, 1)
 			if err != nil {
 				t.Fatalf("%s/%s serial: %v", name, m.name, err)
 			}
 			for _, shards := range splits {
 				tag := fmt.Sprintf("%s/%s/warmup=%d/lanes=%d/cycles=%d/shards=%d", name, m.name, cfg.Warmup, lanes, cfg.Cycles, shards)
-				got, err := measureWide(context.Background(), c, cfg, lanes, shards)
+				got, err := measureWide(context.Background(), c, nil, cfg, lanes, shards)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -117,8 +117,8 @@ func TestMeasureShardsGuard(t *testing.T) {
 	tripped, completed := 0, 0
 	for seed := uint64(1); seed <= 24; seed++ {
 		cfg := Config{Cycles: 32, Seed: seed, Delay: delay.Uniform(30000)}.withDefaults(nl)
-		serial, serr := measureWide(context.Background(), c, cfg, 2, 1)
-		split, err := measureWide(context.Background(), c, cfg, 2, 2)
+		serial, serr := measureWide(context.Background(), c, nil, cfg, 2, 1)
+		split, err := measureWide(context.Background(), c, nil, cfg, 2, 2)
 		if serr != nil {
 			tripped++
 			if !errors.Is(serr, ErrOscillation) || err == nil || err.Error() != serr.Error() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -21,16 +22,16 @@ import (
 // back on itself; see warmupSteps) instead of one long stream, and all
 // L streams advance in ONE word-parallel simulation, evaluating every
 // gate for up to 64 patterns per visit — under every delay model.
-// Uniform models with delay >= 1 (the paper's unit-delay experiments;
-// inertial and transport coincide there) ride the lockstep wavefront
-// kernel; everything else (full-adder sum/carry ratios, per-type
-// delays, zero delay, and inertial runs on those models) rides the
-// lane-masked wide-event kernel. Both are
-// bit-identical to L scalar runs merged in lane order by construction
-// (TestWideKernelEquivalence, TestWideEventKernelEquivalence and
-// TestMeasureLanesScalarWideAgree enforce it), so the delay model
-// changes the speed of a measurement, never the meaning of its lane
-// decomposition.
+// sim.NewWideKernel runs transport-mode models whose evaluated delays
+// are all >= 1 (unit delay, full-adder sum/carry ratios, per-type
+// delays) and uniform models in either mode on the schedule kernel,
+// with a schedule from the Engine's cache, and the rest (zero delays,
+// inertial runs under non-uniform delays) on the lane-masked event
+// kernel. Both are bit-identical to L scalar runs merged in lane order
+// by construction (TestWideKernelEquivalence,
+// TestWideEventKernelEquivalence and TestMeasureLanesScalarWideAgree
+// enforce it), so the delay model changes the speed of a measurement,
+// never the meaning of its lane decomposition.
 //
 // Classification semantics are unchanged: every measured cycle is one
 // random vector applied to a warmed-up circuit, and the counter sees
@@ -144,25 +145,27 @@ const (
 	// cycle. (Its event queue runs as a calendar ring, or as a heap for
 	// delays beyond the ring's window; that is an internal detail.)
 	KernelScalar Kernel = "scalar"
-	// KernelWideLockstep is the 64-lane lockstep wavefront kernel,
-	// selected for lane-decomposed measurements under uniform delay
-	// models with delay >= 1 (the paper's unit-delay experiments).
+	// KernelWideLockstep names the delay class of lane-decomposed
+	// measurements under uniform delay models with delay >= 1 (the
+	// paper's unit-delay experiments), in either mode: the two coincide
+	// when no pulse can be narrower than a cell delay. They run on the
+	// 64-lane schedule kernel. The name predates that kernel: it no
+	// longer names a kernel of its own.
 	KernelWideLockstep Kernel = "wide-lockstep"
-	// KernelWideEvent is the 64-lane lane-masked event-driven kernel,
-	// selected for lane-decomposed measurements under every other delay
-	// model: unequal per-cell delays (full-adder sum/carry ratios,
-	// per-type models) and zero delay, in transport or inertial mode.
-	// (Inertial runs on a uniform model still select the lockstep
-	// kernel — the two modes coincide when no pulse can be narrower
-	// than a cell delay.)
+	// KernelWideEvent names the delay class of lane-decomposed
+	// measurements under every other delay model: unequal per-cell
+	// delays (full-adder sum/carry ratios, per-type models) and zero
+	// delay, in transport or inertial mode. Transport runs whose
+	// evaluated delays are all >= 1 run on the schedule kernel, the
+	// rest on the 64-lane lane-masked event kernel.
 	KernelWideEvent Kernel = "wide-event"
 )
 
-// kernelFor reports which kernel measureCompiled routes a measurement
-// of n to, by the same splitLanes rule and sim.NewWideKernel's
-// eligibility rule. cfg and lanes are as measureCompiled receives them
-// (engine defaults applied, Config defaults not yet; a nil Delay is
-// unit delay).
+// kernelFor reports the kernel class of a measurement of n: scalar by
+// the splitLanes rule measureCompiled applies, else the delay class
+// sim.WideKernel.KernelName reports. cfg and lanes are as
+// measureCompiled receives them (engine defaults applied, Config
+// defaults not yet; a nil Delay is unit delay).
 func kernelFor(n *netlist.Netlist, cfg Config, lanes int) Kernel {
 	if splitLanes(cfg, lanes) == 1 {
 		return KernelScalar
@@ -285,7 +288,7 @@ func shardCap(c *sim.Compiled, cfg Config, lanes int) int {
 // forwarded seed streams (see checkpoint.go). Neither perturbs the
 // simulation: a chunk boundary only reads state, so checkpointed,
 // resumed and plain runs are bit-identical.
-func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes, shards int) (*core.Counter, error) {
+func measureWide(ctx context.Context, c *sim.Compiled, schedules *memo[*sim.Schedule], cfg Config, lanes, shards int) (*core.Counter, error) {
 	n := c.Netlist()
 	mode := sim.Transport
 	if cfg.Inertial {
@@ -293,6 +296,7 @@ func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes, shards
 	}
 	r := &wideRun{c: c, cfg: cfg, lanes: lanes}
 	r.opts = sim.Options{Delay: cfg.Delay, Delays: sim.NewDelayTable(c, cfg.Delay), Mode: mode, Budget: cfg.Budget.simBudget(time.Now())}
+	r.opts.Schedule = scheduleFor(schedules, c, r.opts)
 	if ctx.Done() != nil {
 		r.opts.Cancel = ctx.Err
 	}
@@ -337,10 +341,26 @@ func measureWide(ctx context.Context, c *sim.Compiled, cfg Config, lanes, shards
 	return counters[0], nil
 }
 
+// scheduleFor returns the schedule every kernel of a measurement of c
+// under opts shares: nil when NewWideKernel runs opts on the event
+// kernel, from the schedules cache when it is enabled (keyed by the
+// netlist's fingerprint and the delay table's digest), built here
+// otherwise.
+func scheduleFor(schedules *memo[*sim.Schedule], c *sim.Compiled, opts sim.Options) *sim.Schedule {
+	if !opts.Scheduled(c) {
+		return nil
+	}
+	build := func() *sim.Schedule { return sim.NewSchedule(c, opts.Delays) }
+	if schedules == nil || schedules.capacity <= 0 {
+		return build()
+	}
+	return schedules.get(c.Fingerprint()+"/"+strconv.FormatUint(opts.Delays.Digest(), 16), build)
+}
+
 // wideRun is the part of a word-parallel measurement its shards share,
 // read-only: the compiled netlist, the resolved config, the kernel
-// options with their one DelayTable, the lane seeds and quotas, and the
-// measured step count (the largest quota).
+// options with their one DelayTable and Schedule, the lane seeds and
+// quotas, and the measured step count (the largest quota).
 type wideRun struct {
 	c      *sim.Compiled
 	cfg    Config

@@ -55,7 +55,7 @@ func TestMeasureLanesScalarWideAgree(t *testing.T) {
 			name := fmt.Sprintf("%s/warmup=%d", tc.name, warmup)
 			cfg := Config{Cycles: tc.cycles, Warmup: warmup, Seed: 9, Delay: tc.dm, Inertial: tc.inertial}.withDefaults(nl)
 			lanes := min(tc.lanes, cfg.Cycles)
-			wide, err := measureWide(ctx, c, cfg, lanes, 1)
+			wide, err := measureWide(ctx, c, nil, cfg, lanes, 1)
 			if err != nil {
 				t.Fatalf("%s: wide: %v", name, err)
 			}
@@ -137,7 +137,7 @@ func TestCombinationalWarmupSettlesOnce(t *testing.T) {
 
 	bcfg := cfg
 	bcfg.Budget = Budget{Events: budget}
-	wide, err := measureWide(context.Background(), c, bcfg, lanes, 1)
+	wide, err := measureWide(context.Background(), c, nil, bcfg, lanes, 1)
 	if err != nil {
 		t.Fatalf("wide: %v", err)
 	}
@@ -207,7 +207,7 @@ func TestLanesOneIsHistoricalStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaLanes, err := measureCompiled(ctx, c, Config{Cycles: 120, Seed: 5}, 1, 1)
+	viaLanes, err := measureCompiled(ctx, c, nil, Config{Cycles: 120, Seed: 5}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestLanesOneIsHistoricalStream(t *testing.T) {
 			viaLanes.Totals(), historical.Totals())
 	}
 
-	decomposed, err := measureCompiled(ctx, c, Config{Cycles: 120, Seed: 5}, 64, 1)
+	decomposed, err := measureCompiled(ctx, c, nil, Config{Cycles: 120, Seed: 5}, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
