@@ -43,7 +43,7 @@ func cmdWorstCase(args []string) error {
 func cmdFig5(args []string) error {
 	fs := flag.NewFlagSet("fig5", flag.ExitOnError)
 	n := fs.Int("n", 16, "adder width in bits")
-	cycles := fs.Int("cycles", 4000, "random input vectors")
+	cycles := countVar(fs, "cycles", 4000, "`N` random input vectors")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	chart := fs.Bool("chart", true, "render bar charts")
 	if err := fs.Parse(args); err != nil {
@@ -98,7 +98,7 @@ func multTable(title string, rows []glitchsim.MultRow) *report.Table {
 
 func cmdTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
-	cycles := fs.Int("cycles", 500, "random input vectors")
+	cycles := countVar(fs, "cycles", 500, "`N` random input vectors")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -118,7 +118,7 @@ func cmdTable1(args []string) error {
 
 func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
-	cycles := fs.Int("cycles", 500, "random input vectors")
+	cycles := countVar(fs, "cycles", 500, "`N` random input vectors")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -138,7 +138,7 @@ func cmdTable2(args []string) error {
 
 func cmdDirDet(args []string) error {
 	fs := flag.NewFlagSet("dirdet", flag.ExitOnError)
-	cycles := fs.Int("cycles", 4320, "random input vectors (paper: 4320)")
+	cycles := countVar(fs, "cycles", 4320, "`N` random input vectors (paper: 4320)")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -172,7 +172,7 @@ func table3Table(title string, rows []glitchsim.Table3Row) *report.Table {
 
 func cmdTable3(args []string) error {
 	fs := flag.NewFlagSet("table3", flag.ExitOnError)
-	cycles := fs.Int("cycles", 200, "measured cycles per variant")
+	cycles := countVar(fs, "cycles", 200, "`N` measured cycles per variant")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -192,7 +192,7 @@ func cmdTable3(args []string) error {
 
 func cmdFig10(args []string) error {
 	fs := flag.NewFlagSet("fig10", flag.ExitOnError)
-	cycles := fs.Int("cycles", 120, "measured cycles per point")
+	cycles := countVar(fs, "cycles", 120, "`N` measured cycles per point")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -225,7 +225,7 @@ func cmdFig10(args []string) error {
 
 func cmdAblate(args []string) error {
 	fs := flag.NewFlagSet("ablate", flag.ExitOnError)
-	cycles := fs.Int("cycles", 300, "measured cycles")
+	cycles := countVar(fs, "cycles", 300, "`N` measured cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -12,7 +12,7 @@ import (
 
 func cmdBalance(args []string) error {
 	fs := flag.NewFlagSet("balance", flag.ExitOnError)
-	cycles := fs.Int("cycles", 300, "measured cycles")
+	cycles := countVar(fs, "cycles", 300, "`N` measured cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -37,7 +37,7 @@ func cmdBalance(args []string) error {
 func cmdAdders(args []string) error {
 	fs := flag.NewFlagSet("adders", flag.ExitOnError)
 	width := fs.Int("width", 16, "adder width")
-	cycles := fs.Int("cycles", 500, "measured cycles")
+	cycles := countVar(fs, "cycles", 500, "`N` measured cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,7 +58,7 @@ func cmdAdders(args []string) error {
 
 func cmdCorr(args []string) error {
 	fs := flag.NewFlagSet("corr", flag.ExitOnError)
-	cycles := fs.Int("cycles", 4000, "simulated cycles")
+	cycles := countVar(fs, "cycles", 4000, "`N` simulated cycles")
 	seed := fs.Uint64("seed", 99, "video stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -121,7 +121,7 @@ func cmdVerilog(args []string) error {
 func cmdMults(args []string) error {
 	fs := flag.NewFlagSet("mults", flag.ExitOnError)
 	width := fs.Int("width", 8, "multiplier width (even)")
-	cycles := fs.Int("cycles", 500, "measured cycles")
+	cycles := countVar(fs, "cycles", 500, "`N` measured cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err

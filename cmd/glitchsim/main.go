@@ -77,9 +77,9 @@ var lanes int
 var format string
 
 func init() {
-	flag.IntVar(&workers, "workers", 0, "measurement worker goroutines (0 = all CPUs)")
-	flag.IntVar(&workers, "parallel", 0, "alias for -workers")
-	flag.IntVar(&lanes, "lanes", 0, "word-parallel stimulus lanes per measurement (1 = scalar kernel, 0 = 64)")
+	flag.Var((*countValue)(&workers), "workers", "measurement worker goroutines (0 = all CPUs)")
+	flag.Var((*countValue)(&workers), "parallel", "alias for -workers")
+	flag.Var((*countValue)(&lanes), "lanes", "word-parallel stimulus lanes per measurement (1 = scalar kernel, 0 = 64)")
 	flag.StringVar(&format, "format", "text", "experiment output format: text or json")
 }
 

@@ -85,6 +85,34 @@ func TestDelayFlagRange(t *testing.T) {
 	}
 }
 
+// TestCountFlagRange: a count flag takes a non-negative int and
+// rejects a negative or malformed value, so the command exits with a
+// usage error; the same holds for the global -workers, -parallel and
+// -lanes.
+func TestCountFlagRange(t *testing.T) {
+	t.Cleanup(func() { workers, lanes = 0, 0 })
+	for _, tc := range []struct {
+		arg string
+		ok  bool
+	}{{"-1", false}, {"-5", false}, {"x", false}, {"1.5", false}, {"99999999999999999999", false}, {"0", true}, {"64", true}, {"4320", true}} {
+		fs := flag.NewFlagSet("table1", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		c := countVar(fs, "cycles", 500, "")
+		err := fs.Parse([]string{"-cycles", tc.arg})
+		if (err == nil) != tc.ok {
+			t.Errorf("-cycles %s: err %v, want ok %v", tc.arg, err, tc.ok)
+		}
+		if tc.ok && strconv.Itoa(*c) != tc.arg {
+			t.Errorf("-cycles %s: parsed %d", tc.arg, *c)
+		}
+		for _, name := range []string{"workers", "parallel", "lanes"} {
+			if err := flag.CommandLine.Lookup(name).Value.Set(tc.arg); (err == nil) != tc.ok {
+				t.Errorf("-%s %s: err %v, want ok %v", name, tc.arg, err, tc.ok)
+			}
+		}
+	}
+}
+
 func TestExperimentCommandsRunQuickly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment commands in -short mode")

@@ -18,7 +18,7 @@ import (
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "dirdet8")
-	cycles := fs.Int("cycles", 2000, "simulated cycles")
+	cycles := countVar(fs, "cycles", 2000, "`N` simulated cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,7 +54,7 @@ func cmdStats(args []string) error {
 func cmdPower(args []string) error {
 	fs := flag.NewFlagSet("power", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "dirdet8r")
-	cycles := fs.Int("cycles", 500, "measured cycles")
+	cycles := countVar(fs, "cycles", 500, "`N` measured cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	top := fs.Int("top", 12, "list the N hottest nets")
 	if err := fs.Parse(args); err != nil {

@@ -47,10 +47,34 @@ func delayVar(fs *flag.FlagSet, name, usage string) *delayValue {
 	return &d
 }
 
+// countValue is the value of a count flag (-cycles, -workers, -lanes):
+// a non-negative int, the range the service accepts, so a negative
+// value is a usage error rather than an empty report or a run-time
+// failure.
+type countValue int
+
+func (c *countValue) String() string { return strconv.Itoa(int(*c)) }
+
+func (c *countValue) Set(s string) error {
+	v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil || v < 0 {
+		return errors.New("want a non-negative count")
+	}
+	*c = countValue(v)
+	return nil
+}
+
+// countVar defines a count flag with default def on fs.
+func countVar(fs *flag.FlagSet, name string, def int, usage string) *int {
+	c := countValue(def)
+	fs.Var(&c, name, usage)
+	return (*int)(&c)
+}
+
 func cmdSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "rca16")
-	cycles := fs.Int("cycles", 500, "measured cycles")
+	cycles := countVar(fs, "cycles", 500, "`N` measured cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	dsum := delayVar(fs, "dsum", "full-adder sum `delay`")
 	dcarry := delayVar(fs, "dcarry", "full-adder carry `delay`")
@@ -141,7 +165,7 @@ func cmdRetime(args []string) error {
 	sel := addCircuitFlags(fs, "dirdet8r")
 	period := fs.Int("period", 0, "target clock period (0 = minimize)")
 	stages := fs.Int("stages", 0, "extra pipeline stages to add")
-	cycles := fs.Int("cycles", 200, "cycles for before/after activity measurement")
+	cycles := countVar(fs, "cycles", 200, "`N` cycles for before/after activity measurement")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -202,7 +226,7 @@ func cmdRetime(args []string) error {
 func cmdVCD(args []string) error {
 	fs := flag.NewFlagSet("vcd", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "hazard")
-	cycles := fs.Int("cycles", 16, "cycles to dump")
+	cycles := countVar(fs, "cycles", 16, "`N` cycles to dump")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	out := fs.String("out", "wave.vcd", "output file")
 	if err := fs.Parse(args); err != nil {

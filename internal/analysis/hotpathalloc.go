@@ -280,21 +280,29 @@ func builtinName(info *types.Info, call *ast.CallExpr) string {
 
 // boxes reports whether assigning a value of type from to a slot of
 // type to requires an interface allocation: to is an interface, from a
-// concrete (non-interface, non-nil) type.
+// concrete (non-interface, non-nil) type. A type parameter's underlying
+// type is its constraint interface, but it stands for a concrete type
+// in every instantiation: converting to one never boxes, and a value of
+// one boxes like a concrete value.
 func boxes(to, from types.Type) bool {
 	if to == nil || from == nil {
 		return false
 	}
-	if !types.IsInterface(to.Underlying()) {
+	if isTypeParam(to) || !types.IsInterface(to.Underlying()) {
 		return false
 	}
-	if types.IsInterface(from.Underlying()) {
+	if !isTypeParam(from) && types.IsInterface(from.Underlying()) {
 		return false
 	}
 	if basic, ok := from.(*types.Basic); ok && basic.Kind() == types.UntypedNil {
 		return false
 	}
 	return true
+}
+
+func isTypeParam(t types.Type) bool {
+	_, ok := types.Unalias(t).(*types.TypeParam)
+	return ok
 }
 
 func isStringBytesConv(to, from types.Type) bool {

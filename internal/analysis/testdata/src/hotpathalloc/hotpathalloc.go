@@ -61,6 +61,18 @@ func badConv(b []byte) string {
 	return string(b) // want `string conversion allocates in hotpath function badConv`
 }
 
+// typeParams converts to a type parameter, which stands for a concrete
+// type and never boxes, and passes a value of one as an interface,
+// which boxes like a concrete value.
+//
+//glitchsim:hotpath
+func typeParams[I ~uint16 | ~int32](xs []I) I {
+	none := ^I(0)
+	n := I(len(xs))
+	sink(n) // want `argument boxes I into interface in hotpath function typeParams`
+	return none + n
+}
+
 // good exercises the sanctioned patterns: reslice-of-field,
 // preallocated-cap make, append chains rooted in parameters, and
 // panic arguments (exempt — a panic is never steady-state cost).

@@ -57,7 +57,9 @@ func TestStepAllocFree(t *testing.T) {
 
 // TestWideStepAllocFree: the schedule kernel's step — injection,
 // instructions, poll and the counting pass — must not allocate, under a
-// uniform and two non-uniform delay models.
+// uniform and two non-uniform delay models, in both of its forms: the
+// one-rail steady state, and the three-valued form that a stimulus word
+// with an X lane brings back.
 func TestWideStepAllocFree(t *testing.T) {
 	nl := circuits.NewArrayMultiplier(8, circuits.Cells)
 	comp := sim.Compile(nl)
@@ -86,13 +88,27 @@ func TestWideStepAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		avg := testing.AllocsPerRun(100, func() {
-			if err := ws.Step(src.NextWide(buf)); err != nil {
-				t.Fatal(err)
+		for _, form := range []struct {
+			name      string
+			xLane     bool // lane 0 of the first input at X
+			slotBytes int
+		}{{"one-rail", false, 8}, {"three-valued", true, 16}} {
+			step := func() {
+				pi := src.NextWide(buf)
+				if form.xLane {
+					pi[0].SetLane(0, logic.X)
+				}
+				if err := ws.Step(pi); err != nil {
+					t.Fatal(err)
+				}
 			}
-		})
-		if avg > allocTolerance {
-			t.Errorf("%s: %.2f allocs per warmed-up Step, want 0", tc.name, avg)
+			step()
+			if got := sim.SlotBytes(ws); got != form.slotBytes {
+				t.Fatalf("%s/%s: %d bytes per slot, want %d", tc.name, form.name, got, form.slotBytes)
+			}
+			if avg := testing.AllocsPerRun(100, step); avg > allocTolerance {
+				t.Errorf("%s/%s: %.2f allocs per warmed-up Step, want 0", tc.name, form.name, avg)
+			}
 		}
 	}
 }

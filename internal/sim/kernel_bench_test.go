@@ -8,6 +8,7 @@ import (
 	"glitchsim/internal/delay"
 	"glitchsim/internal/logic"
 	"glitchsim/internal/registry"
+	"glitchsim/internal/retime"
 	"glitchsim/internal/sim"
 	"glitchsim/internal/stimulus"
 	"glitchsim/netlist"
@@ -90,7 +91,8 @@ var (
 )
 
 // BenchmarkWideKernel runs the schedule kernel on the nine measure-heavy
-// shapes (see wideBench for the metrics).
+// shapes and on paper-sweep's four Table 3 variants (see wideBench for
+// the metrics).
 func BenchmarkWideKernel(b *testing.B) {
 	for _, name := range heavyCircuits {
 		nl, err := registry.Build(name)
@@ -99,16 +101,43 @@ func BenchmarkWideKernel(b *testing.B) {
 		}
 		comp := sim.Compile(nl)
 		for _, m := range heavyModels {
-			b.Run(name+"/"+m.name, func(b *testing.B) {
-				ws := sim.NewWideKernel(comp, sim.Options{Delay: m.dm})
-				if sim.ScheduleOf(ws) == nil {
-					b.Fatal("not on the schedule kernel")
-				}
-				defer ws.Release()
-				wideBench(b, ws, nl)
-			})
+			b.Run(name+"/"+m.name, func(b *testing.B) { scheduleBench(b, comp, m.dm) })
 		}
 	}
+	for _, nl := range table3Variants(b) {
+		comp := sim.Compile(nl)
+		b.Run(nl.Name+"/unit", func(b *testing.B) { scheduleBench(b, comp, delay.Unit()) })
+	}
+}
+
+// scheduleBench runs wideBench on the schedule kernel.
+func scheduleBench(b *testing.B, comp *sim.Compiled, dm delay.Model) {
+	ws := sim.NewWideKernel(comp, sim.Options{Delay: dm})
+	if sim.ScheduleOf(ws) == nil {
+		b.Fatal("not on the schedule kernel")
+	}
+	defer ws.Release()
+	wideBench(b, ws, comp.Netlist())
+}
+
+// table3Variants returns Table 3's four circuits: dirdet8r retimed by
+// retime.ForPeriod under unit delay for the periods cp, 3cp/7, cp/3 and
+// 3cp/14 within 4cp pipeline stages, cp being its own clock period.
+func table3Variants(b *testing.B) []*netlist.Netlist {
+	nl, err := registry.Build("dirdet8r")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp := retime.FromNetlist(nl, delay.Unit(), 0).ClockPeriod(nil)
+	var out []*netlist.Netlist
+	for _, target := range []int{cp, cp * 3 / 7, cp / 3, cp * 3 / 14} {
+		res, err := retime.ForPeriod(nl, delay.Unit(), target, 4*cp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, res.Netlist)
+	}
+	return out
 }
 
 // BenchmarkWideEventKernel runs the 16x16 array-multiplier workload on

@@ -35,6 +35,21 @@ package sim
 // the slots that differ from their predecessor, so Events matches the
 // event kernels' count as well.
 //
+// # Two forms
+//
+// A kernel stores its slots as logic.W's two rails in two arrays, zero
+// and one. While any entry slot or stimulus word holds an X lane it
+// runs three-valued, on both. Once a step settles with every lane of
+// every entry slot known, no later slot can hold an X until the
+// stimulus or an imported state brings one: the kernel then runs each
+// step on the one rail alone (8 bytes per slot instead of 16), with
+// plain Boolean logic, and a flip-flop samples its D input's entry value
+// as it is. Reset leaves the primary inputs at X, so the first step from
+// reset runs three-valued, with its events, budget trips and the
+// flip-flops' X-hold rule, and the next step runs on one rail. A
+// stimulus word or an imported value with an X lane rebuilds the zero
+// rail from the one rail and returns to the three-valued form.
+//
 // # Counting
 //
 // After the instructions run, one pass over every net's consecutive
@@ -43,6 +58,15 @@ package sim
 // core.WideCounter.CountCycle: once per net per step, not once per
 // change. The pass also moves each net's last slot into its entry slot,
 // the settled value that ExportState and the next step read.
+//
+// On one rail every transition is between known levels, and the pass
+// does less. A lane's rises minus its falls over a step equal its last
+// value minus its entry value, so a net's rising total is
+// (t + |last ∧ ¬entry| − |entry ∧ ¬last|) / 2, summed over the counted
+// lanes, where t is its total: one popcount pair per net in place of
+// one popcount per slot. A net with a single instant makes at most one
+// transition per lane, each of them useful, so its counts are the
+// popcounts of its changed lanes, without bit-planes.
 
 import (
 	"fmt"
@@ -69,14 +93,13 @@ type instr[I slotIndex] struct {
 	// its first two here, and in[2] indexes program.extra, which holds
 	// the number of further inputs followed by their slots.
 	in  [3]I
-	out [2]I // output slots; program.none for an unconnected pin
+	out [2]I // output slots; ^I(0) for an unconnected pin
 }
 
 // program is a schedule's instruction list in one index width.
 type program[I slotIndex] struct {
 	instrs []instr[I]
 	extra  []I // further input slots of cells with more than three inputs
-	none   I   // ^I(0), the output slot of an unconnected pin
 }
 
 // Schedule is the static form of a transport-mode wide run on one
@@ -220,7 +243,7 @@ type emission struct {
 func emit[I slotIndex](b *emission, total, extra int) program[I] {
 	c := b.c
 	pcOf := func(net netlist.NetID) []int32 { return b.pcs[b.pcAt[net] : b.pcAt[net]+b.pcLen[net]] }
-	p := program[I]{instrs: make([]instr[I], total), extra: make([]I, 0, extra), none: ^I(0)}
+	p := program[I]{instrs: make([]instr[I], total), extra: make([]I, 0, extra)}
 	// Per input of the current cell: its set, its entry slot, and how
 	// many of its instants lie at or before the current instant.
 	sets := make([][]int32, b.maxIn)
@@ -262,7 +285,7 @@ func emit[I slotIndex](b *emission, total, extra int) program[I] {
 				}
 			}
 			for pin, o := range out {
-				in.out[pin] = p.none
+				in.out[pin] = ^I(0)
 				if o >= 0 {
 					in.out[pin] = I(o + int32(j))
 				}
@@ -318,75 +341,154 @@ func (sc *Schedule) Instants(net netlist.NetID) int {
 	return int(sc.slotStart[net+1] - sc.slotStart[net] - 1)
 }
 
-// run executes the instructions on the slots and returns how many
-// output slots differ from their predecessor: the step's word events on
-// combinational nets.
+// rails are the slots in the three-valued form: logic.W's two rails in
+// two arrays, so that lane l of slot i is 0 when bit l of zero[i] is
+// set, 1 when bit l of one[i] is, and X when neither is. The one-rail
+// form keeps only one (see scheduleKernel).
+type rails struct{ zero, one []uint64 }
+
+// at returns slot i's value.
 //
 //glitchsim:hotpath
-func (sc *Schedule) run(sl []logic.W) uint64 {
+func at[I slotIndex](r rails, i I) logic.W { return logic.W{Zero: r.zero[i], One: r.one[i]} }
+
+// put stores w into slot i.
+//
+//glitchsim:hotpath
+func put[I slotIndex](r rails, i I, w logic.W) { r.zero[i], r.one[i] = w.Zero, w.One }
+
+// run executes the instructions on slots in the three-valued form and
+// returns how many output slots differ from their predecessor: the
+// step's word events on combinational nets.
+//
+//glitchsim:hotpath
+func (sc *Schedule) run(r rails) uint64 {
 	if sc.narrow.instrs != nil {
-		return runProgram(&sc.narrow, sl)
+		return runProgram(&sc.narrow, r)
 	}
-	return runProgram(&sc.wide, sl)
+	return runProgram(&sc.wide, r)
+}
+
+// runBits is run on slots in the one-rail form: sl holds each slot's
+// lanes as plain bits, none of them X.
+//
+//glitchsim:hotpath
+func (sc *Schedule) runBits(sl []uint64) uint64 {
+	if sc.narrow.instrs != nil {
+		return runBits(&sc.narrow, sl)
+	}
+	return runBits(&sc.wide, sl)
 }
 
 //glitchsim:hotpath
-func runProgram[I slotIndex](p *program[I], sl []logic.W) uint64 {
+func runProgram[I slotIndex](p *program[I], r rails) uint64 {
 	var events uint64
-	extra, none := p.extra, p.none
+	extra := p.extra
 	for i := range p.instrs {
 		in := &p.instrs[i]
 		var o0, o1 logic.W
 		switch in.op {
 		case netlist.FA:
-			o0, o1 = logic.FullAddW(sl[in.in[0]], sl[in.in[1]], sl[in.in[2]])
+			o0, o1 = logic.FullAddW(at(r, in.in[0]), at(r, in.in[1]), at(r, in.in[2]))
 		case netlist.HA:
-			o0, o1 = logic.HalfAddW(sl[in.in[0]], sl[in.in[1]])
+			o0, o1 = logic.HalfAddW(at(r, in.in[0]), at(r, in.in[1]))
 		case netlist.And:
-			o0 = andSlots(sl, in, extra)
+			o0 = andSlots(r, in, extra)
 		case netlist.Nand:
-			o0 = logic.NotW(andSlots(sl, in, extra))
+			o0 = logic.NotW(andSlots(r, in, extra))
 		case netlist.Or:
-			o0 = orSlots(sl, in, extra)
+			o0 = orSlots(r, in, extra)
 		case netlist.Nor:
-			o0 = logic.NotW(orSlots(sl, in, extra))
+			o0 = logic.NotW(orSlots(r, in, extra))
 		case netlist.Xor:
-			o0 = xorSlots(sl, in, extra)
+			o0 = xorSlots(r, in, extra)
 		case netlist.Xnor:
-			o0 = logic.NotW(xorSlots(sl, in, extra))
+			o0 = logic.NotW(xorSlots(r, in, extra))
 		case netlist.Not:
-			o0 = logic.NotW(sl[in.in[0]])
+			o0 = logic.NotW(at(r, in.in[0]))
 		case netlist.Buf:
-			o0 = sl[in.in[0]]
+			o0 = at(r, in.in[0])
 		case netlist.Mux2:
-			o0 = logic.MuxW(sl[in.in[2]], sl[in.in[0]], sl[in.in[1]])
+			o0 = logic.MuxW(at(r, in.in[2]), at(r, in.in[0]), at(r, in.in[1]))
 		case netlist.Maj3:
-			o0 = logic.Maj3W(sl[in.in[0]], sl[in.in[1]], sl[in.in[2]])
+			o0 = logic.Maj3W(at(r, in.in[0]), at(r, in.in[1]), at(r, in.in[2]))
 		default:
 			// Constant cells have no inputs and so no instants; DFFs
 			// are never scheduled.
 			panic("sim: schedule instruction on a cell type without a case")
 		}
-		if o := in.out[0]; o != none {
-			events += changed(o0, sl[o-1])
+		if o := in.out[0]; o != ^I(0) {
+			events += nonzero(logic.DiffMask(o0, at(r, o-1)))
+			put(r, o, o0)
+		}
+		if o := in.out[1]; o != ^I(0) {
+			events += nonzero(logic.DiffMask(o1, at(r, o-1)))
+			put(r, o, o1)
+		}
+	}
+	return events
+}
+
+// runBits is runProgram's Boolean image, case by case: with no lane at
+// X each cell is its two-valued function of one word per input.
+//
+//glitchsim:hotpath
+func runBits[I slotIndex](p *program[I], sl []uint64) uint64 {
+	var events uint64
+	extra := p.extra
+	for i := range p.instrs {
+		in := &p.instrs[i]
+		var o0, o1 uint64
+		switch in.op {
+		case netlist.FA:
+			a, b, c := sl[in.in[0]], sl[in.in[1]], sl[in.in[2]]
+			x := a ^ b
+			o0, o1 = x^c, a&b|c&x
+		case netlist.HA:
+			a, b := sl[in.in[0]], sl[in.in[1]]
+			o0, o1 = a^b, a&b
+		case netlist.And:
+			o0 = andBits(sl, in, extra)
+		case netlist.Nand:
+			o0 = ^andBits(sl, in, extra)
+		case netlist.Or:
+			o0 = orBits(sl, in, extra)
+		case netlist.Nor:
+			o0 = ^orBits(sl, in, extra)
+		case netlist.Xor:
+			o0 = xorBits(sl, in, extra)
+		case netlist.Xnor:
+			o0 = ^xorBits(sl, in, extra)
+		case netlist.Not:
+			o0 = ^sl[in.in[0]]
+		case netlist.Buf:
+			o0 = sl[in.in[0]]
+		case netlist.Mux2:
+			sel := sl[in.in[2]]
+			o0 = sl[in.in[0]]&^sel | sl[in.in[1]]&sel
+		case netlist.Maj3:
+			a, b, c := sl[in.in[0]], sl[in.in[1]], sl[in.in[2]]
+			o0 = a&b | c&(a^b)
+		default:
+			panic("sim: schedule instruction on a cell type without a case")
+		}
+		if o := in.out[0]; o != ^I(0) {
+			events += nonzero(o0 ^ sl[o-1])
 			sl[o] = o0
 		}
-		if o := in.out[1]; o != none {
-			events += changed(o1, sl[o-1])
+		if o := in.out[1]; o != ^I(0) {
+			events += nonzero(o1 ^ sl[o-1])
 			sl[o] = o1
 		}
 	}
 	return events
 }
 
-// changed returns 1 when a and b differ in some lane and 0 otherwise,
-// without a branch.
+// nonzero returns 1 when some bit of d is set and 0 otherwise, without
+// a branch: given a lane difference mask, whether a word changed.
 //
 //glitchsim:hotpath
-func changed(a, b logic.W) uint64 {
-	d := logic.DiffMask(a, b)
-	return (d | -d) >> 63
-}
+func nonzero(d uint64) uint64 { return (d | -d) >> 63 }
 
 // moreInputs returns the slots of a wide cell's inputs after its first
 // two.
@@ -398,75 +500,126 @@ func moreInputs[I slotIndex](in *instr[I], extra []I) []I {
 }
 
 //glitchsim:hotpath
-func andSlots[I slotIndex](sl []logic.W, in *instr[I], extra []I) logic.W {
-	r := logic.AndW(sl[in.in[0]], sl[in.in[1]])
+func andSlots[I slotIndex](r rails, in *instr[I], extra []I) logic.W {
+	w := logic.AndW(at(r, in.in[0]), at(r, in.in[1]))
 	switch in.n {
 	case 3:
-		r = logic.AndW(r, sl[in.in[2]])
+		w = logic.AndW(w, at(r, in.in[2]))
 	case 4:
 		for _, s := range moreInputs(in, extra) {
-			r = logic.AndW(r, sl[s])
+			w = logic.AndW(w, at(r, s))
 		}
 	}
-	return r
+	return w
 }
 
 //glitchsim:hotpath
-func orSlots[I slotIndex](sl []logic.W, in *instr[I], extra []I) logic.W {
-	r := logic.OrW(sl[in.in[0]], sl[in.in[1]])
+func orSlots[I slotIndex](r rails, in *instr[I], extra []I) logic.W {
+	w := logic.OrW(at(r, in.in[0]), at(r, in.in[1]))
 	switch in.n {
 	case 3:
-		r = logic.OrW(r, sl[in.in[2]])
+		w = logic.OrW(w, at(r, in.in[2]))
 	case 4:
 		for _, s := range moreInputs(in, extra) {
-			r = logic.OrW(r, sl[s])
+			w = logic.OrW(w, at(r, s))
 		}
 	}
-	return r
+	return w
 }
 
 //glitchsim:hotpath
-func xorSlots[I slotIndex](sl []logic.W, in *instr[I], extra []I) logic.W {
-	r := logic.XorW(sl[in.in[0]], sl[in.in[1]])
+func xorSlots[I slotIndex](r rails, in *instr[I], extra []I) logic.W {
+	w := logic.XorW(at(r, in.in[0]), at(r, in.in[1]))
 	switch in.n {
 	case 3:
-		r = logic.XorW(r, sl[in.in[2]])
+		w = logic.XorW(w, at(r, in.in[2]))
 	case 4:
 		for _, s := range moreInputs(in, extra) {
-			r = logic.XorW(r, sl[s])
+			w = logic.XorW(w, at(r, s))
 		}
 	}
-	return r
+	return w
+}
+
+//glitchsim:hotpath
+func andBits[I slotIndex](sl []uint64, in *instr[I], extra []I) uint64 {
+	w := sl[in.in[0]] & sl[in.in[1]]
+	switch in.n {
+	case 3:
+		w &= sl[in.in[2]]
+	case 4:
+		for _, s := range moreInputs(in, extra) {
+			w &= sl[s]
+		}
+	}
+	return w
+}
+
+//glitchsim:hotpath
+func orBits[I slotIndex](sl []uint64, in *instr[I], extra []I) uint64 {
+	w := sl[in.in[0]] | sl[in.in[1]]
+	switch in.n {
+	case 3:
+		w |= sl[in.in[2]]
+	case 4:
+		for _, s := range moreInputs(in, extra) {
+			w |= sl[s]
+		}
+	}
+	return w
+}
+
+//glitchsim:hotpath
+func xorBits[I slotIndex](sl []uint64, in *instr[I], extra []I) uint64 {
+	w := sl[in.in[0]] ^ sl[in.in[1]]
+	switch in.n {
+	case 3:
+		w ^= sl[in.in[2]]
+	case 4:
+		for _, s := range moreInputs(in, extra) {
+			w ^= sl[s]
+		}
+	}
+	return w
 }
 
 // scheduleKernel runs a Schedule for MaxLanes stimulus lanes at once.
 // Like the other kernels it is not safe for concurrent use, but any
 // number may share one Compiled netlist and one Schedule.
+//
+// It keeps its slots in one of two forms (see the file comment): the
+// three-valued form on both of sl's rails, and the one-rail form on
+// sl.one alone, in which sl.zero and the flip-flop samples go stale.
 type scheduleKernel struct {
 	wideCore
-	sc    *Schedule
-	slots []logic.W // see Schedule; nil once released
+	sc      *Schedule
+	sl      rails // the slots; empty once released
+	oneRail bool  // the one-rail form: no lane of any entry slot is X
 
-	// high holds countNet's count bit-planes above the fourth: a lane
-	// making more than 15 transitions in a cycle. Zero between nets.
+	// high holds the count bit-planes above the fourth (see increment):
+	// a lane making more than 15 transitions in a cycle. Zero between
+	// nets.
 	high [28]uint64
 }
 
 // newScheduleKernel returns the reset state of a schedule kernel: every
-// entry slot at its net's reset value. opts.Delays must be set.
+// entry slot at its net's reset value, in the three-valued form.
+// opts.Delays must be set.
 func newScheduleKernel(c *Compiled, sc *Schedule, opts Options) *scheduleKernel {
 	if len(sc.slotStart) != c.n.NumNets()+1 {
 		panic(fmt.Sprintf("sim: schedule of %d nets for netlist %q of %d", len(sc.slotStart)-1, c.n.Name, c.n.NumNets()))
 	}
-	s := &scheduleKernel{wideCore: newWideCore(c, opts), sc: sc, slots: make([]logic.W, sc.Slots())}
+	n := sc.Slots()
+	sl := make([]uint64, 2*n)
+	s := &scheduleKernel{wideCore: newWideCore(c, opts), sc: sc, sl: rails{zero: sl[:n:n], one: sl[n:]}}
 	for i, v := range c.initVals {
-		s.slots[sc.slotStart[i]] = logic.SplatW(v)
+		put(s.sl, sc.slotStart[i], logic.SplatW(v))
 	}
 	return s
 }
 
 // Release implements WideKernel.
-func (s *scheduleKernel) Release() { s.slots = nil }
+func (s *scheduleKernel) Release() { s.sl = rails{} }
 
 // Step simulates one clock cycle for all lanes. It runs the whole
 // schedule, then polls cancellation and budgets once, before the step's
@@ -475,35 +628,42 @@ func (s *scheduleKernel) Release() { s.slots = nil }
 // so BudgetError.Used) includes the whole tripped step. No Step can
 // trip the settle guard (see Options.Scheduled).
 //
+// In the one-rail form a stimulus with every lane known runs on
+// stepBits; a stimulus word with an X lane returns the kernel to the
+// three-valued form (widen), which settle leaves again once a step ends
+// with no X lane.
+//
 //glitchsim:hotpath
 func (s *scheduleKernel) Step(pi []logic.W) error {
 	s.checkWidth(pi)
-	c, sl, start := s.c, s.slots, s.sc.slotStart
+	if s.oneRail {
+		if known(pi) {
+			return s.stepBits(pi)
+		}
+		s.widen()
+	}
+	c, r, start := s.c, s.sl, s.sc.slotStart
 
 	// 1. Sample DFF D inputs from their entry slots.
 	for i, d := range c.dffD {
-		s.sample(i, sl[start[d]])
+		s.sample(i, at(r, start[d]))
 	}
 
 	// 2. Inject PI changes and DFF Q updates at instant 0, the slot
 	// after each entry slot.
 	var events uint64
 	for i, id := range c.n.PIs {
-		events += changed(pi[i], sl[start[id]])
-		sl[start[id]+1] = pi[i]
+		events += nonzero(logic.DiffMask(pi[i], at(r, start[id])))
+		put(r, start[id]+1, pi[i])
 	}
 	for i, q := range c.dffQ {
-		events += changed(s.ffQ[i], sl[start[q]])
-		sl[start[q]+1] = s.ffQ[i]
+		events += nonzero(logic.DiffMask(s.ffQ[i], at(r, start[q])))
+		put(r, start[q]+1, s.ffQ[i])
 	}
 
 	// 3. Propagate.
-	events += s.sc.run(sl)
-	s.events += events
-	if s.poll.due(s.events) {
-		if err := s.poll.poll(s.events, s.cycle); err != nil {
-			return err
-		}
+	if err := s.commit(events + s.sc.run(r)); err != nil {
+		return err
 	}
 
 	// 4. Count and settle.
@@ -512,12 +672,110 @@ func (s *scheduleKernel) Step(pi []logic.W) error {
 	return nil
 }
 
+// stepBits is Step in the one-rail form, on a stimulus with every lane
+// known.
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) stepBits(pi []logic.W) error {
+	c, sl, start := s.c, s.sl.one, s.sc.slotStart
+
+	// 1–2. Inject PI changes and DFF Q updates at instant 0. With no
+	// lane at X a flip-flop takes its D input's entry value in every
+	// lane, so the sample is that value itself.
+	var events uint64
+	for i, id := range c.n.PIs {
+		a := start[id]
+		events += nonzero(pi[i].One ^ sl[a])
+		sl[a+1] = pi[i].One
+	}
+	for i, q := range c.dffQ {
+		a, d := start[q], sl[start[c.dffD[i]]]
+		events += nonzero(d ^ sl[a])
+		sl[a+1] = d
+	}
+
+	// 3. Propagate.
+	if err := s.commit(events + s.sc.runBits(sl)); err != nil {
+		return err
+	}
+
+	// 4. Count and settle.
+	s.settleBits()
+	s.endCycle()
+	return nil
+}
+
+// commit adds a step's word events to the kernel's total and polls
+// cancellation and budgets when due.
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) commit(events uint64) error {
+	s.events += events
+	if s.poll.due(s.events) {
+		return s.poll.poll(s.events, s.cycle)
+	}
+	return nil
+}
+
+// known reports whether every lane of every word of ws holds a known
+// level: exactly one of its rails set.
+//
+//glitchsim:hotpath
+func known(ws []logic.W) bool {
+	k := ^uint64(0)
+	for _, w := range ws {
+		k &= w.Zero ^ w.One
+	}
+	return k == ^uint64(0)
+}
+
+// widen returns the kernel to the three-valued form by rebuilding the
+// zero rail of every entry slot. The instant slots need nothing, since
+// a step writes each of them before reading it, and neither do the
+// stale flip-flop samples: the step samples every flip-flop from an
+// entry slot with every lane known, which replaces every lane.
+func (s *scheduleKernel) widen() {
+	start := s.sc.slotStart
+	for _, a := range start[:len(start)-1] {
+		s.sl.zero[a] = ^s.sl.one[a]
+	}
+	s.oneRail = false
+}
+
 // settle counts every net's transitions of the step on the attached
-// counter and moves each net's last slot into its entry slot.
+// counter and moves each net's last slot into its entry slot. It enters
+// the one-rail form when every lane of every entry slot is then known.
 //
 //glitchsim:hotpath
 func (s *scheduleKernel) settle() {
-	sl, start := s.slots, s.sc.slotStart
+	zero, one, start := s.sl.zero, s.sl.one, s.sc.slotStart
+	counter := s.counter
+	var mask uint64
+	if counter != nil {
+		mask = counter.LaneMask()
+	}
+	k := ^uint64(0)
+	for net := 0; net+1 < len(start); net++ {
+		a, b := start[net], start[net+1]
+		if b-a >= 2 { // a net without instants never changes
+			if counter != nil {
+				s.countNet(netlist.NetID(net), zero[a:b], one[a:b], mask)
+			}
+			zero[a], one[a] = zero[b-1], one[b-1]
+		}
+		k &= zero[a] ^ one[a]
+	}
+	s.oneRail = k == ^uint64(0)
+}
+
+// settleBits is settle in the one-rail form. A net of one instant makes
+// at most one transition per lane, so its counts need no bit-planes:
+// every transition is useful, and the changed lanes give the total and
+// the rises.
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) settleBits() {
+	sl, start := s.sl.one, s.sc.slotStart
 	counter := s.counter
 	var mask uint64
 	if counter != nil {
@@ -525,57 +783,105 @@ func (s *scheduleKernel) settle() {
 	}
 	for net := 0; net+1 < len(start); net++ {
 		a, b := start[net], start[net+1]
-		if b-a < 2 {
+		switch {
+		case b-a < 2:
 			continue // no instants: the net never changes
-		}
-		if counter != nil {
-			s.countNet(netlist.NetID(net), sl[a:b], mask)
+		case counter == nil:
+		case b-a == 2:
+			if m := (sl[a] ^ sl[a+1]) & mask; m != 0 {
+				t := uint64(bits.OnesCount64(m))
+				counter.CountCycle(netlist.NetID(net), t, uint64(bits.OnesCount64(m&sl[a+1])), t, 1)
+			}
+		default:
+			s.countBits(netlist.NetID(net), sl[a:b], mask)
 		}
 		sl[a] = sl[b-1]
 	}
 }
 
 // countNet counts one net's transitions over a step, from its entry
-// slot through its last instant slot, in the lanes of mask, and hands
-// the totals to the counter. Each lane's count is a binary number in
-// bit-planes (plane p holds bit p of every lane's count), incremented
-// by one ripple-carry step per instant. The four low planes live in
-// registers; a lane makes at most one transition per instant, so only
-// nets of more than 15 instants can carry into the planes above, kept
-// in s.high.
+// slot through its last instant slot (zero and one are their rails), in
+// the lanes of mask, and hands the totals to the counter. Transitions
+// from or to X are not counted.
 //
 //glitchsim:hotpath
-func (s *scheduleKernel) countNet(net netlist.NetID, vals []logic.W, mask uint64) {
+func (s *scheduleKernel) countNet(net netlist.NetID, zero, one []uint64, mask uint64) {
 	var rise int
 	var p0, p1, p2, p3 uint64
-	high := 0 // planes of s.high in use
-	prev := vals[0]
-	for _, cur := range vals[1:] {
-		// No branch on m == 0: every step below is a no-op then, and most
-		// instants change some lane.
-		m := prev.KnownMask() & cur.KnownMask() & (prev.One ^ cur.One) & mask
-		prev = cur
-		rise += bits.OnesCount64(m & cur.One)
-		c := p0 & m
-		p0 ^= m
-		c, p1 = p1&c, p1^c
-		c, p2 = p2&c, p2^c
-		c, p3 = p3&c, p3^c
-		for p := 0; c != 0; p++ {
-			s.high[p], c = s.high[p]^c, s.high[p]&c
-			high = max(high, p+1)
-		}
+	high := 0
+	pk, pv := zero[0]|one[0], one[0]
+	for i := 1; i < len(one); i++ {
+		k, v := zero[i]|one[i], one[i]
+		m := pk & k & (pv ^ v) & mask
+		pk, pv = k, v
+		rise += bits.OnesCount64(m & v)
+		p0, p1, p2, p3, high = s.increment(m, p0, p1, p2, p3, high)
 	}
 	if p0|p1|p2|p3 == 0 && high == 0 {
 		return
 	}
-	// The lane sum of the counts, and the largest count: narrow the
-	// candidate lanes plane by plane, from the highest down, to those
-	// with the plane's bit set, if any are.
-	t := bits.OnesCount64(p0) + 2*bits.OnesCount64(p1) + 4*bits.OnesCount64(p2) + 8*bits.OnesCount64(p3)
-	cand, most := ^uint64(0), uint32(0)
+	t, most := s.tally(p0, p1, p2, p3, high)
+	s.counter.CountCycle(net, t, uint64(rise), uint64(bits.OnesCount64(p0)), most)
+}
+
+// countBits is countNet in the one-rail form. It counts the rises
+// without a popcount per instant: every lane is known, so a lane's rises
+// minus its falls equal its last value minus its entry value, and the
+// lane sum of the rises is (t + |last ∧ ¬entry| − |entry ∧ ¬last|) / 2
+// over the counted lanes.
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) countBits(net netlist.NetID, vals []uint64, mask uint64) {
+	var p0, p1, p2, p3 uint64
+	high := 0
+	prev := vals[0]
+	for _, v := range vals[1:] {
+		p0, p1, p2, p3, high = s.increment((prev^v)&mask, p0, p1, p2, p3, high)
+		prev = v
+	}
+	if p0|p1|p2|p3 == 0 && high == 0 {
+		return
+	}
+	t, most := s.tally(p0, p1, p2, p3, high)
+	entry := vals[0]
+	rise := t + uint64(bits.OnesCount64(prev&^entry&mask)) - uint64(bits.OnesCount64(entry&^prev&mask))
+	s.counter.CountCycle(net, t, rise/2, uint64(bits.OnesCount64(p0)), most)
+}
+
+// increment adds one to the count of every lane in m. Each lane's count
+// is a binary number in bit-planes (plane p holds bit p of every lane's
+// count), incremented by one ripple-carry step. The four low planes
+// p0–p3 live in the caller's registers; a lane makes at most one
+// transition per instant, so only nets of more than 15 instants carry
+// into the planes above, of which the first high are in use in s.high.
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) increment(m, p0, p1, p2, p3 uint64, high int) (uint64, uint64, uint64, uint64, int) {
+	// No branch on m == 0: every step below is a no-op then, and most
+	// instants change some lane.
+	c := p0 & m
+	p0 ^= m
+	c, p1 = p1&c, p1^c
+	c, p2 = p2&c, p2^c
+	c, p3 = p3&c, p3^c
+	for p := 0; c != 0; p++ {
+		s.high[p], c = s.high[p]^c, s.high[p]&c
+		high = max(high, p+1)
+	}
+	return p0, p1, p2, p3, high
+}
+
+// tally reads a net's counts off its bit-planes (see increment) and
+// clears s.high: the lane sum of the counts, and the largest count,
+// found by narrowing the candidate lanes plane by plane, from the
+// highest down, to those with the plane's bit set, if any are.
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) tally(p0, p1, p2, p3 uint64, high int) (t uint64, most uint32) {
+	t = uint64(bits.OnesCount64(p0) + 2*bits.OnesCount64(p1) + 4*bits.OnesCount64(p2) + 8*bits.OnesCount64(p3))
+	cand := ^uint64(0)
 	for p := high - 1; p >= 0; p-- {
-		t += bits.OnesCount64(s.high[p]) << (p + 4)
+		t += uint64(bits.OnesCount64(s.high[p])) << (p + 4)
 		if c := cand & s.high[p]; c != 0 {
 			cand = c
 			most |= 16 << p
@@ -588,28 +894,35 @@ func (s *scheduleKernel) countNet(net netlist.NetID, vals []logic.W, mask uint64
 			most |= 8 >> i
 		}
 	}
-	s.counter.CountCycle(net, uint64(t), uint64(rise), uint64(bits.OnesCount64(p0)), most)
+	return t, most
 }
 
 // ExportState implements WideKernel: the entry slots hold the settled
-// net values, and ffQ[i] equals the entry slot of its Q net.
+// net values, and ffQ[i] equals the entry slot of its Q net. In the
+// one-rail form the zero rail is the one rail's complement.
 func (s *scheduleKernel) ExportState(dst []logic.W) []logic.W {
 	start := s.sc.slotStart
-	for net := 0; net+1 < len(start); net++ {
-		dst = append(dst, s.slots[start[net]])
+	for _, a := range start[:len(start)-1] {
+		if s.oneRail {
+			dst = append(dst, logic.W{Zero: ^s.sl.one[a], One: s.sl.one[a]})
+		} else {
+			dst = append(dst, at(s.sl, a))
+		}
 	}
 	return dst
 }
 
-// ImportState implements WideKernel: it writes the entry slots and
-// re-derives the flip-flop samples from their Q nets.
+// ImportState implements WideKernel: it writes the entry slots,
+// re-derives the flip-flop samples from their Q nets, and takes the
+// one-rail form when every lane of vals is known.
 func (s *scheduleKernel) ImportState(vals []logic.W, cycle int) {
 	s.checkImport(vals)
 	for net, v := range vals {
-		s.slots[s.sc.slotStart[net]] = v
+		put(s.sl, s.sc.slotStart[net], v)
 	}
 	for i, q := range s.c.dffQ {
 		s.ffQ[i] = vals[q]
 	}
+	s.oneRail = known(vals)
 	s.cycle = cycle
 }

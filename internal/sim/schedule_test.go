@@ -36,16 +36,29 @@ func scheduleSubjects(t *testing.T) []*netlist.Netlist {
 // TestWideScheduleMatchesEventKernel: under unit, full-adder-ratio and
 // typical delay, the schedule kernel's per-net statistics, Cycles,
 // Events and settled values equal the event kernel's after every step,
-// with the lane mask narrowed twice mid-run. Then every net's
-// MaxPerCycle is at most |PC(n)|, and a net with at most one instant
-// makes no useless transition.
+// with the lane mask narrowed twice mid-run. Two steps feed stimulus
+// words with X lanes, and once both kernels import the exported state
+// with lanes of some primary inputs and flip-flops forced to X. Then every net's MaxPerCycle is
+// at most |PC(n)|, and a net with at most one instant makes no useless
+// transition.
+//
+// Along the way it checks the schedule kernel's form: one 8-byte word
+// per slot after the first step from reset, 16 bytes while an X lane is
+// in its state, and one word again once the X lanes have passed, unless
+// a register feedback loop holds one.
 func TestWideScheduleMatchesEventKernel(t *testing.T) {
 	masks := []uint64{^uint64(0), 1<<37 - 1, 1<<5 - 1}
+	const (
+		xLanes     = 1<<1 | 1<<17 | 1<<40 // the lanes stimulus and imports force to X
+		importStep = 5                    // the step after the forced-X import
+	)
+	xStep := func(step int) bool { return step == 2 || step == 4 }
 	for _, nl := range scheduleSubjects(t) {
 		c := sim.Compile(nl)
+		_, feedback := c.SequentialDepth()
 		steps := 12
 		if nl.NumCells() > 2000 {
-			steps = 6
+			steps = 8
 		}
 		for _, dm := range []delay.Model{delay.Unit(), delay.FullAdderRatio(2, 1), delay.Typical()} {
 			name := fmt.Sprintf("%s/%s", nl.Name, dm.Name())
@@ -64,7 +77,18 @@ func TestWideScheduleMatchesEventKernel(t *testing.T) {
 				mask := masks[step*len(masks)/steps]
 				cs.SetLaneMask(mask)
 				ce.SetLaneMask(mask)
+				if step == importStep {
+					st := forceX(nl, ks.ExportState(nil), xLanes)
+					ks.ImportState(st, ks.Cycle())
+					ke.ImportState(st, ke.Cycle())
+				}
 				pi := src.NextWide(buf)
+				if xStep(step) {
+					for i := 0; i < len(pi); i += 3 {
+						pi[i].Zero &^= xLanes
+						pi[i].One &^= xLanes
+					}
+				}
 				if err := ks.Step(pi); err != nil {
 					t.Fatalf("%s: schedule step %d: %v", name, step, err)
 				}
@@ -76,6 +100,16 @@ func TestWideScheduleMatchesEventKernel(t *testing.T) {
 				}
 				if !slices.Equal(ks.ExportState(nil), ke.ExportState(nil)) {
 					t.Fatalf("%s: after step %d the kernels settled at different values", name, step)
+				}
+				want := 0 // bytes per slot, where the form is certain
+				switch {
+				case step == 0 || step == steps-1 && !feedback:
+					want = 8
+				case xStep(step):
+					want = 16
+				}
+				if got := sim.SlotBytes(ks); want != 0 && got != want {
+					t.Fatalf("%s: after step %d the schedule kernel steps on %d bytes per slot, want %d", name, step, got, want)
 				}
 			}
 			if cs.Cycles() != ce.Cycles() || ks.Cycle() != ke.Cycle() {
@@ -97,6 +131,38 @@ func TestWideScheduleMatchesEventKernel(t *testing.T) {
 			ke.Release()
 		}
 	}
+}
+
+// forceX sets lanes of st, a settled state of nl, to X on every third
+// primary input and flip-flop output, and settles the other nets of
+// those lanes from them (netlist.EvalOutputs). The result is a state a
+// kernel could have settled at: a net forced to X against the inputs of
+// its cell would stay X in the event kernel until an input changed, but
+// turn known in the schedule kernel at the cell's next instant.
+func forceX(nl *netlist.Netlist, st []logic.W, lanes uint64) []logic.W {
+	sources := slices.Clone(nl.PIs)
+	for _, cell := range nl.Cells {
+		if cell.Type == netlist.DFF {
+			sources = append(sources, cell.Out[0])
+		}
+	}
+	vals := make([]logic.V, len(st))
+	for l := range logic.Lanes {
+		if lanes>>l&1 == 0 {
+			continue
+		}
+		for i, w := range st {
+			vals[i] = w.Lane(l)
+		}
+		for i := 0; i < len(sources); i += 3 {
+			vals[sources[i]] = logic.X
+		}
+		nl.EvalOutputs(vals)
+		for i, v := range vals {
+			st[i].SetLane(l, v)
+		}
+	}
+	return st
 }
 
 // TestWideScheduleShape: a schedule holds one entry slot per net plus one

@@ -4,7 +4,10 @@ package sim
 // independent stimulus lanes at once. Every net value is a packed
 // logic.W — one three-valued level per lane — and cell evaluation is the
 // branch-free bitwise form from internal/logic, cross-checked at init
-// against the scalar truth tables.
+// against the scalar truth tables. The schedule kernel keeps only the W's
+// one rail, and evaluates plain Boolean logic, once a step settles with
+// every lane of every net known; a stimulus word or an imported value
+// with an X lane returns it to three-valued words.
 //
 // NewWideKernel routes each run to one of two kernels:
 //
