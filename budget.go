@@ -60,7 +60,10 @@ type Budget struct {
 	// of a netlist without register feedback settles its warm-up in at
 	// most SequentialLevels+1 steps (see Config.Warmup), so there the
 	// budget buys more measured cycles than on a single-stream run of
-	// the same circuit.
+	// the same circuit. A lane-decomposed warm-up step on the schedule
+	// kernel computes settled values only, and counts one word event
+	// per net whose settled value changed rather than one per net and
+	// instant (sim.WideKernel.Settle).
 	Events uint64
 	// MemoryBytes bounds the estimated footprint (CostEstimate
 	// .MemoryBytes) of the compiled netlist plus kernel state.
@@ -109,7 +112,10 @@ type CostEstimate struct {
 	// the depth-proportional glitching the paper analyzes.
 	EventsPerStep uint64
 	// Events = EventsPerStep * Steps, the number compared against event
-	// limits at admission.
+	// limits at admission. It prices a warm-up step as a full step,
+	// although a lane-decomposed one on the schedule kernel settles
+	// values only and counts at most one event per net (see
+	// Budget.Events): admission stays conservative.
 	Events uint64
 	// MemoryBytes estimates the resident footprint of the compiled CSR
 	// arrays plus one kernel's state.
@@ -159,7 +165,8 @@ func estimateCost(n *netlist.Netlist, cfg Config, lanes int) CostEstimate {
 // EstimateCost resolves the request's circuit and predicts its resource
 // footprint under the engine's defaults, without compiling or running
 // anything. The service's admission layer calls this on every incoming
-// measure request.
+// measure request. It prices a warm-up step like a measured one (see
+// CostEstimate.Events), so admission stays conservative.
 func (e *Engine) EstimateCost(req MeasureRequest) (CostEstimate, error) {
 	nl, _, err := e.requestNetlist(req.Netlist, req.Circuit)
 	if err != nil {

@@ -26,6 +26,7 @@ import (
 	"glitchsim/internal/core"
 	"glitchsim/internal/logic"
 	"glitchsim/internal/sim"
+	"glitchsim/netlist"
 )
 
 // CheckpointVersion is the MeasureCheckpoint format version; resume
@@ -359,20 +360,25 @@ func (k *checkpointer) capture(ws sim.WideKernel, counter *core.WideCounter, don
 	return &cp, nil
 }
 
-// resume validates cp against the run (checksum, identity, cycle range,
-// payload shapes), restores its counter snapshot into counter and
-// returns the kernel net values to import. Every failure is an
+// resume validates cp against the run on c (checksum, identity, cycle
+// range, payload shapes, and net values that a kernel settles at: see
+// sim.Compiled.Unsettled), restores its counter snapshot into counter
+// and returns the kernel net values to import. Every failure is an
 // ErrCheckpointMismatch.
-func (k *checkpointer) resume(cp *MeasureCheckpoint, counter *core.WideCounter, numNets, maxQ int) ([]logic.W, error) {
+func (k *checkpointer) resume(cp *MeasureCheckpoint, counter *core.WideCounter, c *sim.Compiled, maxQ int) ([]logic.W, error) {
 	if err := cp.Verify(); err != nil {
 		return nil, err
 	}
 	if err := cp.matches(&k.id, maxQ); err != nil {
 		return nil, err
 	}
-	vals, err := unpackNetState(cp.NetState, numNets)
+	n := c.Netlist()
+	vals, err := unpackNetState(cp.NetState, n.NumNets())
 	if err != nil {
 		return nil, err
+	}
+	if net := c.Unsettled(vals); net != netlist.NoNet {
+		return nil, fmt.Errorf("%w: net %q holds a value its driver does not settle at", ErrCheckpointMismatch, n.Nets[net].Name)
 	}
 	if err := counter.Restore(cp.Counter, k.id.Fingerprint); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCheckpointMismatch, err)

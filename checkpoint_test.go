@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -219,6 +220,70 @@ func TestResumeRejectsMismatch(t *testing.T) {
 			t.Fatalf("resume onto rca16 = %v, want ErrCheckpointMismatch", err)
 		}
 	})
+}
+
+// TestCheckpointUnsettledRejected: a checkpoint whose net values no
+// kernel settles at is refused with ErrCheckpointMismatch naming the
+// net, although its checksum holds: X forced into lanes 1, 17 and 40 of
+// every seventh net, and one flipped lane of one internal net. The
+// second is testdata/checkpoint-unsettled-rca8.json, which a job must
+// discard (internal/service's TestCheckpointUnsettledDiscarded).
+func TestCheckpointUnsettledRejected(t *testing.T) {
+	n, err := registry.Build("rca8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{Cycles: 64, Seed: 3, Lanes: 8}
+	cfg := base
+	cfg.CheckpointEvery = 2
+	var captured *MeasureCheckpoint
+	cfg.CheckpointSink = func(cp *MeasureCheckpoint) error {
+		captured = cp
+		return ErrStopAtCheckpoint
+	}
+	if _, err := measureFor(t, n, cfg); !errors.Is(err, ErrCheckpointed) {
+		t.Fatalf("capture run: %v, want ErrCheckpointed", err)
+	}
+	forced := *captured
+	vals, err := unpackNetState(forced.NetState, n.NumNets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const xLanes = 1<<1 | 1<<17 | 1<<40
+	for i := 0; i < len(vals); i += 7 {
+		vals[i].Zero &^= xLanes
+		vals[i].One &^= xLanes
+	}
+	forced.NetState = packNetState(vals)
+	if err := forced.seal(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile("testdata/checkpoint-unsettled-rca8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := new(MeasureCheckpoint)
+	if err := json.Unmarshal(data, flipped); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, net string // net: the net the error must name, if known
+		cp        *MeasureCheckpoint
+	}{{"x lanes on every seventh net", "", &forced}, {"one flipped lane", "n1", flipped}} {
+		if err := tc.cp.Verify(); err != nil {
+			t.Fatalf("%s: %v, want a checkpoint whose checksum holds", tc.name, err)
+		}
+		resume := base
+		resume.Resume = tc.cp
+		_, err := measureFor(t, n, resume)
+		if !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), "settle") {
+			t.Fatalf("%s: resume = %v, want ErrCheckpointMismatch on an unsettled net", tc.name, err)
+		}
+		if tc.net != "" && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.net)) {
+			t.Errorf("%s: %v does not name net %s", tc.name, err, tc.net)
+		}
+	}
 }
 
 // TestCheckpointUnsupportedSingleStream: checkpointing needs the

@@ -12,6 +12,20 @@ import (
 	"glitchsim/internal/jobs"
 )
 
+// TestCheckpointUnsettledDiscarded: a job persisted with a checkpoint
+// whose net values no kernel settles at does not resume from it. The
+// fixture (testdata/checkpoint-unsettled-rca8.json) is the checkpoint
+// taken at cycle 4 of this very request, with lane 3 of net n1 (the
+// first full adder's sum) flipped and the checksum resealed. The job
+// emits resume-discarded naming the net, re-runs from cycle zero, and
+// its result equals an uninterrupted run's byte for byte.
+func TestCheckpointUnsettledDiscarded(t *testing.T) {
+	ev := resumeParkedJob(t, "../../testdata/checkpoint-unsettled-rca8.json")
+	if !strings.Contains(ev.Error, `net "n1"`) {
+		t.Errorf("resume-discarded names %q, want the unsettled net n1", ev.Error)
+	}
+}
+
 // TestCheckpointV1Discarded: a job persisted with a version 1
 // checkpoint does not resume from it. The fixture
 // (testdata/checkpoint-v1-rca8.json) is the checkpoint the version 1
@@ -20,7 +34,18 @@ import (
 // reports resumed_from_cycle 0, and its result equals an uninterrupted
 // run's byte for byte.
 func TestCheckpointV1Discarded(t *testing.T) {
-	fixture, err := os.ReadFile("../../testdata/checkpoint-v1-rca8.json")
+	resumeParkedJob(t, "../../testdata/checkpoint-v1-rca8.json")
+}
+
+// resumeParkedJob parks an rca8 measure job at cycle 4 with the
+// checkpoint in fixture, which the job must discard, and runs it beside
+// a fresh job of the same request. It fails unless the parked job
+// emits resume-discarded, reports resumed_from_cycle 0 and returns the
+// fresh job's result byte for byte, and returns the resume-discarded
+// event.
+func resumeParkedJob(t *testing.T, fixture string) jobs.Event {
+	t.Helper()
+	checkpoint, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +56,7 @@ func TestCheckpointV1Discarded(t *testing.T) {
 	}
 	parked := jobs.Record{
 		ID: "0123456789abcdef", State: jobs.StateQueued, Kind: "measure",
-		Request: json.RawMessage(request), Checkpoint: fixture, CheckpointCycle: 4,
+		Request: json.RawMessage(request), Checkpoint: checkpoint, CheckpointCycle: 4,
 		CreatedAt: time.Now().UTC(),
 	}
 	if err := store.Put(parked); err != nil {
@@ -53,27 +78,23 @@ func TestCheckpointV1Discarded(t *testing.T) {
 	}
 	got, want := result(parked.ID), result(fresh.ID)
 	if string(got) != string(want) {
-		t.Errorf("job resumed from a version 1 checkpoint returned %s, an uninterrupted run %s", got, want)
+		t.Errorf("job resumed from %s returned %s, an uninterrupted run %s", fixture, got, want)
 	}
 	rec, err := s.Jobs().Get(parked.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	discarded := false
-	for _, ev := range rec.Events {
-		if ev.Kind == "resume-discarded" {
-			discarded = true
-			t.Logf("resume-discarded: %s", ev.Error)
-		}
-	}
-	if !discarded {
-		var kinds []string
-		for _, ev := range rec.Events {
-			kinds = append(kinds, ev.Kind)
-		}
-		t.Errorf("no resume-discarded event; events: %s", strings.Join(kinds, ", "))
-	}
 	if rec.ResumedFromCycle != 0 {
 		t.Errorf("resumed_from_cycle = %d after the checkpoint was discarded, want 0", rec.ResumedFromCycle)
 	}
+	var kinds []string
+	for _, ev := range rec.Events {
+		if ev.Kind == "resume-discarded" {
+			t.Logf("resume-discarded: %s", ev.Error)
+			return ev
+		}
+		kinds = append(kinds, ev.Kind)
+	}
+	t.Fatalf("no resume-discarded event; events: %s", strings.Join(kinds, ", "))
+	return jobs.Event{}
 }

@@ -59,7 +59,9 @@ func TestStepAllocFree(t *testing.T) {
 // instructions, poll and the counting pass — must not allocate, under a
 // uniform and two non-uniform delay models, in both of its forms: the
 // one-rail steady state, and the three-valued form that a stimulus word
-// with an X lane brings back.
+// with an X lane brings back. Nor must its Settle, on a kernel with no
+// counter: one-rail from reset (re-importing the reset state before
+// each), which never allocates the zero rail, and three-valued.
 func TestWideStepAllocFree(t *testing.T) {
 	nl := circuits.NewArrayMultiplier(8, circuits.Cells)
 	comp := sim.Compile(nl)
@@ -103,11 +105,41 @@ func TestWideStepAllocFree(t *testing.T) {
 				}
 			}
 			step()
-			if got := sim.SlotBytes(ws); got != form.slotBytes {
+			if got, _ := sim.SlotBytes(ws); got != form.slotBytes {
 				t.Fatalf("%s/%s: %d bytes per slot, want %d", tc.name, form.name, got, form.slotBytes)
 			}
 			if avg := testing.AllocsPerRun(100, step); avg > allocTolerance {
 				t.Errorf("%s/%s: %.2f allocs per warmed-up Step, want 0", tc.name, form.name, avg)
+			}
+		}
+
+		wk, err := scheduled(comp, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reset := wk.ExportState(nil)
+		for _, form := range []struct {
+			name       string
+			xLane      bool // lane 0 of the first input at X; else from reset
+			step, held int  // sim.SlotBytes after a Settle
+		}{{"settle-reset", false, 8, 8}, {"settle-three-valued", true, 16, 16}} {
+			settle := func() {
+				pi := src.NextWide(buf)
+				if form.xLane {
+					pi[0].SetLane(0, logic.X)
+				} else {
+					wk.ImportState(reset, 0)
+				}
+				if err := wk.Settle(pi); err != nil {
+					t.Fatal(err)
+				}
+			}
+			settle()
+			if step, held := sim.SlotBytes(wk); step != form.step || held != form.held {
+				t.Fatalf("%s/%s: %d/%d bytes per slot stepped/held, want %d/%d", tc.name, form.name, step, held, form.step, form.held)
+			}
+			if avg := testing.AllocsPerRun(100, settle); avg > allocTolerance {
+				t.Errorf("%s/%s: %.2f allocs per Settle, want 0", tc.name, form.name, avg)
 			}
 		}
 	}

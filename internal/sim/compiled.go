@@ -182,6 +182,35 @@ func (c *Compiled) Fingerprint() string {
 	return c.fp
 }
 
+// Unsettled returns the first net whose value in vals (one per net) no
+// kernel settles at, or NoNet when there is none: a connected output of
+// a combinational cell, constant cells included, that differs from the
+// cell's three-valued function of its inputs' values in vals, or a net
+// with a lane whose two rails are both set. Primary inputs and
+// flip-flop outputs may hold any level. A checkpoint resume checks its
+// net values with it: the two wide kernels re-evaluate cells at
+// different instants, so a value that contradicts its cell's inputs
+// would be corrected differently by each.
+func (c *Compiled) Unsettled(vals []logic.W) netlist.NetID {
+	for net, v := range vals {
+		if v.Zero&v.One != 0 {
+			return netlist.NetID(net)
+		}
+	}
+	for cid, t := range c.cellType {
+		if t == netlist.DFF {
+			continue
+		}
+		o0, o1, _ := evalCellWide(c, vals, netlist.CellID(cid))
+		for pin, w := range [outputsPerCell]logic.W{o0, o1} {
+			if o := c.outNets[outputsPerCell*cid+pin]; o != netlist.NoNet && vals[o] != w {
+				return o
+			}
+		}
+	}
+	return netlist.NoNet
+}
+
 // SequentialDepth returns the netlist's SequentialDepth (register
 // levels, and whether any flipflop sits on a feedback loop), computed
 // once at Compile.

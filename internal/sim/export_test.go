@@ -14,11 +14,17 @@ func ScheduleOf(k WideKernel) *Schedule {
 func NewScheduleInt32(c *Compiled, dt *DelayTable) *Schedule { return newSchedule(c, dt, false) }
 
 // SlotBytes returns the bytes per slot a schedule kernel's steps read
-// and write in its current form: 8 in the one-rail form, 16 in the
-// three-valued one.
-func SlotBytes(k WideKernel) int {
-	if k.(*scheduleKernel).oneRail {
-		return 8
+// and write in its current form (8 in the one-rail and reset forms, 16
+// in the three-valued one) and the bytes per slot it holds: 8 until a
+// three-valued step first needs the zero rail, 16 after.
+func SlotBytes(k WideKernel) (step, held int) {
+	s := k.(*scheduleKernel)
+	step, held = 8, 8
+	if s.form == threeValued {
+		step = 16
 	}
-	return 16
+	if s.sl.zero != nil {
+		held = 16
+	}
+	return step, held
 }

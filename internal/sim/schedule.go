@@ -32,10 +32,10 @@ package sim
 // output already holds, so the slots hold exactly the values the event
 // kernels give each net, at the same instants. A net's transitions are
 // the differences between its consecutive slots, and its word events
-// the slots that differ from their predecessor, so Events matches the
-// event kernels' count as well.
+// the slots that differ from their predecessor, so a Step's events match
+// the event kernels' count as well.
 //
-// # Two forms
+// # Forms
 //
 // A kernel stores its slots as logic.W's two rails in two arrays, zero
 // and one. While any entry slot or stimulus word holds an X lane it
@@ -44,11 +44,46 @@ package sim
 // stimulus or an imported state brings one: the kernel then runs each
 // step on the one rail alone (8 bytes per slot instead of 16), with
 // plain Boolean logic, and a flip-flop samples its D input's entry value
-// as it is. Reset leaves the primary inputs at X, so the first step from
-// reset runs three-valued, with its events, budget trips and the
-// flip-flops' X-hold rule, and the next step runs on one rail. A
-// stimulus word or an imported value with an X lane rebuilds the zero
-// rail from the one rail and returns to the three-valued form.
+// as it is. A stimulus word or an imported value with an X lane
+// rebuilds the zero rail from the one rail and returns to the
+// three-valued form.
+//
+// A kernel starts in a third form, the reset form: every entry slot
+// holds its net's reset value (Compiled.initVals), which ExportState
+// returns, and the one rail holds an X one as 0. Reset leaves the
+// primary inputs at X, so a Step from reset runs three-valued, with its
+// events, budget trips and the flip-flops' X-hold rule. A Settle from
+// reset with a known stimulus runs on the one rail (see Settling). The
+// zero rail is allocated when a three-valued step first needs it, and
+// rebuilt from the reset values when leaving the reset form, so a run
+// that never sees an X lane holds 8 bytes per slot. An import of the
+// reset state keeps the reset form.
+//
+// # Settling
+//
+// A warm-up step only brings the registers to the state the recent
+// inputs set, and no counter observes it, so only each net's settled
+// value matters. Settle computes it alone: it runs each cell's last
+// instruction only, the one at the last instant τ of the union of its
+// inputs' potential-change sets. At τ every input already holds its
+// last value, and the instruction writes each output's last slot (τ
+// plus the pin's delay). Its reads come from instants ≤ τ−1, so running
+// the last instructions in program order evaluates the netlist once, in
+// dependency order.
+//
+// The order of the instructions inside one instant is free, since an
+// instruction at τ reads only slots written at earlier instants. So
+// each instant of the program ends with its last instructions, and the
+// Schedule records their spans (Schedule.last) instead of a second
+// program.
+//
+// A Settle counts one word event per net whose settled value changed
+// in some lane, X → known included; from the reset form it compares
+// against the reset values. From reset with a known stimulus it runs on
+// the one rail, where an X entry value reads as 0: that is also the L0
+// every flip-flop holds while its D input is X, and every net with
+// instants is overwritten from known inputs. The nets without instants
+// are constant, known at reset.
 //
 // # Counting
 //
@@ -116,6 +151,11 @@ type Schedule struct {
 	// index and extra offset fits in 16 bits.
 	narrow program[uint16]
 	wide   program[int32]
+	// all spans the whole program; last spans the instructions that are
+	// their cells' last (see Settling), as [start, end) index pairs in
+	// program order, one per run of consecutive ones.
+	all  [2]int32
+	last []int32
 }
 
 // NewSchedule builds the schedule of c under dt. It panics unless every
@@ -197,17 +237,34 @@ func newSchedule(c *Compiled, dt *DelayTable, narrow bool) *Schedule {
 		sc.slotStart[i+1] = sc.slotStart[i] + 1 + pcLen[i]
 	}
 
-	// 3. Instructions: count them per instant, then emit.
+	// 3. Instructions: count them per instant, then emit. Each instant
+	// ends with the instructions that are their cells' last, so that
+	// they form one span per instant (see Settling).
 	at := make([]int32, last+2)
+	lastAt := make([]int32, last+1)
 	for _, e := range emitters {
-		for _, t := range pcOf(e.o) {
+		pc := pcOf(e.o)
+		for _, t := range pc {
 			at[t-e.d+1]++
 		}
+		lastAt[pc[len(pc)-1]-e.d]++
 	}
 	for t := 1; t < len(at); t++ {
 		at[t] += at[t-1]
 	}
-	b := emission{c: c, pcs: pcs, pcAt: pcAt, pcLen: pcLen, slotStart: sc.slotStart, at: at, maxIn: maxIn, cells: emitters}
+	for t, n := range lastAt {
+		lo, hi := at[t+1]-n, at[t+1]
+		lastAt[t] = lo
+		switch k := len(sc.last); {
+		case n == 0:
+		case k > 0 && sc.last[k-1] == lo:
+			sc.last[k-1] = hi
+		default:
+			sc.last = append(sc.last, lo, hi)
+		}
+	}
+	sc.all = [2]int32{0, int32(total)}
+	b := emission{c: c, pcs: pcs, pcAt: pcAt, pcLen: pcLen, slotStart: sc.slotStart, at: at, lastAt: lastAt, maxIn: maxIn, cells: emitters}
 	if narrow && sc.Slots() < math.MaxUint16 && extra < math.MaxUint16 {
 		sc.narrow = emit[uint16](&b, total, extra)
 	} else {
@@ -227,19 +284,21 @@ type emitCell struct {
 
 // emission is what NewSchedule hands emit: the potential-change sets
 // (net n's is pcs[pcAt[n] : pcAt[n]+pcLen[n]]), the slot layout, the
-// first instruction index of every instant (advanced as emit fills
-// them), and the cells to emit in topological order.
+// index of every instant's first instruction and of its first last
+// instruction (both advanced as emit fills them), and the cells to emit
+// in topological order.
 type emission struct {
-	c                *Compiled
-	pcs, pcAt, pcLen []int32
-	slotStart, at    []int32
-	maxIn            int
-	cells            []emitCell
+	c                     *Compiled
+	pcs, pcAt, pcLen      []int32
+	slotStart, at, lastAt []int32
+	maxIn                 int
+	cells                 []emitCell
 }
 
 // emit fills a program of total instructions and extra further-input
-// entries, bucketed by instant; cells are visited in topological order,
-// so each bucket comes out in that order.
+// entries, bucketed by instant, each bucket ending with the
+// instructions that are their cells' last; cells are visited in
+// topological order, so both parts of a bucket come out in that order.
 func emit[I slotIndex](b *emission, total, extra int) program[I] {
 	c := b.c
 	pcOf := func(net netlist.NetID) []int32 { return b.pcs[b.pcAt[net] : b.pcAt[net]+b.pcLen[net]] }
@@ -262,10 +321,15 @@ func emit[I slotIndex](b *emission, total, extra int) program[I] {
 			}
 		}
 		op, arity := c.cellType[cid], uint8(min(len(ins), 4))
-		for j, t := range pcOf(e.o) {
+		pc := pcOf(e.o)
+		for j, t := range pc {
 			t -= e.d
-			in := &p.instrs[b.at[t]]
-			b.at[t]++
+			pos := &b.at[t]
+			if j == len(pc)-1 {
+				pos = &b.lastAt[t]
+			}
+			in := &p.instrs[*pos]
+			*pos++
 			in.op, in.n = op, arity
 			for i := range ins {
 				k, set := next[i], sets[i]
@@ -320,7 +384,7 @@ func unionSorted(dst, a, b []int32) []int32 {
 // Bytes returns the memory the schedule holds: the unit of the Engine's
 // schedule-cache bound.
 func (sc *Schedule) Bytes() int {
-	return int(unsafe.Sizeof(*sc)) + 4*cap(sc.slotStart) + sc.narrow.bytes() + sc.wide.bytes()
+	return int(unsafe.Sizeof(*sc)) + 4*(cap(sc.slotStart)+cap(sc.last)) + sc.narrow.bytes() + sc.wide.bytes()
 }
 
 func (p *program[I]) bytes() int {
@@ -344,7 +408,7 @@ func (sc *Schedule) Instants(net netlist.NetID) int {
 // rails are the slots in the three-valued form: logic.W's two rails in
 // two arrays, so that lane l of slot i is 0 when bit l of zero[i] is
 // set, 1 when bit l of one[i] is, and X when neither is. The one-rail
-// form keeps only one (see scheduleKernel).
+// forms keep only one (see scheduleKernel).
 type rails struct{ zero, one []uint64 }
 
 // at returns slot i's value.
@@ -357,35 +421,46 @@ func at[I slotIndex](r rails, i I) logic.W { return logic.W{Zero: r.zero[i], One
 //glitchsim:hotpath
 func put[I slotIndex](r rails, i I, w logic.W) { r.zero[i], r.one[i] = w.Zero, w.One }
 
-// run executes the instructions on slots in the three-valued form and
-// returns how many output slots differ from their predecessor: the
-// step's word events on combinational nets.
+// run executes the instructions of spans ([start, end) index pairs:
+// sc.all or sc.last) on slots in the three-valued form and returns how
+// many output slots differ from their predecessor. Over sc.all that is
+// the step's word events on combinational nets; over sc.last the
+// predecessors were not written, and the count means nothing.
 //
 //glitchsim:hotpath
-func (sc *Schedule) run(r rails) uint64 {
-	if sc.narrow.instrs != nil {
-		return runProgram(&sc.narrow, r)
+func (sc *Schedule) run(r rails, spans []int32) uint64 {
+	var events uint64
+	for i := 0; i+1 < len(spans); i += 2 {
+		if sc.narrow.instrs != nil {
+			events += runProgram(sc.narrow.instrs[spans[i]:spans[i+1]], sc.narrow.extra, r)
+		} else {
+			events += runProgram(sc.wide.instrs[spans[i]:spans[i+1]], sc.wide.extra, r)
+		}
 	}
-	return runProgram(&sc.wide, r)
+	return events
 }
 
-// runBits is run on slots in the one-rail form: sl holds each slot's
+// runBits is run on slots in the one-rail forms: sl holds each slot's
 // lanes as plain bits, none of them X.
 //
 //glitchsim:hotpath
-func (sc *Schedule) runBits(sl []uint64) uint64 {
-	if sc.narrow.instrs != nil {
-		return runBits(&sc.narrow, sl)
+func (sc *Schedule) runBits(sl []uint64, spans []int32) uint64 {
+	var events uint64
+	for i := 0; i+1 < len(spans); i += 2 {
+		if sc.narrow.instrs != nil {
+			events += runBits(sc.narrow.instrs[spans[i]:spans[i+1]], sc.narrow.extra, sl)
+		} else {
+			events += runBits(sc.wide.instrs[spans[i]:spans[i+1]], sc.wide.extra, sl)
+		}
 	}
-	return runBits(&sc.wide, sl)
+	return events
 }
 
 //glitchsim:hotpath
-func runProgram[I slotIndex](p *program[I], r rails) uint64 {
+func runProgram[I slotIndex](instrs []instr[I], extra []I, r rails) uint64 {
 	var events uint64
-	extra := p.extra
-	for i := range p.instrs {
-		in := &p.instrs[i]
+	for i := range instrs {
+		in := &instrs[i]
 		var o0, o1 logic.W
 		switch in.op {
 		case netlist.FA:
@@ -433,11 +508,10 @@ func runProgram[I slotIndex](p *program[I], r rails) uint64 {
 // X each cell is its two-valued function of one word per input.
 //
 //glitchsim:hotpath
-func runBits[I slotIndex](p *program[I], sl []uint64) uint64 {
+func runBits[I slotIndex](instrs []instr[I], extra []I, sl []uint64) uint64 {
 	var events uint64
-	extra := p.extra
-	for i := range p.instrs {
-		in := &p.instrs[i]
+	for i := range instrs {
+		in := &instrs[i]
 		var o0, o1 uint64
 		switch in.op {
 		case netlist.FA:
@@ -586,15 +660,14 @@ func xorBits[I slotIndex](sl []uint64, in *instr[I], extra []I) uint64 {
 // scheduleKernel runs a Schedule for MaxLanes stimulus lanes at once.
 // Like the other kernels it is not safe for concurrent use, but any
 // number may share one Compiled netlist and one Schedule.
-//
-// It keeps its slots in one of two forms (see the file comment): the
-// three-valued form on both of sl's rails, and the one-rail form on
-// sl.one alone, in which sl.zero and the flip-flop samples go stale.
 type scheduleKernel struct {
 	wideCore
-	sc      *Schedule
-	sl      rails // the slots; empty once released
-	oneRail bool  // the one-rail form: no lane of any entry slot is X
+	sc *Schedule
+	// sl holds the slots, in the form form names (see the file
+	// comment). Its zero rail is allocated when a three-valued step
+	// first needs it (zeroRail); both rails are nil once released.
+	sl   rails
+	form form
 
 	// high holds the count bit-planes above the fourth (see increment):
 	// a lane making more than 15 transitions in a cycle. Zero between
@@ -602,18 +675,32 @@ type scheduleKernel struct {
 	high [28]uint64
 }
 
-// newScheduleKernel returns the reset state of a schedule kernel: every
-// entry slot at its net's reset value, in the three-valued form.
-// opts.Delays must be set.
+// form is the way a schedule kernel holds its slots.
+type form uint8
+
+const (
+	// threeValued: both rails hold the slots. The flip-flop samples
+	// are current.
+	threeValued form = iota
+	// oneRail: the one rail alone holds the slots, and no lane of any
+	// entry slot is X. The zero rail, if allocated, and the flip-flop
+	// samples are stale.
+	oneRail
+	// atReset: every entry slot holds its net's reset value
+	// (Compiled.initVals), the one rail an X one as 0. The zero rail, if
+	// allocated, is stale; the flip-flop samples are current.
+	atReset
+)
+
+// newScheduleKernel returns a schedule kernel in the reset form, with
+// its one rail alone. opts.Delays must be set.
 func newScheduleKernel(c *Compiled, sc *Schedule, opts Options) *scheduleKernel {
 	if len(sc.slotStart) != c.n.NumNets()+1 {
 		panic(fmt.Sprintf("sim: schedule of %d nets for netlist %q of %d", len(sc.slotStart)-1, c.n.Name, c.n.NumNets()))
 	}
-	n := sc.Slots()
-	sl := make([]uint64, 2*n)
-	s := &scheduleKernel{wideCore: newWideCore(c, opts), sc: sc, sl: rails{zero: sl[:n:n], one: sl[n:]}}
-	for i, v := range c.initVals {
-		put(s.sl, sc.slotStart[i], logic.SplatW(v))
+	s := &scheduleKernel{wideCore: newWideCore(c, opts), sc: sc, sl: rails{one: make([]uint64, sc.Slots())}, form: atReset}
+	for net, v := range c.initVals {
+		s.sl.one[sc.slotStart[net]] = logic.SplatW(v).One
 	}
 	return s
 }
@@ -629,45 +716,24 @@ func (s *scheduleKernel) Release() { s.sl = rails{} }
 // trip the settle guard (see Options.Scheduled).
 //
 // In the one-rail form a stimulus with every lane known runs on
-// stepBits; a stimulus word with an X lane returns the kernel to the
-// three-valued form (widen), which settle leaves again once a step ends
-// with no X lane.
+// stepBits. A stimulus word with an X lane, like any Step from the
+// reset form, enters the three-valued form (widen), which fold leaves
+// again once a step ends with no X lane.
 //
 //glitchsim:hotpath
 func (s *scheduleKernel) Step(pi []logic.W) error {
 	s.checkWidth(pi)
-	if s.oneRail {
-		if known(pi) {
+	if s.form != threeValued {
+		if s.form == oneRail && known(pi) {
 			return s.stepBits(pi)
 		}
 		s.widen()
 	}
-	c, r, start := s.c, s.sl, s.sc.slotStart
-
-	// 1. Sample DFF D inputs from their entry slots.
-	for i, d := range c.dffD {
-		s.sample(i, at(r, start[d]))
-	}
-
-	// 2. Inject PI changes and DFF Q updates at instant 0, the slot
-	// after each entry slot.
-	var events uint64
-	for i, id := range c.n.PIs {
-		events += nonzero(logic.DiffMask(pi[i], at(r, start[id])))
-		put(r, start[id]+1, pi[i])
-	}
-	for i, q := range c.dffQ {
-		events += nonzero(logic.DiffMask(s.ffQ[i], at(r, start[q])))
-		put(r, start[q]+1, s.ffQ[i])
-	}
-
-	// 3. Propagate.
-	if err := s.commit(events + s.sc.run(r)); err != nil {
+	events := s.inject(pi)
+	if err := s.commit(events + s.sc.run(s.sl, s.sc.all[:])); err != nil {
 		return err
 	}
-
-	// 4. Count and settle.
-	s.settle()
+	s.fold()
 	s.endCycle()
 	return nil
 }
@@ -677,11 +743,109 @@ func (s *scheduleKernel) Step(pi []logic.W) error {
 //
 //glitchsim:hotpath
 func (s *scheduleKernel) stepBits(pi []logic.W) error {
-	c, sl, start := s.c, s.sl.one, s.sc.slotStart
+	events := s.injectBits(pi)
+	if err := s.commit(events + s.sc.runBits(s.sl.one, s.sc.all[:])); err != nil {
+		return err
+	}
+	s.foldBits()
+	s.endCycle()
+	return nil
+}
 
-	// 1–2. Inject PI changes and DFF Q updates at instant 0. With no
-	// lane at X a flip-flop takes its D input's entry value in every
-	// lane, so the sample is that value itself.
+// Settle implements WideKernel. It runs each cell's last instruction
+// alone (see Settling in the file comment), counts one word event per
+// net whose settled value changed in some lane, and moves each net's
+// last slot into its entry slot; it polls like Step. From the reset or
+// one-rail form, a stimulus with every lane known runs on settleBits.
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) Settle(pi []logic.W) error {
+	s.checkWidth(pi)
+	if s.form != threeValued {
+		if known(pi) {
+			return s.settleBits(pi)
+		}
+		s.widen()
+	}
+	r, start := s.sl, s.sc.slotStart
+	s.inject(pi)
+	s.sc.run(r, s.sc.last)
+	var events uint64
+	for net := 0; net+1 < len(start); net++ {
+		events += nonzero(logic.DiffMask(at(r, start[net+1]-1), at(r, start[net])))
+	}
+	if err := s.commit(events); err != nil {
+		return err
+	}
+	s.fold()
+	s.cycle++
+	return nil
+}
+
+// settleBits is Settle in the one-rail and reset forms, on a stimulus
+// with every lane known. From the reset form it leaves every net known:
+// a flip-flop whose D input is X at reset holds the 0 its X reads as,
+// and every net with instants is computed from known inputs. A net
+// whose reset value is X then counts as changed.
+//
+// It counts and moves in one pass, before the poll, so a Settle that
+// fails has moved the state on; no later step can succeed then (see
+// WideKernel.Settle).
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) settleBits(pi []logic.W) error {
+	sl, start, init := s.sl.one, s.sc.slotStart, s.c.initVals
+	reset := s.form == atReset
+	s.injectBits(pi)
+	s.sc.runBits(sl, s.sc.last)
+	var events uint64
+	for net := 0; net+1 < len(start); net++ {
+		a, last := start[net], sl[start[net+1]-1]
+		d := last ^ sl[a]
+		if reset && init[net] == logic.X {
+			d = 1
+		}
+		events += nonzero(d)
+		sl[a] = last
+	}
+	s.form = oneRail
+	if err := s.commit(events); err != nil {
+		return err
+	}
+	s.cycle++
+	return nil
+}
+
+// inject samples every flip-flop from its D input's entry slot and
+// writes instant 0 of the primary inputs and flip-flop outputs, the slot
+// after each entry slot, in the three-valued form. It returns their
+// word events.
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) inject(pi []logic.W) uint64 {
+	c, r, start := s.c, s.sl, s.sc.slotStart
+	for i, d := range c.dffD {
+		s.sample(i, at(r, start[d]))
+	}
+	var events uint64
+	for i, id := range c.n.PIs {
+		events += nonzero(logic.DiffMask(pi[i], at(r, start[id])))
+		put(r, start[id]+1, pi[i])
+	}
+	for i, q := range c.dffQ {
+		events += nonzero(logic.DiffMask(s.ffQ[i], at(r, start[q])))
+		put(r, start[q]+1, s.ffQ[i])
+	}
+	return events
+}
+
+// injectBits is inject in the one-rail forms. With no lane at X a
+// flip-flop takes its D input's entry value in every lane, so the
+// sample is that value itself.
+//
+//glitchsim:hotpath
+func (s *scheduleKernel) injectBits(pi []logic.W) uint64 {
+	c, sl, start := s.c, s.sl.one, s.sc.slotStart
 	var events uint64
 	for i, id := range c.n.PIs {
 		a := start[id]
@@ -693,16 +857,7 @@ func (s *scheduleKernel) stepBits(pi []logic.W) error {
 		events += nonzero(d ^ sl[a])
 		sl[a+1] = d
 	}
-
-	// 3. Propagate.
-	if err := s.commit(events + s.sc.runBits(sl)); err != nil {
-		return err
-	}
-
-	// 4. Count and settle.
-	s.settleBits()
-	s.endCycle()
-	return nil
+	return events
 }
 
 // commit adds a step's word events to the kernel's total and polls
@@ -729,25 +884,42 @@ func known(ws []logic.W) bool {
 	return k == ^uint64(0)
 }
 
-// widen returns the kernel to the three-valued form by rebuilding the
-// zero rail of every entry slot. The instant slots need nothing, since
-// a step writes each of them before reading it, and neither do the
-// stale flip-flop samples: the step samples every flip-flop from an
-// entry slot with every lane known, which replaces every lane.
-func (s *scheduleKernel) widen() {
-	start := s.sc.slotStart
-	for _, a := range start[:len(start)-1] {
-		s.sl.zero[a] = ^s.sl.one[a]
+// zeroRail returns the zero rail, allocating it on first need: a kernel
+// that never sees an X lane holds 8 bytes per slot.
+func (s *scheduleKernel) zeroRail() []uint64 {
+	if s.sl.zero == nil {
+		s.sl.zero = make([]uint64, len(s.sl.one))
 	}
-	s.oneRail = false
+	return s.sl.zero
 }
 
-// settle counts every net's transitions of the step on the attached
+// widen enters the three-valued form by rebuilding the zero rail of
+// every entry slot: from the reset values in the reset form, as the one
+// rail's complement in the one-rail form. The instant slots need
+// nothing, since a step writes each of them before reading it, and
+// neither do the flip-flop samples: current in the reset form, and in
+// the one-rail form replaced in every lane by the step's sampling from
+// entry slots with every lane known.
+func (s *scheduleKernel) widen() {
+	zero, start := s.zeroRail(), s.sc.slotStart
+	if s.form == atReset {
+		for net, v := range s.c.initVals {
+			zero[start[net]] = logic.SplatW(v).Zero
+		}
+	} else {
+		for _, a := range start[:len(start)-1] {
+			zero[a] = ^s.sl.one[a]
+		}
+	}
+	s.form = threeValued
+}
+
+// fold counts every net's transitions of the step on the attached
 // counter and moves each net's last slot into its entry slot. It enters
 // the one-rail form when every lane of every entry slot is then known.
 //
 //glitchsim:hotpath
-func (s *scheduleKernel) settle() {
+func (s *scheduleKernel) fold() {
 	zero, one, start := s.sl.zero, s.sl.one, s.sc.slotStart
 	counter := s.counter
 	var mask uint64
@@ -765,16 +937,18 @@ func (s *scheduleKernel) settle() {
 		}
 		k &= zero[a] ^ one[a]
 	}
-	s.oneRail = k == ^uint64(0)
+	if k == ^uint64(0) {
+		s.form = oneRail
+	}
 }
 
-// settleBits is settle in the one-rail form. A net of one instant makes
-// at most one transition per lane, so its counts need no bit-planes:
-// every transition is useful, and the changed lanes give the total and
-// the rises.
+// foldBits is fold in the one-rail form. A net of one instant makes at
+// most one transition per lane, so its counts need no bit-planes: every
+// transition is useful, and the changed lanes give the total and the
+// rises.
 //
 //glitchsim:hotpath
-func (s *scheduleKernel) settleBits() {
+func (s *scheduleKernel) foldBits() {
 	sl, start := s.sl.one, s.sc.slotStart
 	counter := s.counter
 	var mask uint64
@@ -899,30 +1073,50 @@ func (s *scheduleKernel) tally(p0, p1, p2, p3 uint64, high int) (t uint64, most 
 
 // ExportState implements WideKernel: the entry slots hold the settled
 // net values, and ffQ[i] equals the entry slot of its Q net. In the
-// one-rail form the zero rail is the one rail's complement.
+// one-rail form the zero rail is the one rail's complement, and in the
+// reset form the values are the reset values.
 func (s *scheduleKernel) ExportState(dst []logic.W) []logic.W {
 	start := s.sc.slotStart
-	for _, a := range start[:len(start)-1] {
-		if s.oneRail {
+	for net, a := range start[:len(start)-1] {
+		switch s.form {
+		case atReset:
+			dst = append(dst, logic.SplatW(s.c.initVals[net]))
+		case oneRail:
 			dst = append(dst, logic.W{Zero: ^s.sl.one[a], One: s.sl.one[a]})
-		} else {
+		default:
 			dst = append(dst, at(s.sl, a))
 		}
 	}
 	return dst
 }
 
-// ImportState implements WideKernel: it writes the entry slots,
-// re-derives the flip-flop samples from their Q nets, and takes the
-// one-rail form when every lane of vals is known.
+// ImportState implements WideKernel: it writes the entry slots and
+// re-derives the flip-flop samples from their Q nets. It takes the form
+// vals allow: the reset form when they are the reset values (the
+// warm-up's fast-forward imports what a kernel at reset exported), the
+// one-rail form when every lane is known, and the three-valued form
+// otherwise.
 func (s *scheduleKernel) ImportState(vals []logic.W, cycle int) {
 	s.checkImport(vals)
-	for net, v := range vals {
-		put(s.sl, s.sc.slotStart[net], v)
-	}
 	for i, q := range s.c.dffQ {
 		s.ffQ[i] = vals[q]
 	}
-	s.oneRail = known(vals)
 	s.cycle = cycle
+	start, reset := s.sc.slotStart, true
+	for net, v := range vals {
+		s.sl.one[start[net]] = v.One
+		reset = reset && v == logic.SplatW(s.c.initVals[net])
+	}
+	switch {
+	case reset:
+		s.form = atReset
+	case known(vals):
+		s.form = oneRail
+	default:
+		zero := s.zeroRail()
+		for net, v := range vals {
+			zero[start[net]] = v.Zero
+		}
+		s.form = threeValued
+	}
 }

@@ -108,7 +108,7 @@ func TestWideScheduleMatchesEventKernel(t *testing.T) {
 				case xStep(step):
 					want = 16
 				}
-				if got := sim.SlotBytes(ks); want != 0 && got != want {
+				if got, _ := sim.SlotBytes(ks); want != 0 && got != want {
 					t.Fatalf("%s: after step %d the schedule kernel steps on %d bytes per slot, want %d", name, step, got, want)
 				}
 			}
@@ -234,5 +234,175 @@ func TestWideScheduleIndexWidths(t *testing.T) {
 				t.Fatalf("trial %d: net %s stats %+v with 16-bit indices, %+v with 32-bit", trial, nl.Nets[i].Name, a, b)
 			}
 		}
+	}
+}
+
+// TestWideSettleMatchesStep: on every registry circuit and both random
+// DAGs, under unit, full-adder-ratio and typical delay, k Settle steps
+// from reset leave the same state (ExportState, Cycle) as k Steps, on
+// both kernels. Step 2 feeds stimulus words with X lanes, and before
+// step 4 both kernels import a state with X lanes (forceX). Every state
+// passes Compiled.Unsettled, the rule a checkpoint resume applies.
+//
+// On the schedule kernel, each Settle adds one event per net whose
+// settled value changed, X → known included, and a kernel that has not
+// yet seen an X lane holds 8 bytes per slot: it has not allocated its
+// zero rail. A kernel at reset exports the reset state and keeps the
+// reset form through an import of it (the warm-up's fast-forward).
+func TestWideSettleMatchesStep(t *testing.T) {
+	const xLanes = 1<<1 | 1<<17 | 1<<40
+	const xStep, importStep = 2, 4
+	for _, nl := range scheduleSubjects(t) {
+		c := sim.Compile(nl)
+		steps := 7
+		if nl.NumCells() > 2000 {
+			steps = 5
+		}
+		for _, dm := range []delay.Model{delay.Unit(), delay.FullAdderRatio(2, 1), delay.Typical()} {
+			for _, kind := range []struct {
+				name      string
+				newKernel kernelFunc
+			}{{"schedule", scheduled}, {"event", eventDriven}} {
+				name := fmt.Sprintf("%s/%s/%s", nl.Name, dm.Name(), kind.name)
+				opts := sim.Options{Delay: dm}
+				kStep, err := kind.newKernel(c, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				kSettle, _ := kind.newKernel(c, opts)
+				isSchedule := sim.ScheduleOf(kSettle) != nil
+				reset := kSettle.ExportState(nil)
+				if !slices.Equal(reset, kStep.ExportState(nil)) {
+					t.Fatalf("%s: fresh kernels export different states", name)
+				}
+				if isSchedule {
+					kSettle.ImportState(reset, 0)
+					if step, held := sim.SlotBytes(kSettle); step != 8 || held != 8 {
+						t.Fatalf("%s: at reset after importing the reset state: %d/%d bytes per slot, want 8/8", name, step, held)
+					}
+				}
+				src := stimulus.NewWideRandom(nl.InputWidth(), seedBlock(57))
+				buf := make([]logic.W, nl.InputWidth())
+				before := reset
+				for step := range steps {
+					if step == importStep {
+						st := forceX(nl, kStep.ExportState(nil), xLanes)
+						kStep.ImportState(st, kStep.Cycle())
+						kSettle.ImportState(st, kSettle.Cycle())
+						before = st
+					}
+					pi := src.NextWide(buf)
+					if step == xStep {
+						for i := 0; i < len(pi); i += 3 {
+							pi[i].Zero &^= xLanes
+							pi[i].One &^= xLanes
+						}
+					}
+					events := kSettle.Events()
+					if err := kStep.Step(pi); err != nil {
+						t.Fatalf("%s: step %d: %v", name, step, err)
+					}
+					if err := kSettle.Settle(pi); err != nil {
+						t.Fatalf("%s: settle %d: %v", name, step, err)
+					}
+					after := kSettle.ExportState(nil)
+					if !slices.Equal(after, kStep.ExportState(nil)) || kSettle.Cycle() != kStep.Cycle() {
+						t.Fatalf("%s: after step %d Settle and Step left different states", name, step)
+					}
+					if net := c.Unsettled(after); net != netlist.NoNet {
+						t.Fatalf("%s: after step %d net %s is unsettled", name, step, nl.Nets[net].Name)
+					}
+					if !isSchedule {
+						before = after
+						continue
+					}
+					changed := uint64(0)
+					for i := range after {
+						if after[i] != before[i] {
+							changed++
+						}
+					}
+					if got := kSettle.Events() - events; got != changed {
+						t.Fatalf("%s: settle %d counted %d events, %d nets changed", name, step, got, changed)
+					}
+					if _, held := sim.SlotBytes(kSettle); step < xStep && held != 8 {
+						t.Fatalf("%s: settle %d without an X lane: the kernel holds %d bytes per slot, want 8", name, step, held)
+					}
+					before = after
+				}
+				kStep.Release()
+				kSettle.Release()
+			}
+		}
+	}
+}
+
+// TestWideUnsettledStates: Compiled.Unsettled accepts the states the
+// kernels settle at, also with X lanes on primary inputs and flip-flop
+// outputs and the rest settled from them (forceX), and reports a state
+// that contradicts a cell: one flipped lane of an internal net, an X on
+// a constant net, or a lane with both rails set.
+func TestWideUnsettledStates(t *testing.T) {
+	for _, name := range []string{"array8", "accum16"} {
+		nl := mustBuild(t, name)
+		c := sim.Compile(nl)
+		k := sim.NewWideKernel(c, sim.Options{})
+		src := stimulus.NewWideRandom(nl.InputWidth(), seedBlock(5))
+		buf := make([]logic.W, nl.InputWidth())
+		for range 3 {
+			if err := k.Settle(src.NextWide(buf)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := k.ExportState(nil)
+		var internal, constant netlist.NetID = netlist.NoNet, netlist.NoNet
+		for _, cell := range nl.Cells {
+			switch {
+			case cell.Type == netlist.DFF:
+			case len(cell.In) == 0:
+				constant = cell.Out[0]
+			case internal == netlist.NoNet:
+				internal = cell.Out[0]
+			}
+		}
+		if net := c.Unsettled(st); net != netlist.NoNet {
+			t.Fatalf("%s: a settled state has net %s unsettled", name, nl.Nets[net].Name)
+		}
+		if net := c.Unsettled(forceX(nl, slices.Clone(st), 1<<5|1<<9)); net != netlist.NoNet {
+			t.Fatalf("%s: X lanes settled from inputs and flip-flop outputs make net %s unsettled", name, nl.Nets[net].Name)
+		}
+		for _, tc := range []struct {
+			what  string
+			net   netlist.NetID
+			force func(w *logic.W)
+		}{
+			{"a flipped lane", internal, func(w *logic.W) { w.Zero, w.One = w.Zero^8, w.One^8 }},
+			{"an X lane on a constant net", constant, func(w *logic.W) { w.SetLane(7, logic.X) }},
+			{"both rails set on a primary input", nl.PIs[0], func(w *logic.W) { w.Zero, w.One = w.Zero|1, w.One|1 }},
+		} {
+			if tc.net == netlist.NoNet {
+				continue // array8 has constant cells, accum16 none
+			}
+			bad := slices.Clone(st)
+			tc.force(&bad[tc.net])
+			if c.Unsettled(bad) == netlist.NoNet {
+				t.Errorf("%s: %s on net %s passes as settled", name, tc.what, nl.Nets[tc.net].Name)
+			}
+		}
+	}
+
+	// An X on a constant its reader masks (a OR 1 with a = 1) is caught
+	// by the constant cell alone.
+	b := netlist.NewBuilder("masked-constant")
+	a, one := b.Input("a"), b.Const(1)
+	b.Output("y", b.Or(a, one))
+	nl := b.MustBuild()
+	vals := make([]logic.W, nl.NumNets())
+	for i := range vals {
+		vals[i] = logic.SplatW(logic.L1)
+	}
+	vals[one].SetLane(7, logic.X)
+	if net := sim.Compile(nl).Unsettled(vals); net != one {
+		t.Errorf("masked constant: Unsettled = %d, want the constant net %d", net, one)
 	}
 }

@@ -7,7 +7,15 @@ package sim
 // against the scalar truth tables. The schedule kernel keeps only the W's
 // one rail, and evaluates plain Boolean logic, once a step settles with
 // every lane of every net known; a stimulus word or an imported value
-// with an X lane returns it to three-valued words.
+// with an X lane returns it to three-valued words, and allocates the
+// second rail the first time one needs it.
+//
+// Both kernels take a cycle in two ways: Step, which counts every
+// transition on the attached counter, and Settle, for the warm-up
+// cycles no counter observes. The schedule kernel's Settle computes
+// each net's settled value alone, with one instruction per cell, on the
+// one rail from reset when the stimulus is known; the event kernel's is
+// its Step.
 //
 // NewWideKernel routes each run to one of two kernels:
 //
@@ -83,11 +91,23 @@ type WideKernel interface {
 	// input, the packed per-lane stimulus bits (aligned with the
 	// netlist's PIs).
 	Step(pi []logic.W) error
+	// Settle simulates one clock cycle like Step, for a cycle that no
+	// counter observes (a warm-up step): it must not be called while a
+	// counter is attached. It leaves the settled state and the cycle
+	// count as Step would, and polls cancellation and budgets like it.
+	// The schedule kernel computes each net's settled value alone and
+	// counts one word event per net whose settled value changed in some
+	// lane (X → known included); the event kernel's Settle is its Step.
+	// After an error the settled state is unspecified: a budget stays
+	// exhausted and a cancellation stays, so no later step succeeds.
+	Settle(pi []logic.W) error
 	// AttachWideMonitor makes c count subsequent cycles, replacing any
 	// counter attached before.
 	AttachWideMonitor(c *core.WideCounter)
 	// Events returns the number of word events processed: one per net
-	// and instant at which some lane of the net changed.
+	// and instant at which some lane of the net changed in a Step, and
+	// in a schedule kernel's Settle one per net whose settled value
+	// changed.
 	Events() uint64
 	// Cycle returns the number of completed cycles.
 	Cycle() int

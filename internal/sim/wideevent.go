@@ -224,6 +224,10 @@ func (s *WideEventSimulator) Step(pi []logic.W) error {
 	return nil
 }
 
+// Settle implements WideKernel: the event kernel reaches a settled
+// state only by simulating the cycle, so it is Step.
+func (s *WideEventSimulator) Settle(pi []logic.W) error { return s.Step(pi) }
+
 // schedule appends an event updating the masked lanes of net to val at
 // time t and advances the net's projection. mask must be the lanes that
 // differ from the projection (transport) or the re-evaluated lanes to

@@ -191,7 +191,8 @@ func TestSequentialMeasureLanes(t *testing.T) {
 // under an event budget just below what a step-by-step warm-up costs,
 // with statistics equal to the scalar lane streams that do simulate
 // every warm-up step. accum16's feedback loops keep the step-by-step
-// warm-up, which trips the same budget.
+// warm-up, which trips the same budget. Warm-up steps run through
+// Settle, so the budget counts 40 Settle steps.
 func TestFeedforwardWarmupSettlesInDepthSteps(t *testing.T) {
 	const warmup, lanes = 40, MaxLanes
 	for _, tc := range []struct {
@@ -212,7 +213,7 @@ func TestFeedforwardWarmupSettlesInDepthSteps(t *testing.T) {
 		src := stimulus.NewWideRandom(nl.InputWidth(), laneSeeds(cfg.Seed, lanes))
 		buf := make([]logic.W, nl.InputWidth())
 		for i := 0; i < warmup; i++ {
-			if err := ws.Step(src.NextWide(buf)); err != nil {
+			if err := ws.Settle(src.NextWide(buf)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -389,7 +389,7 @@ func (r *wideRun) measureSteps(ctx context.Context, s *wideScratch, k0, k1 int) 
 		ckpt = newCheckpointer(c.Fingerprint(), cfg, r.lanes, r.opts.Delays)
 	}
 	if cp := cfg.Resume; cp != nil {
-		vals, err := ckpt.resume(cp, counter, n.NumNets(), r.steps)
+		vals, err := ckpt.resume(cp, counter, c, r.steps)
 		if err != nil {
 			return nil, err
 		}
@@ -403,14 +403,15 @@ func (r *wideRun) measureSteps(ctx context.Context, s *wideScratch, k0, k1 int) 
 		// Warm-up runs with no counter attached, so the kernel counts
 		// nothing, and the counter attached afterwards starts at the
 		// first measured cycle (it carries no state across cycles
-		// besides its statistics). A shard starting at step k0 warms up
-		// on the Warmup+k0 vectors before it. When warmupSteps settles
-		// them in fewer steps, the skipped vectors are fast-forwarded,
-		// and the kernel keeps its reset state but takes the cycle count
-		// the skipped steps would have reached: the last settling step
-		// is kernel cycle Warmup+k0-1, and measured cycles
-		// (BudgetError.Cycle, checkpoints) are numbered as after a
-		// step-by-step warm-up.
+		// besides its statistics). Each warm-up step is a Settle: only
+		// the settled state it leaves matters. A shard starting at step
+		// k0 warms up on the Warmup+k0 vectors before it. When
+		// warmupSteps settles them in fewer steps, the skipped vectors
+		// are fast-forwarded, and the kernel keeps its reset state but
+		// takes the cycle count the skipped steps would have reached:
+		// the last settling step is kernel cycle Warmup+k0-1, and
+		// measured cycles (BudgetError.Cycle, checkpoints) are numbered
+		// as after a step-by-step warm-up.
 		pre := cfg.Warmup + k0
 		levels, feedback := c.SequentialDepth()
 		steps := warmupSteps(levels, feedback, pre, r.lanes)
@@ -423,7 +424,7 @@ func (r *wideRun) measureSteps(ctx context.Context, s *wideScratch, k0, k1 int) 
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if err := ws.Step(src.NextWide(buf)); err != nil {
+			if err := ws.Settle(src.NextWide(buf)); err != nil {
 				if errors.Is(err, sim.ErrBudgetExceeded) {
 					return core.NewCounter(n), err
 				}
