@@ -304,15 +304,14 @@ func BenchmarkMeasureLanes(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureLanesNonUniform is the A/B for the wide-event kernel
-// on the measurement workload that used to fall back to scalar: a full
-// Table 2 heavy row (16x16 array multiplier, 500 vectors, dsum=2·dcarry
-// full-adder ratio delays). The A side reconstructs the deleted scalar
-// lane-by-lane fallback exactly — the same 64 lane streams and quotas,
-// each with its own warm-up, simulated one after another and merged in
-// lane order — and asserts the B side (one wide-event measurement)
-// reproduces its totals bit-identically. The interleaved
-// BENCH_kernel.json wide-event numbers come from this benchmark.
+// BenchmarkMeasureLanesNonUniform is the A/B for the wide kernel on a
+// "wide-event" delay class workload that once fell back to scalar: a
+// full Table 2 heavy row (16x16 array multiplier, 500 vectors,
+// dsum=2·dcarry full-adder ratio delays). The A side reconstructs that
+// scalar lane-by-lane fallback exactly — the same 64 lane streams and
+// quotas, each with its own warm-up, simulated one after another and
+// merged in lane order — and asserts the B side (one lane-decomposed
+// measurement) reproduces its totals bit-identically.
 func BenchmarkMeasureLanesNonUniform(b *testing.B) {
 	e, ctx := glitchsim.NewEngine(), context.Background()
 	nl := circuits.NewArrayMultiplier(16, circuits.Cells)
@@ -397,7 +396,7 @@ func BenchmarkMeasureLanesNonUniform(b *testing.B) {
 // Engine.Measure with a warm compiled-netlist cache: 64 vectors on the
 // default 64 lanes, so the run is one measured word-parallel step behind
 // the default warm-up and the per-measurement fixed costs dominate. The
-// cases are combinational circuits under both wide kernels. Like
+// cases are combinational circuits under both wide delay classes. Like
 // BenchmarkMeasureHeavy, each run builds and warms its Engine under the
 // -cpu setting and counts to b.N.
 func BenchmarkMeasureSmall(b *testing.B) {

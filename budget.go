@@ -2,8 +2,8 @@ package glitchsim
 
 // Resource governance: per-measurement budgets, the typed failure
 // taxonomy they produce, and admission-time cost estimation. Budgets
-// bound a measurement while it runs (enforced inside all three kernels
-// on the cancellation poll); cost estimation predicts a measurement's
+// bound a measurement while it runs (enforced inside both kernels on
+// the cancellation poll); cost estimation predicts a measurement's
 // footprint from netlist statistics alone, so a service can reject or
 // shed a pathological request before compiling anything.
 
@@ -113,9 +113,9 @@ type CostEstimate struct {
 	EventsPerStep uint64
 	// Events = EventsPerStep * Steps, the number compared against event
 	// limits at admission. It prices a warm-up step as a full step,
-	// although a lane-decomposed one on the schedule kernel settles
-	// values only and counts at most one event per net (see
-	// Budget.Events): admission stays conservative.
+	// although a lane-decomposed one on the wide kernel settles values
+	// only and counts at most one event per net (see Budget.Events):
+	// admission stays conservative.
 	Events uint64
 	// MemoryBytes estimates the resident footprint of the compiled CSR
 	// arrays plus one kernel's state.

@@ -9,6 +9,8 @@ package glitchsim
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -326,6 +328,32 @@ func TestOscillationSurfacesThroughEngine(t *testing.T) {
 	}
 	if len(oe.Nets) == 0 || len(oe.Names) != len(oe.Nets) {
 		t.Errorf("oscillation error names no hot nets: %+v", oe)
+	}
+}
+
+// TestOscillationHugeDelays: full-adder delays up to MaxInt32, which
+// /v1/measure accepts, fail array16 with ErrOscillation naming hot nets,
+// in both modes, without a panic and without an allocation sized by an
+// instant (one would take gigabytes).
+func TestOscillationHugeDelays(t *testing.T) {
+	e := NewEngine()
+	for _, dm := range []delay.Model{delay.FullAdderRatio(math.MaxInt32, math.MaxInt32), delay.FullAdderRatio(math.MaxInt32, 1)} {
+		for _, inertial := range []bool{false, true} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := e.Measure(context.Background(), MeasureRequest{
+				Circuit: CircuitNamed("array16"),
+				Config:  Config{Cycles: 64, Delay: dm, Inertial: inertial},
+			})
+			runtime.ReadMemStats(&after)
+			var oe *OscillationError
+			if !errors.As(err, &oe) || len(oe.Nets) == 0 {
+				t.Fatalf("%s inertial=%v: %v, want an OscillationError naming hot nets", dm.Name(), inertial, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+				t.Errorf("%s inertial=%v: the measurement allocated %d bytes", dm.Name(), inertial, alloc)
+			}
+		}
 	}
 }
 

@@ -61,9 +61,9 @@ func TestResume(t *testing.T) {
 		delay    delay.Model
 		inertial bool
 	}{
-		{"unit", nil, false},                          // lockstep kernel
-		{"fa-2-1", delay.FullAdderRatio(2, 1), false}, // wide-event kernel
-		{"typical-inertial", delay.Typical(), true},   // wide-event, inertial
+		{"unit", nil, false},                          // wide-lockstep class
+		{"fa-2-1", delay.FullAdderRatio(2, 1), false}, // wide-event class
+		{"typical-inertial", delay.Typical(), true},   // wide-event, inertial windows
 	}
 	// Cycles=37 over 8 lanes gives uneven quotas [5×5, 4×3]: boundaries
 	// 1..4 include the lane-retirement step, so resume is exercised both

@@ -23,10 +23,11 @@ import (
 // bounded caches. The compiled-netlist cache is keyed by structural
 // fingerprint, so repeated measurements of the same circuit — across
 // calls, goroutines and service requests — pay for compilation once.
-// Beside it, the schedule cache holds the wide schedule kernel's
-// schedules, keyed by fingerprint and delay-table digest and bounded by
-// their bytes (scheduleCacheBytes), so a repeated measurement builds
-// no schedule either.
+// Beside it, the schedule cache holds the wide kernel's schedules,
+// keyed by fingerprint and sim.Options.ScheduleKey (delay-table digest,
+// settle guard, and the delay mode where it shapes the schedule) and
+// bounded by their bytes (scheduleCacheBytes), so a repeated
+// measurement builds no schedule either.
 // The experiment memo holds what the paper's drivers derive without
 // looking at a request's seed or cycle count: the fixed circuits they
 // measure (built once and hashed once), the retiming sweep subject's
@@ -53,7 +54,7 @@ type Engine struct {
 	sources   []CircuitSource // name-resolution chain ahead of the registry
 
 	cache     *memo[*sim.Compiled] // compiled netlists by fingerprint
-	schedules *memo[*sim.Schedule] // wide-kernel schedules by fingerprint and delay digest
+	schedules *memo[*sim.Schedule] // wide-kernel schedules by fingerprint, delay digest, mode and guard
 	memo      *memo[derived]       // experiment circuits, clock periods, retimings
 
 	// hashes counts the netlists hashed for cache keys (fingerprint)

@@ -95,18 +95,14 @@ type Config struct {
 	// Lanes selects how many independent seeded stimulus streams the
 	// measured Cycles are distributed over (see wide.go): all lanes
 	// advance in one word-parallel simulation, evaluating every gate for
-	// up to 64 patterns at once — under every delay model. Transport
-	// runs whose evaluated delays are all >= 1 (unit delay, the
-	// full-adder sum/carry ratios and per-type models of Tables 2 and 3)
-	// and uniform-delay runs in either mode ride the schedule kernel;
-	// inertial runs under non-uniform delays and zero-delay models ride
-	// the lane-masked event kernel. Both are bit-identical to running the
-	// L streams one after another on the scalar kernel. 0 selects the
-	// engine's WithLanes value, MaxLanes without that option; 1 is the
-	// historical single-stream measurement; values are capped at
-	// MaxLanes. Ignored when an explicit Source is set (external sources
-	// are inherently single-stream) or when at most one cycle is
-	// measured.
+	// up to 64 patterns at once — under every delay model, in both
+	// modes, on the wide kernel's static schedule. It is bit-identical
+	// to running the L streams one after another on the scalar kernel.
+	// 0 selects the engine's WithLanes value, MaxLanes without that
+	// option; 1 is the historical single-stream measurement; values are
+	// capped at MaxLanes. Ignored when an explicit Source is set
+	// (external sources are inherently single-stream) or when at most
+	// one cycle is measured.
 	//
 	// Lane decomposition keeps stimulus streams invariant across delay
 	// models: Table 2's unit and dsum=2·dcarry rows see identical vector

@@ -120,12 +120,12 @@ func (s *CounterSnapshot) validate(fp string, numNets int) error {
 // Snapshot serializes the wide counter's accumulated lane-summed
 // statistics, tagged with fp, the fingerprint of the counter's netlist
 // (the caller holds it, so a run taking many snapshots hashes its
-// netlist once). It fails if the counter is mid-cycle (transitions
-// recorded since the last OnCycleEnd): a consistent checkpoint exists
-// only at cycle boundaries.
+// netlist once). It fails if the counter is mid-cycle (a cycle counted
+// since the last OnCycleEnd): a consistent checkpoint exists only at
+// cycle boundaries.
 func (c *WideCounter) Snapshot(fp string) (*CounterSnapshot, error) {
-	if len(c.dirty) > 0 {
-		return nil, fmt.Errorf("core: cannot snapshot a wide counter mid-cycle (%d nets with partial counts)", len(c.dirty))
+	if c.open {
+		return nil, fmt.Errorf("core: cannot snapshot a wide counter mid-cycle")
 	}
 	monitored, active := 0, 0
 	for i, in := range c.include {
@@ -172,8 +172,8 @@ func (c *WideCounter) Restore(s *CounterSnapshot, fp string) error {
 	if err := s.validate(fp, c.n.NumNets()); err != nil {
 		return err
 	}
-	if len(c.dirty) > 0 {
-		return fmt.Errorf("core: cannot restore into a wide counter mid-cycle (%d nets with partial counts)", len(c.dirty))
+	if c.open {
+		return fmt.Errorf("core: cannot restore into a wide counter mid-cycle")
 	}
 	clear(c.include)
 	for _, id := range s.Monitored {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -22,11 +23,12 @@ func snapNetlist(t *testing.T) (*netlist.Netlist, netlist.NetID, netlist.NetID) 
 
 // feedWide drives a wide counter with a synthetic per-cycle transition
 // pattern on one net, the wide image of feed: in each cycle the given
-// lanes flip n times, alternating values starting from 0.
+// lanes flip n times, alternating values starting from 0, counted the
+// way the wide kernel counts a cycle, over the active lanes.
 func feedWide(c *WideCounter, net netlist.NetID, lanes uint64, perCycle []int) {
 	for _, n := range perCycle {
-		for i := 0; i < n; i++ {
-			flip(c, net, lanes, i%2 == 0)
+		if l := uint64(bits.OnesCount64(lanes & c.LaneMask())); l > 0 && n > 0 {
+			c.CountCycle(net, uint64(n)*l, uint64(n+1)/2*l, uint64(n%2)*l, uint32(n))
 		}
 		c.OnCycleEnd()
 	}
@@ -84,7 +86,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestCheckpointRoundTripWide: under a lane mask, a snapshot restored
 // into a fresh wide counter with the same mask folds identically.
 func TestCheckpointRoundTripWide(t *testing.T) {
-	nl, net := twoNetNetlist(t)
+	nl, net, _ := snapNetlist(t)
 	fp := nl.Fingerprint()
 	orig := NewWideCounter(nl)
 	orig.SetLaneMask(0b0111)
@@ -179,7 +181,7 @@ func TestSnapshotRefusesMidCycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("boundary Snapshot: %v", err)
 	}
-	flip(c, y, 1, true) // mid-cycle: no OnCycleEnd yet
+	c.CountCycle(y, 1, 1, 1, 1) // mid-cycle: no OnCycleEnd yet
 	if _, err := c.Snapshot(fp); err == nil {
 		t.Fatal("mid-cycle Snapshot succeeded, want refusal")
 	}

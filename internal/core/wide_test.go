@@ -1,9 +1,17 @@
-package core
+package core_test
+
+// WideCounter under the wide kernel, which counts each cycle per lane
+// and hands the counter one net's totals at a time. These live in the
+// external test package because internal/sim imports core.
 
 import (
 	"testing"
 
+	"glitchsim/internal/core"
+	"glitchsim/internal/delay"
 	"glitchsim/internal/logic"
+	"glitchsim/internal/sim"
+	"glitchsim/internal/stimulus"
 	"glitchsim/netlist"
 )
 
@@ -19,46 +27,74 @@ func twoNetNetlist(t *testing.T) (*netlist.Netlist, netlist.NetID) {
 	return nl, out
 }
 
-// flip feeds c one change of `net` between 0 and 1 on the given lanes
-// (rising when rise is true), with all other lanes steady at 0.
-func flip(c *WideCounter, net netlist.NetID, lanes uint64, rise bool) {
-	allZero := logic.SplatW(logic.L0)
-	lanesOne := logic.W{Zero: ^lanes, One: lanes}
-	if rise {
-		c.Change(net, allZero, lanesOne)
-	} else {
-		c.Change(net, lanesOne, allZero)
+// stepLanes steps k with input a at 1 in the given lanes and 0 in the
+// others.
+func stepLanes(t *testing.T, k sim.WideKernel, lanes uint64) {
+	t.Helper()
+	if err := k.Step([]logic.W{{Zero: ^lanes, One: lanes}}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestWideCounterPlaneGrowth: more transitions per lane per cycle than
-// the initial bit-plane stack can count must grow the stack, keep exact
-// totals, and report the right MaxPerCycle.
+// the kernel's four register bit-planes count carry into its high
+// planes and keep exact totals, parity and MaxPerCycle. An XOR of an
+// input and 36 buffered copies of it, each one unit later, toggles once
+// per instant when the input does: 37 transitions in a cycle, one of
+// them useful. Every statistic equals the merged scalar runs'.
 func TestWideCounterPlaneGrowth(t *testing.T) {
-	nl, net := twoNetNetlist(t)
-	c := NewWideCounter(nl)
-	const flips = 37 // > 2^initialPlanes - 1
-	for i := 0; i < flips; i++ {
-		flip(c, net, 1|1<<7, i%2 == 0)
+	const copies = 36
+	b := netlist.NewBuilder("xor-ladder")
+	a := b.Input("a")
+	ins := []netlist.NetID{a}
+	for range copies {
+		ins = append(ins, b.Buf(ins[len(ins)-1]))
 	}
-	c.OnCycleEnd()
-	st := c.Stats(net)
-	if st.Transitions != 2*flips {
-		t.Errorf("transitions = %d, want %d", st.Transitions, 2*flips)
+	y := b.Xor(ins...)
+	b.Output("y", y)
+	nl := b.MustBuild()
+	seeds := make([]uint64, sim.MaxLanes)
+	for l := range seeds {
+		seeds[l] = uint64(l + 1)
 	}
-	// 37 flips per lane: odd count, so one useful per lane.
-	if st.Useful != 2 || st.Useless != 2*(flips-1) {
-		t.Errorf("useful/useless = %d/%d, want 2/%d", st.Useful, st.Useless, 2*(flips-1))
+	const cycles = 12
+
+	k := sim.NewWideKernel(sim.Compile(nl), sim.Options{Delay: delay.Unit()})
+	wc := core.NewWideCounter(nl)
+	k.AttachWideMonitor(wc)
+	src := stimulus.NewWideRandom(nl.InputWidth(), seeds)
+	buf := make([]logic.W, nl.InputWidth())
+	for range cycles {
+		if err := k.Step(src.NextWide(buf)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.Glitches != 2*(flips/2) {
-		t.Errorf("glitches = %d, want %d", st.Glitches, 2*(flips/2))
+	got := wc.Counter()
+
+	var want *core.Counter
+	for _, seed := range seeds {
+		s := sim.New(nl, sim.Options{Delay: delay.Unit()})
+		c := core.NewCounter(nl)
+		s.AttachMonitor(c)
+		lane := stimulus.NewRandom(nl.InputWidth(), seed)
+		for range cycles {
+			if err := s.Step(lane.Next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want == nil {
+			want = c
+		} else if err := want.Merge(c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.MaxPerCycle != flips {
-		t.Errorf("MaxPerCycle = %d, want %d", st.MaxPerCycle, flips)
+	if st := got.Stats(y); st.MaxPerCycle != copies+1 || st.Useless != copies*st.Useful {
+		t.Fatalf("XOR ladder: %+v, want %d transitions per toggling cycle, one useful", st, copies+1)
 	}
-	// 19 of the 37 flips were rising (i even).
-	if st.Rising != 2*19 {
-		t.Errorf("rising = %d, want 38", st.Rising)
+	for i := range nl.NumNets() {
+		if g, w := got.Stats(netlist.NetID(i)), want.Stats(netlist.NetID(i)); g != w {
+			t.Fatalf("net %s: wide %+v, merged scalar %+v", nl.Nets[i].Name, g, w)
+		}
 	}
 }
 
@@ -66,35 +102,42 @@ func TestWideCounterPlaneGrowth(t *testing.T) {
 // totals, not to MaxPerCycle, not to the cycle tally.
 func TestWideCounterLaneMask(t *testing.T) {
 	nl, net := twoNetNetlist(t)
-	c := NewWideCounter(nl)
+	k := sim.NewWideKernel(sim.Compile(nl), sim.Options{})
+	stepLanes(t, k, 0) // settle every lane at out = 1
+	c := core.NewWideCounter(nl)
+	k.AttachWideMonitor(c)
 	c.SetLaneMask(0b0011)
-	// Lanes 0-3 transition; only 0 and 1 are active.
-	flip(c, net, 0b1111, true)
-	c.OnCycleEnd()
+	// Lanes 0-3 fall; only 0 and 1 are active.
+	stepLanes(t, k, 0b1111)
 	st := c.Stats(net)
-	if st.Transitions != 2 || st.Rising != 2 || st.Useful != 2 || st.MaxPerCycle != 1 {
-		t.Errorf("masked stats = %+v, want 2 transitions/rising/useful", st)
+	if st.Transitions != 2 || st.Rising != 0 || st.Useful != 2 || st.MaxPerCycle != 1 {
+		t.Errorf("masked stats = %+v, want 2 transitions, useful, none rising", st)
 	}
 	if c.Cycles() != 2 {
 		t.Errorf("cycles = %d, want 2 (active lanes)", c.Cycles())
 	}
-	// Transitions entirely outside the mask leave the counter untouched.
-	flip(c, net, 0b1100, false)
-	c.OnCycleEnd()
+	// Transitions entirely outside the mask leave the statistics alone.
+	stepLanes(t, k, 0b0011)
 	if got := c.Stats(net); got.Transitions != 2 {
 		t.Errorf("masked-out lanes counted: %+v", got)
 	}
 }
 
 // TestWideCounterXTransitionsIgnored: changes from or to X are not
-// counted, matching the scalar Counter.
+// counted, matching the scalar Counter: the first step from reset turns
+// out from X to known in every lane and counts nothing.
 func TestWideCounterXTransitionsIgnored(t *testing.T) {
 	nl, net := twoNetNetlist(t)
-	c := NewWideCounter(nl)
-	c.Change(net, logic.SplatW(logic.X), logic.SplatW(logic.L1))
-	c.OnCycleEnd()
+	k := sim.NewWideKernel(sim.Compile(nl), sim.Options{})
+	c := core.NewWideCounter(nl)
+	k.AttachWideMonitor(c)
+	stepLanes(t, k, ^uint64(0))
 	if st := c.Stats(net); st.Transitions != 0 {
-		t.Errorf("X->1 counted: %+v", st)
+		t.Errorf("X->0 counted: %+v", st)
+	}
+	stepLanes(t, k, 0)
+	if st := c.Stats(net); st.Transitions != 64 || st.Rising != 64 {
+		t.Errorf("0->1 in every lane: %+v, want 64 rising transitions", st)
 	}
 }
 
@@ -102,18 +145,18 @@ func TestWideCounterXTransitionsIgnored(t *testing.T) {
 // matching totals and cycle count, and the fold is a copy.
 func TestWideCounterFold(t *testing.T) {
 	nl, net := twoNetNetlist(t)
-	c := NewWideCounter(nl)
-	flip(c, net, 1, true)
+	c := core.NewWideCounter(nl)
+	c.CountCycle(net, 1, 1, 1, 1)
 	c.OnCycleEnd()
 	folded := c.Counter()
 	if folded.Cycles() != 64 || folded.Stats(net).Transitions != 1 {
 		t.Errorf("folded: cycles=%d stats=%+v", folded.Cycles(), folded.Stats(net))
 	}
-	if folded.Totals() != c.stats[net] {
+	if folded.Totals() != c.Stats(net) {
 		// Only `net` is monitored and active, so totals equal its stats.
-		t.Errorf("fold totals %+v != wide stats %+v", folded.Totals(), c.stats[net])
+		t.Errorf("fold totals %+v != wide stats %+v", folded.Totals(), c.Stats(net))
 	}
-	flip(c, net, 1, false)
+	c.CountCycle(net, 1, 0, 1, 1)
 	c.OnCycleEnd()
 	if folded.Stats(net).Transitions != 1 {
 		t.Error("fold aliases the live WideCounter")

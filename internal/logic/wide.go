@@ -89,8 +89,8 @@ func (w W) KnownMask() uint64 { return w.Zero | w.One }
 func DiffMask(a, b W) uint64 { return (a.Zero ^ b.Zero) | (a.One ^ b.One) }
 
 // Merge returns w with the lanes selected by mask replaced by v's: the
-// masked-update primitive of the word-parallel event kernel, where a
-// scheduled event commits only the lanes its mask covers.
+// masked update behind the wide kernel's inertial holds, where the
+// lanes whose window changed keep the output's previous value.
 //
 //glitchsim:hotpath
 func (w W) Merge(v W, mask uint64) W {

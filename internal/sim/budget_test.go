@@ -49,28 +49,18 @@ func (st *wideStepper) step() error {
 func (st *wideStepper) events() uint64 { return st.s.Events() }
 func (st *wideStepper) cycles() int    { return st.s.Cycle() }
 
-// buildSteppers constructs the kernels over the same 8-bit RCA with the
-// given options, each with its own equal stimulus stream: the scalar
-// and event kernels always, the schedule kernel when the options are
-// Scheduled (it cannot trip the settle guard, so a guard that could trip
-// leaves it out).
+// buildSteppers constructs the scalar and the wide kernel over the same
+// 8-bit RCA with the given options, each with its own equal stimulus
+// stream.
 func buildSteppers(t *testing.T, opts Options) map[string]stepper {
 	t.Helper()
 	n, _ := buildRCA(t, 8)
 	c := Compile(n)
 	width := n.InputWidth()
-	steppers := map[string]stepper{
-		"scalar":     &scalarStepper{s: NewFromCompiled(c, opts), src: stimulus.NewRandom(width, 7)},
-		"wide-event": &wideStepper{s: NewWideEvent(c, opts), src: stimulus.NewRandom(width, 7), pi: make([]logic.W, width)},
+	return map[string]stepper{
+		"scalar": &scalarStepper{s: NewFromCompiled(c, opts), src: stimulus.NewRandom(width, 7)},
+		"wide":   &wideStepper{s: NewWideKernel(c, opts), src: stimulus.NewRandom(width, 7), pi: make([]logic.W, width)},
 	}
-	if opts.Scheduled(c) {
-		k := NewWideKernel(c, opts)
-		if _, ok := k.(*scheduleKernel); !ok {
-			t.Fatalf("NewWideKernel built %T for Scheduled options", k)
-		}
-		steppers["wide-schedule"] = &wideStepper{s: k, src: stimulus.NewRandom(width, 7), pi: make([]logic.W, width)}
-	}
-	return steppers
 }
 
 func TestBudgetEventsTripsEveryKernel(t *testing.T) {

@@ -184,27 +184,36 @@ func (c *Compiled) Fingerprint() string {
 
 // Unsettled returns the first net whose value in vals (one per net) no
 // kernel settles at, or NoNet when there is none: a connected output of
-// a combinational cell, constant cells included, that differs from the
-// cell's three-valued function of its inputs' values in vals, or a net
-// with a lane whose two rails are both set. Primary inputs and
-// flip-flop outputs may hold any level. A checkpoint resume checks its
-// net values with it: the two wide kernels re-evaluate cells at
-// different instants, so a value that contradicts its cell's inputs
-// would be corrected differently by each.
+// a combinational cell, constant cells included, that differs in some
+// lane from the cell's three-valued function of its inputs' values in
+// vals (netlist.Eval, lane by lane), or a net with a lane whose two
+// rails are both set. Primary inputs and flip-flop outputs may hold any
+// level. A checkpoint resume checks its net values with it: a value
+// that contradicts its cell's inputs would be corrected at a
+// kernel-dependent point — by the wide kernel at the cell's next
+// instant, by the scalar kernel only once an input changes.
 func (c *Compiled) Unsettled(vals []logic.W) netlist.NetID {
 	for net, v := range vals {
 		if v.Zero&v.One != 0 {
 			return netlist.NetID(net)
 		}
 	}
+	var in []logic.V
+	var out [outputsPerCell]logic.V
 	for cid, t := range c.cellType {
 		if t == netlist.DFF {
 			continue
 		}
-		o0, o1, _ := evalCellWide(c, vals, netlist.CellID(cid))
-		for pin, w := range [outputsPerCell]logic.W{o0, o1} {
-			if o := c.outNets[outputsPerCell*cid+pin]; o != netlist.NoNet && vals[o] != w {
-				return o
+		for l := range logic.Lanes {
+			in = in[:0]
+			for _, net := range c.inNets[c.inStart[cid]:c.inStart[cid+1]] {
+				in = append(in, vals[net].Lane(l))
+			}
+			netlist.Eval(t, in, out[:])
+			for pin, v := range out[:c.outLen[cid]] {
+				if o := c.outNets[outputsPerCell*cid+pin]; o != netlist.NoNet && vals[o].Lane(l) != v {
+					return o
+				}
 			}
 		}
 	}

@@ -3,11 +3,12 @@ package sim
 // Typed kernel failures and the shared in-loop poll behind them. Every
 // way a Step can fail for resource reasons — cancellation, budget
 // exhaustion, a settle-guard trip — funnels through the machinery in
-// this file, so all three kernels (scalar, schedule, wide-event) fail
-// with the same error types and the layers above can route on
-// errors.Is/errors.As instead of string matching. The schedule kernel
-// never trips the settle guard: NewWideKernel gives it only runs whose
-// critical path fits under the guard.
+// this file, so both kernels (scalar and wide) fail with the same error
+// types and the layers above can route on errors.Is/errors.As instead
+// of string matching. The scalar kernel trips the settle guard when an
+// event is due past it; the wide kernel when a net changed past it in
+// some lane (see The settle guard in schedule.go), which happens at the
+// same step.
 
 import (
 	"errors"
@@ -34,8 +35,12 @@ const (
 // which keeps event-budget trips reproducible.
 type Budget struct {
 	// Events bounds the simulator's lifetime event count (Events()).
-	// Word-parallel kernels count word events: one event covers up to 64
-	// lanes, so the same budget buys ~64× the simulated work there.
+	// The scalar kernel counts every event it pops, cancelled inertial
+	// events and zero-delay re-schedules included. The wide kernel
+	// counts word events, one per net and instant at which some of its
+	// 64 lanes changed (per changed net in a Settle), under every delay
+	// model and mode, so the same budget buys ~64× the simulated work
+	// there.
 	Events uint64
 	// Deadline is the wall-clock instant past which Step fails.
 	Deadline time.Time
@@ -90,9 +95,11 @@ type OscillationError struct {
 	Cycle int
 	// Guard is the MaxTimePerCycle bound that was exceeded.
 	Guard int
-	// Nets and Names identify up to maxHotNets nets that still had
-	// events in flight when the guard tripped — the nets to inspect
-	// first when hunting the feedback loop. Names is aligned with Nets.
+	// Nets and Names identify up to maxHotNets nets still changing when
+	// the guard tripped — the nets to inspect first when hunting the
+	// feedback loop: on the scalar kernel those with events in flight,
+	// on the wide kernel those changed at the first instant past the
+	// guard, in net order. Names is aligned with Nets.
 	Nets  []netlist.NetID
 	Names []string
 }
@@ -112,8 +119,8 @@ func (e *OscillationError) Unwrap() error { return ErrOscillation }
 const maxHotNets = 8
 
 // newOscillationError builds the typed settle-guard failure shared by
-// all three kernels; nets are the caller's hot nets, capped here so
-// kernels can pass whatever they collected cheaply.
+// both kernels; nets are the caller's hot nets, capped here so kernels
+// can pass whatever they collected cheaply.
 func newOscillationError(n *netlist.Netlist, cycle, guard int, nets []netlist.NetID) error {
 	if len(nets) > maxHotNets {
 		nets = nets[:maxHotNets]
@@ -125,7 +132,7 @@ func newOscillationError(n *netlist.Netlist, cycle, guard int, nets []netlist.Ne
 	return &OscillationError{Circuit: n.Name, Cycle: cycle, Guard: guard, Nets: nets, Names: names}
 }
 
-// pollState is the periodic in-loop check shared by all three kernels:
+// pollState is the periodic in-loop check shared by both kernels:
 // cancellation and resource budgets ride one every-cancelCheckInterval
 // poll, so adding budgets cost no extra branch on the hot path.
 type pollState struct {

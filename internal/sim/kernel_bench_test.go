@@ -90,7 +90,7 @@ var (
 	}{{"unit", delay.Unit()}, {"fa21", delay.FullAdderRatio(2, 1)}, {"typical", delay.Typical()}}
 )
 
-// BenchmarkWideKernel runs the schedule kernel on the nine measure-heavy
+// BenchmarkWideKernel runs the wide kernel on the nine measure-heavy
 // shapes and on paper-sweep's four Table 3 variants (see wideBench for
 // the metrics).
 func BenchmarkWideKernel(b *testing.B) {
@@ -110,12 +110,9 @@ func BenchmarkWideKernel(b *testing.B) {
 	}
 }
 
-// scheduleBench runs wideBench on the schedule kernel.
+// scheduleBench runs wideBench on a wide kernel under dm.
 func scheduleBench(b *testing.B, comp *sim.Compiled, dm delay.Model) {
 	ws := sim.NewWideKernel(comp, sim.Options{Delay: dm})
-	if sim.ScheduleOf(ws) == nil {
-		b.Fatal("not on the schedule kernel")
-	}
 	defer ws.Release()
 	wideBench(b, ws, comp.Netlist())
 }
@@ -140,11 +137,11 @@ func table3Variants(b *testing.B) []*netlist.Netlist {
 	return out
 }
 
-// BenchmarkWideEventKernel runs the 16x16 array-multiplier workload on
-// the lane-masked event-driven kernel in the configurations NewWideKernel
-// still routes to it: inertial mode under non-uniform delays, and
+// BenchmarkWideKernelInertialZero runs the 16x16 array-multiplier
+// workload in the configurations that add inertial windows or zero-delay
+// batches to its schedule: inertial mode under non-uniform delays, and
 // evaluated zero-delay pins (see wideBench for the metrics).
-func BenchmarkWideEventKernel(b *testing.B) {
+func BenchmarkWideKernelInertialZero(b *testing.B) {
 	nl := circuits.NewArrayMultiplier(16, circuits.Cells)
 	comp := sim.Compile(nl)
 	for _, tc := range []struct {
@@ -157,9 +154,6 @@ func BenchmarkWideEventKernel(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			ws := sim.NewWideKernel(comp, tc.opts)
-			if sim.ScheduleOf(ws) != nil {
-				b.Fatal("not on the event kernel")
-			}
 			defer ws.Release()
 			wideBench(b, ws, nl)
 		})
@@ -182,7 +176,7 @@ func BenchmarkScheduleBuild(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sc = sim.NewSchedule(comp, dt)
+					sc = sim.NewSchedule(comp, sim.Options{Delays: dt})
 				}
 				b.StopTimer()
 				instrs := float64(sc.Instructions())

@@ -1,9 +1,10 @@
 package sim_test
 
 // Heap-mode checks: a delay model whose per-hop delays exceed the
-// calendar window cap runs the event queue as a binary heap. The queue's
-// own order test (TestEventQueueOrder) pins that both modes pop in the
-// same order; these tests pin what the kernels make of it.
+// calendar window cap runs the scalar kernel's event queue as a binary
+// heap. The queue's own order test (TestEventQueueOrder) pins that both
+// modes pop in the same order; this test pins what the kernel makes of
+// it.
 
 import (
 	"testing"
@@ -18,8 +19,8 @@ import (
 )
 
 // hugeDelays returns a delay model beyond the calendar window cap (4096
-// time units): full-adder sums take 6000, everything else 7. The event
-// kernels run it on the heap; hugeGuard is a settle guard it fits under.
+// time units): full-adder sums take 6000, everything else 7. The scalar
+// kernel runs it on the heap; hugeGuard is a settle guard it fits under.
 func hugeDelays() delay.Model {
 	return delay.Func{F: func(c *netlist.Cell, pin int) int {
 		if c.Type == netlist.FA && pin == netlist.PinSum {
@@ -33,8 +34,8 @@ const hugeGuard = 1 << 22
 
 // TestKernelEquivalenceHugeDelays: on the heap, every cycle of the
 // scalar kernel settles at the zero-delay reference values of
-// netlist.EvalOutputs, and its statistics equal a one-lane wide-event
-// run's.
+// netlist.EvalOutputs, and its statistics equal a one-lane wide run's,
+// whose schedule spans instants up to 36,042.
 func TestKernelEquivalenceHugeDelays(t *testing.T) {
 	nl := circuits.NewRCA(6, circuits.Cells)
 	c := sim.Compile(nl)
@@ -67,14 +68,14 @@ func TestKernelEquivalenceHugeDelays(t *testing.T) {
 		t.Fatalf("largest settle time %d: the huge delays never applied", settle)
 	}
 
-	wide, _ := wideRun(t, c, eventDriven, opts, []uint64{seed}, cycles)
+	wide, _ := wideRun(t, c, opts, []uint64{seed}, cycles)
 	if wide.Cycles() != counter.Cycles() {
-		t.Fatalf("wide-event cycles %d, scalar %d", wide.Cycles(), counter.Cycles())
+		t.Fatalf("wide cycles %d, scalar %d", wide.Cycles(), counter.Cycles())
 	}
 	for i := 0; i < nl.NumNets(); i++ {
 		id := netlist.NetID(i)
 		if got, want := wide.Stats(id), counter.Stats(id); got != want {
-			t.Fatalf("net %s: wide-event stats %+v, scalar %+v", nl.Nets[i].Name, got, want)
+			t.Fatalf("net %s: wide stats %+v, scalar %+v", nl.Nets[i].Name, got, want)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func TestEventQueueOrder(t *testing.T) {
 		{"heap-huge", 6000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			q := newEventQueue[int](tc.maxDelay)
+			q := newEventQueue(tc.maxDelay)
 			if q.keyed != tc.heap {
 				t.Fatalf("heap mode %v, want %v", q.keyed, tc.heap)
 			}
@@ -35,7 +35,7 @@ func TestEventQueueOrder(t *testing.T) {
 			var pending []item // the reference, in push order
 			id := 0
 			push := func(at int) {
-				q.push(at, id)
+				q.push(at, event{serial: uint64(id)})
 				pending = append(pending, item{at, id})
 				id++
 			}
@@ -60,17 +60,21 @@ func TestEventQueueOrder(t *testing.T) {
 					if now != earliest {
 						t.Fatalf("round %d: nextTime %d, earliest pending %d", round, now, earliest)
 					}
-					var want []int
+					var want []uint64
 					kept := pending[:0]
 					for _, it := range pending {
 						if it.time == now {
-							want = append(want, it.id)
+							want = append(want, uint64(it.id))
 						} else {
 							kept = append(kept, it)
 						}
 					}
 					pending = kept
-					if got := q.popBatch(now); !slices.Equal(got, want) {
+					var got []uint64
+					for _, e := range q.popBatch(now) {
+						got = append(got, e.serial)
+					}
+					if !slices.Equal(got, want) {
 						t.Fatalf("round %d, time %d: popped %v, want %v", round, now, got, want)
 					}
 					for n := rng.IntN(4); n > 0 && followUps > 0; n-- {

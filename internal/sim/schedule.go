@@ -1,8 +1,8 @@
 package sim
 
-// The schedule kernel: a queue-free word-parallel kernel for
-// transport-mode runs whose evaluated pins all have delay >= 1, and for
-// inertial runs under a uniform delay, where the two modes coincide.
+// The schedule: the static form of a word-parallel run, which the wide
+// kernel (wide.go) executes with no event queue, under every delay model
+// and in both delay modes.
 //
 // # Potential-change sets
 //
@@ -12,101 +12,83 @@ package sim
 // along paths from a primary input or a flip-flop output, which change
 // at instant 0 alone. This is the PC-set method of compiled unit-delay
 // simulation (Maurer & Wang, "Techniques for unit-delay compiled
-// simulation", DAC 1990); it carries over unchanged to any positive
-// integer delays.
+// simulation", DAC 1990); it carries over unchanged to any non-negative
+// integer delays once zero delays are given batches (below).
 //
 // A Schedule holds, per net, one value slot for the value the net
 // enters a step with (its entry slot) followed by one slot per instant
-// of PC(n), ascending. It holds one instruction per (cell, instant τ in
-// the union of its inputs' PC sets), sorted by instant and then by
-// topological order. An instruction reads the slots holding its inputs'
-// values at τ and writes the slots holding its outputs' values at τ plus
-// each pin's delay. Every delay is at least 1, so an instruction reads
-// only slots that instructions of earlier instants wrote.
+// of PC(n), ascending: the net's value at the end of that instant. It
+// holds one instruction per (cell, point of the union of its inputs'
+// sets), sorted by point: an instruction reads the slots holding its
+// inputs' values at that point and writes the slots holding its
+// outputs' values at the points its pins' delays give.
 //
-// # Per-lane equivalence
+// # Batches
 //
-// The event kernels evaluate a cell only at instants where an input
-// changed, and schedule an output only where it differs. Evaluating a
-// cell at an instant where no input changed reproduces the value its
-// output already holds, so the slots hold exactly the values the event
-// kernels give each net, at the same instants. A net's transitions are
-// the differences between its consecutive slots, and its word events
-// the slots that differ from their predecessor, so a Step's events match
-// the event kernels' count as well.
+// Inside one instant the scalar kernel runs its events in batches: a
+// zero-delay output changes one batch after its input did. So a point
+// is a key (instant, batch). Primary inputs and flip-flop outputs have
+// the single key (0, 0), and a cell's evaluation keys are the union of
+// its inputs' keys. An output pin with delay d >= 1 gets one key
+// (e+d, 0) per instant e of that union, from its inputs' final values
+// at e (that instant's last key); a pin with delay 0 gets one key
+// (e, k+1) per key (e, k), from its inputs at keys up to (e, k). A
+// schedule without zero-delay pins has batch 0 everywhere. A net's last
+// key of each instant is its main slot, counted and read by the kernel
+// as above; its earlier keys of the instant hold the batches between
+// and live in a batch area of their own, after every net's main slots.
 //
-// # Forms
+// The program is bucketed by key, and an instruction of key (e, k)
+// reads only slots written in earlier buckets, so the order inside a
+// bucket is free.
 //
-// A kernel stores its slots as logic.W's two rails in two arrays, zero
-// and one. While any entry slot or stimulus word holds an X lane it
-// runs three-valued, on both. Once a step settles with every lane of
-// every entry slot known, no later slot can hold an X until the
-// stimulus or an imported state brings one: the kernel then runs each
-// step on the one rail alone (8 bytes per slot instead of 16), with
-// plain Boolean logic, and a flip-flop samples its D input's entry value
-// as it is. A stimulus word or an imported value with an X lane
-// rebuilds the zero rail from the one rail and returns to the
-// three-valued form.
+// # Inertial windows
 //
-// A kernel starts in a third form, the reset form: every entry slot
-// holds its net's reset value (Compiled.initVals), which ExportState
-// returns, and the one rail holds an X one as 0. Reset leaves the
-// primary inputs at X, so a Step from reset runs three-valued, with its
-// events, budget trips and the flip-flops' X-hold rule. A Settle from
-// reset with a known stimulus runs on the one rail (see Settling). The
-// zero rail is allocated when a three-valued step first needs it, and
-// rebuilt from the reset values when leaving the reset form, so a run
-// that never sees an X lane holds 8 bytes per slot. An import of the
-// reset state keeps the reset form.
+// In inertial mode the scalar kernel cancels an output's event when the
+// cell is evaluated again before the event lands, and evaluates the
+// cell whenever an input changes, in any batch. Per lane, an output
+// with delay d >= 2 therefore takes its value at e+d as in transport
+// mode, unless some input has a key at an instant strictly inside
+// (e, e+d) that differs from the input's previous key: then it keeps
+// its previous value. A zero-width pulse counts, since each of its
+// batches evaluates the cell. Those keys are known statically, so such
+// an instruction carries them (its window) and holds the lanes where any
+// of them changed. Its program position is after the last batch of
+// instant e+d−1: the window's keys are then final, and no reader of the
+// output has run yet. A window that is empty needs no hold. Pins with
+// delay <= 1 have no window, and under a uniform delay no window holds
+// a key, so both modes coincide there.
+//
+// # The settle guard
+//
+// A step fails when some net changes past the settle guard G. The first
+// such change comes from an evaluation at or before G: an evaluation
+// after G sees an input that changed past G, an earlier failure. So the
+// schedule evaluates nothing after G, sizes nothing by an instant
+// beyond it, and keeps the main slots past G (their instants may exceed
+// MaxInt32) in a list sorted by instant. A step whose run changed one of
+// them fails, and reports the nets changed at the first such instant. A
+// window past G is cut at G: a key beyond it that changed is a failure
+// by itself.
 //
 // # Settling
 //
 // A warm-up step only brings the registers to the state the recent
 // inputs set, and no counter observes it, so only each net's settled
 // value matters. Settle computes it alone: it runs each cell's last
-// instruction only, the one at the last instant τ of the union of its
-// inputs' potential-change sets. At τ every input already holds its
-// last value, and the instruction writes each output's last slot (τ
-// plus the pin's delay). Its reads come from instants ≤ τ−1, so running
+// instructions only, the ones at the last key of the cell's union. At
+// that key every input already holds its final value, no window holds
+// a key, and the instructions write each output's last slot. Running
 // the last instructions in program order evaluates the netlist once, in
-// dependency order.
-//
-// The order of the instructions inside one instant is free, since an
-// instruction at τ reads only slots written at earlier instants. So
-// each instant of the program ends with its last instructions, and the
-// Schedule records their spans (Schedule.last) instead of a second
+// dependency order. Each bucket ends with its last instructions, and
+// the Schedule records their spans (Schedule.last) instead of a second
 // program.
-//
-// A Settle counts one word event per net whose settled value changed
-// in some lane, X → known included; from the reset form it compares
-// against the reset values. From reset with a known stimulus it runs on
-// the one rail, where an X entry value reads as 0: that is also the L0
-// every flip-flop holds while its D input is X, and every net with
-// instants is overwritten from known inputs. The nets without instants
-// are constant, known at reset.
-//
-// # Counting
-//
-// After the instructions run, one pass over every net's consecutive
-// slots counts its known→known transitions per lane, with the per-lane
-// count bit-planes held in registers, and hands the net's totals to
-// core.WideCounter.CountCycle: once per net per step, not once per
-// change. The pass also moves each net's last slot into its entry slot,
-// the settled value that ExportState and the next step read.
-//
-// On one rail every transition is between known levels, and the pass
-// does less. A lane's rises minus its falls over a step equal its last
-// value minus its entry value, so a net's rising total is
-// (t + |last ∧ ¬entry| − |entry ∧ ¬last|) / 2, summed over the counted
-// lanes, where t is its total: one popcount pair per net in place of
-// one popcount per slot. A net with a single instant makes at most one
-// transition per lane, each of them useful, so its counts are the
-// popcounts of its changed lanes, without bit-planes.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"unsafe"
 
 	"glitchsim/internal/logic"
@@ -118,37 +100,55 @@ import (
 // circuits (12 bytes instead of 24), and int32 beyond.
 type slotIndex interface{ ~uint16 | ~int32 }
 
-// instr evaluates one cell at one instant τ of a Schedule: it reads the
-// slot holding each input's value at τ and writes the slot holding each
-// connected output's value at τ plus the pin's delay.
+// instr evaluates one cell at one key of a Schedule: it reads the slot
+// holding each input's value at the key and writes the slot holding
+// each connected output's value at the key its pin's delay gives.
 type instr[I slotIndex] struct {
 	op netlist.CellType
 	n  uint8 // input count; 4 stands for any count above three
 	// in holds the input slots. A cell with more than three inputs keeps
 	// its first two here, and in[2] indexes program.extra, which holds
-	// the number of further inputs followed by their slots.
+	// the number of further inputs followed by their slots. An
+	// instruction of op opHold keeps the index of its window in
+	// program.extra, the first scratch slot and the window's length in
+	// pairs.
 	in  [3]I
 	out [2]I // output slots; ^I(0) for an unconnected pin
 }
 
+// opHold marks an instruction that holds an inertial output (see
+// Inertial windows): the instruction before it evaluated the cell into
+// two scratch slots, and this one writes each output in out the new
+// value in the lanes where no slot of its window changed, and the
+// output's previous value elsewhere. A window is a list of pairs in
+// program.extra: (lo, hi) with lo < hi compares each slot in [lo, hi)
+// with the one before it, and (a, b) with a > b compares the two. It is
+// no cell type, so the runners reach it through their default case and
+// a transport program pays nothing for it.
+const opHold = netlist.CellType(math.MaxUint8)
+
 // program is a schedule's instruction list in one index width.
 type program[I slotIndex] struct {
 	instrs []instr[I]
-	extra  []I // further input slots of cells with more than three inputs
+	// extra holds the further input slots of cells with more than three
+	// inputs, and the windows.
+	extra []I
 }
 
-// Schedule is the static form of a transport-mode wide run on one
-// compiled netlist under one delay table: value slots per (net,
-// instant) and the instructions that fill them (see the file comment).
-// A Schedule is immutable and may be shared by any number of kernels
-// running the netlist, and by every netlist with the same Fingerprint,
-// under a delay table with the same Digest.
+// Schedule is the static form of a wide run on one compiled netlist
+// under one delay table, delay mode and settle guard: value slots per
+// (net, key) and the instructions that fill them (see the file
+// comment). A Schedule is immutable and may be shared by any number of
+// kernels running the netlist, and by every netlist with the same
+// Fingerprint, under Options with the same ScheduleKey.
 type Schedule struct {
 	// slotStart[n] is net n's entry slot; the slots up to
-	// slotStart[n+1] hold its value at each instant of PC(n).
+	// slotStart[n+1] hold its value at the end of each instant of its
+	// keys. The batch and scratch slots follow, up to slots.
 	slotStart []int32
+	slots     int32
 	// One of the two holds the instructions: narrow when every slot
-	// index and extra offset fits in 16 bits.
+	// index, extra offset and hold fits in 16 bits.
 	narrow program[uint16]
 	wide   program[int32]
 	// all spans the whole program; last spans the instructions that are
@@ -156,105 +156,234 @@ type Schedule struct {
 	// program order, one per run of consecutive ones.
 	all  [2]int32
 	last []int32
+	// holds lists the program indices of the instructions of op
+	// opHold, ascending.
+	holds []int32
+	// recount is set when the program writes batch or scratch slots:
+	// its runners' event counts then mean nothing, and a step counts its
+	// events over the main slots instead.
+	recount bool
+	// past holds the main slots past the guard, by instant and net; nil
+	// when there are none, and no step can fail.
+	past  []pastSlot
+	guard int
 }
 
-// NewSchedule builds the schedule of c under dt. It panics unless every
-// output pin of a cell that has inputs has delay >= 1
-// (DelayTable.MinEvaluated), and on instants beyond MaxInt32.
-func NewSchedule(c *Compiled, dt *DelayTable) *Schedule { return newSchedule(c, dt, true) }
+// pastSlot is a main slot past the settle guard: the value of net at
+// instant at.
+type pastSlot struct {
+	at   uint64
+	net  netlist.NetID
+	slot int32
+}
+
+// NewSchedule builds the schedule of c under opts: its delay table
+// (opts.Delays, or one built from opts.Delay), its Mode and its settle
+// guard (MaxTimePerCycle). It panics on an evaluation instant beyond
+// MaxInt32, which only a guard beyond MaxInt32 allows.
+func NewSchedule(c *Compiled, opts Options) *Schedule { return newSchedule(c, opts, true) }
+
+// key is a point (instant, batch) of a schedule, with the instant in the
+// high 32 bits and the batch in the low 32, so that keys order as the
+// pairs do. Every instant fits: evaluations lie at or before MaxInt32,
+// and no delay exceeds it.
+type key uint64
+
+// keyAt returns the key of batch 0 at instant t.
+func keyAt(t uint64) key { return key(t << 32) }
+
+// instant returns k's instant.
+func (k key) instant() uint64 { return uint64(k) >> 32 }
+
+// batch returns k's batch.
+func (k key) batch() int32 { return int32(uint32(k)) }
 
 // newSchedule is NewSchedule, with 16-bit slot indices only when narrow
 // allows them.
-func newSchedule(c *Compiled, dt *DelayTable, narrow bool) *Schedule {
-	if dt.MinEvaluated() < 1 {
-		panic("sim: a schedule needs every evaluated pin's delay >= 1")
-	}
+func newSchedule(c *Compiled, opts Options, narrow bool) *Schedule {
+	dt := opts.delayTable(c)
+	guard := uint64(max(opts.guardTime(), 0))
+	inertial := opts.inertial(dt)
 	n := c.n
 	nn := n.NumNets()
-	order := n.TopoOrder()
 
-	// 1. Potential-change sets in topological order, stored flat: net
-	// n's set is pcs[pcAt[n] : pcAt[n]+pcLen[n]]. Primary inputs and
-	// flip-flop outputs change at instant 0 alone and share entry 0.
-	pcAt := make([]int32, nn)
-	pcLen := make([]int32, nn)
-	pcs := make([]int32, 1, 8*nn)
+	// 1. Key sets in topological order, stored flat: net n's keys are
+	// pcs[pcAt[n] : pcAt[n]+pcLen[n]], of which the first pcLive[n] lie
+	// at or before the guard, at pcInst[n] distinct instants. Primary
+	// inputs and flip-flop outputs have key (0, 0) alone and share entry
+	// 0.
+	pcAt, pcLen, pcLive, pcInst := make([]int32, nn), make([]int32, nn), make([]int32, nn), make([]int32, nn)
 	for _, id := range n.PIs {
-		pcLen[id] = 1
+		pcLen[id], pcLive[id], pcInst[id] = 1, 1, 1
 	}
 	for _, q := range c.dffQ {
-		pcLen[q] = 1
+		pcLen[q], pcLive[q], pcInst[q] = 1, 1, 1
 	}
-	pcOf := func(net netlist.NetID) []int32 { return pcs[pcAt[net] : pcAt[net]+pcLen[net]] }
-	var emitters []emitCell // the cells that get instructions, in topological order
-	var u, tmp []int32
-	last, total, maxIn, extra := int32(-1), 0, 0, 0
-	for _, cid := range order {
+	b := emission{c: c, pcs: make([]key, 1, 8*nn), pcAt: pcAt, pcLen: pcLen, delays: dt.delays, guard: guard,
+		cells: make([]emitCell, 0, n.NumCells())}
+	var u, tmp []key
+	var last uint64 // the last instant an instruction is placed at
+	held := false
+	for _, cid := range n.TopoOrder() {
 		if c.cellType[cid] == netlist.DFF {
 			continue
 		}
 		ins := c.inNets[c.inStart[cid]:c.inStart[cid+1]]
 		u = u[:0]
 		for _, in := range ins {
-			tmp = unionSorted(tmp[:0], u, pcOf(in))
+			tmp = unionSorted(tmp[:0], u, b.pcs[pcAt[in]:pcAt[in]+pcLive[in]])
 			u, tmp = tmp, u
 		}
 		if len(u) == 0 {
 			continue // constant, or fed by constants alone: never changes
 		}
-		first := len(emitters)
+		end := u[len(u)-1].instant()
+		if end > math.MaxInt32 {
+			panic(fmt.Sprintf("sim: evaluation instant of cell %s beyond MaxInt32", n.Cells[cid].Name))
+		}
+		instants := int32(0)
+		for j, k := range u {
+			if j+1 == len(u) || u[j+1].instant() != k.instant() {
+				instants++
+			}
+		}
+		e := emitCell{cid: cid, at: int32(len(b.keys)), n: int32(len(u))}
 		for pin := range int(c.outLen[cid]) {
-			key := outputsPerCell*int(cid) + pin
-			o := c.outNets[key]
+			ix := outputsPerCell*int(cid) + pin
+			o := c.outNets[ix]
 			if o == netlist.NoNet {
 				continue
 			}
-			d := dt.delays[key]
-			if int64(u[len(u)-1])+int64(d) > math.MaxInt32 {
-				panic(fmt.Sprintf("sim: instant of net %s beyond MaxInt32", n.Nets[o].Name))
+			d := uint64(dt.delays[ix])
+			pcAt[o], pcInst[o] = int32(len(b.pcs)), instants
+			if d == 0 {
+				for _, k := range u {
+					b.pcs = append(b.pcs, k+1)
+				}
+				pcLive[o] = int32(len(u))
+				e.zero = true
+			} else {
+				prev := ^uint64(0)
+				for _, k := range u {
+					if t := k.instant(); t != prev {
+						prev = t
+						b.pcs = append(b.pcs, keyAt(t+d))
+						if t+d <= guard {
+							pcLive[o]++
+						}
+					}
+				}
+				if inertial && d >= 2 {
+					e.held[pin] = d
+					held = true
+					last = max(last, min(end+d-1, guard))
+				} else {
+					e.pos = true
+				}
 			}
-			pcAt[o], pcLen[o] = int32(len(pcs)), int32(len(u))
-			for _, t := range u {
-				pcs = append(pcs, t+d)
-			}
-			if len(emitters) == first {
-				emitters = append(emitters, emitCell{cid, o, d})
-			}
+			pcLen[o] = int32(len(b.pcs)) - pcAt[o]
 		}
-		if len(emitters) > first {
-			last = max(last, u[len(u)-1])
-			total += len(u)
-			maxIn = max(maxIn, len(ins))
-			if len(ins) > 3 {
-				extra += len(u) * (len(ins) - 1)
-			}
+		if e.zero || e.pos || e.held != [outputsPerCell]uint64{} {
+			b.keys = append(b.keys, u...)
+			b.cells = append(b.cells, e)
+			b.maxIn = max(b.maxIn, len(ins))
+			last = max(last, end)
 		}
 	}
 
-	// 2. Slots: per net, the entry slot and one per instant.
-	sc := &Schedule{slotStart: make([]int32, nn+1)}
+	// 2. Slots: per net, the entry slot and one per instant; then the
+	// batch slots, per net; then two scratch slots for the windows.
+	sc := &Schedule{slotStart: make([]int32, nn+1), guard: opts.guardTime()}
 	for i := range nn {
-		sc.slotStart[i+1] = sc.slotStart[i] + 1 + pcLen[i]
+		sc.slotStart[i+1] = sc.slotStart[i] + 1 + pcInst[i]
 	}
-
-	// 3. Instructions: count them per instant, then emit. Each instant
-	// ends with the instructions that are their cells' last, so that
-	// they form one span per instant (see Settling).
-	at := make([]int32, last+2)
-	lastAt := make([]int32, last+1)
-	for _, e := range emitters {
-		pc := pcOf(e.o)
-		for _, t := range pc {
-			at[t-e.d+1]++
+	b.slotStart = sc.slotStart
+	sc.slots = sc.slotStart[nn]
+	b.batchAt = make([]int32, nn)
+	for i := range nn {
+		b.batchAt[i] = sc.slots
+		sc.slots += pcLen[i] - pcInst[i]
+	}
+	sc.recount = sc.slots > sc.slotStart[nn]
+	b.scratch = sc.slots
+	if held {
+		sc.slots += outputsPerCell
+	}
+	for net := range nn {
+		for q := pcLive[net]; q < pcLen[net]; q++ {
+			// Past the guard only pins with delay >= 1 write, and their
+			// nets have main slots alone.
+			sc.past = append(sc.past, pastSlot{at: b.pcs[pcAt[net]+q].instant(), net: netlist.NetID(net), slot: sc.slotStart[net] + 1 + q})
 		}
-		lastAt[pc[len(pc)-1]-e.d]++
 	}
-	for t := 1; t < len(at); t++ {
-		at[t] += at[t-1]
+	slices.SortStableFunc(sc.past, func(a, b pastSlot) int { return cmp.Compare(a.at, b.at) })
+
+	// 3. Buckets: per instant, one per batch and, when a window may
+	// hold, one after them for the inertial pins; bucket (x, k) is
+	// base[x]+k and instant x's inertial bucket base[x+1]-1. Count the
+	// instructions per bucket, then emit. Each bucket ends with the
+	// instructions that are their cells' last, so that they form one span
+	// per bucket (see Settling).
+	b.base = make([]int32, last+2)
+	for _, k := range b.keys {
+		x := k.instant()
+		b.base[x+1] = max(b.base[x+1], k.batch()) // the largest batch
 	}
-	for t, n := range lastAt {
-		lo, hi := at[t+1]-n, at[t+1]
-		lastAt[t] = lo
+	for x := range last + 1 {
+		b.base[x+1] += b.base[x] + 1
+		if held {
+			b.base[x+1]++
+		}
+	}
+	b.at = make([]int32, b.base[last+1]+1)
+	b.lastAt = make([]int32, b.base[last+1])
+	total, extra, holds := 0, 0, 0
+	for _, e := range b.cells {
+		more := int(c.inStart[e.cid+1]-c.inStart[e.cid]) - 1 // extra entries per instruction
+		if more < 3 {
+			more = 0
+		}
+		u := b.keys[e.at : e.at+e.n]
+		groups := e.groups()
+		for j, k := range u {
+			x := k.instant()
+			final := j+1 == len(u)
+			endOfInstant := final || u[j+1].instant() != x
+			if e.zero || e.pos && endOfInstant {
+				bucket := b.base[x] + k.batch()
+				b.at[bucket+1]++
+				if final {
+					b.lastAt[bucket]++
+				}
+				total++
+				extra += more
+			}
+			if endOfInstant {
+				for _, d := range groups {
+					// The window holds a key when the union's next instant
+					// comes before x+d; then an opHold follows.
+					n := int32(1)
+					if !final && u[j+1].instant() < x+d {
+						n++
+						holds++
+					}
+					bucket := b.holdBucket(x, d)
+					b.at[bucket+1] += n
+					if final {
+						b.lastAt[bucket] += n
+					}
+					total += int(n)
+					extra += more
+				}
+			}
+		}
+	}
+	for i := 1; i < len(b.at); i++ {
+		b.at[i] += b.at[i-1]
+	}
+	for bucket, n := range b.lastAt {
+		lo, hi := b.at[bucket+1]-n, b.at[bucket+1]
+		b.lastAt[bucket] = lo
 		switch k := len(sc.last); {
 		case n == 0:
 		case k > 0 && sc.last[k-1] == lo:
@@ -264,104 +393,277 @@ func newSchedule(c *Compiled, dt *DelayTable, narrow bool) *Schedule {
 		}
 	}
 	sc.all = [2]int32{0, int32(total)}
-	b := emission{c: c, pcs: pcs, pcAt: pcAt, pcLen: pcLen, slotStart: sc.slotStart, at: at, lastAt: lastAt, maxIn: maxIn, cells: emitters}
-	if narrow && sc.Slots() < math.MaxUint16 && extra < math.MaxUint16 {
-		sc.narrow = emit[uint16](&b, total, extra)
-	} else {
+	sc.recount = sc.recount || holds > 0
+	switch {
+	case !narrow || sc.slots >= math.MaxUint16 || extra >= math.MaxUint16:
 		sc.wide = emit[int32](&b, total, extra)
+	case holds == 0:
+		sc.narrow = emit[uint16](&b, total, extra)
+	default:
+		// The windows' size is known once emitted.
+		sc.wide = emit[int32](&b, total, extra)
+		if len(sc.wide.extra) < math.MaxUint16 {
+			sc.narrow = narrowed(sc.wide)
+			sc.wide = program[int32]{}
+		}
+	}
+	if holds > 0 {
+		sc.holds = make([]int32, 0, holds)
+		for i, in := range sc.wide.instrs {
+			if in.op == opHold {
+				sc.holds = append(sc.holds, int32(i))
+			}
+		}
+		for i, in := range sc.narrow.instrs {
+			if in.op == opHold {
+				sc.holds = append(sc.holds, int32(i))
+			}
+		}
 	}
 	return sc
 }
 
-// emitCell is a cell that gets instructions, with its first connected
-// output and that pin's delay: the cell's instants are that output's
-// potential-change set shifted back by it.
-type emitCell struct {
-	cid netlist.CellID
-	o   netlist.NetID
-	d   int32
+// narrowed returns p with 16-bit indices; each must fit.
+func narrowed(p program[int32]) program[uint16] {
+	q := program[uint16]{instrs: make([]instr[uint16], len(p.instrs)), extra: make([]uint16, len(p.extra))}
+	for i, in := range p.instrs {
+		q.instrs[i] = instr[uint16]{op: in.op, n: in.n,
+			in:  [3]uint16{uint16(in.in[0]), uint16(in.in[1]), uint16(in.in[2])},
+			out: [2]uint16{uint16(in.out[0]), uint16(in.out[1])}}
+	}
+	for i, x := range p.extra {
+		q.extra[i] = uint16(x)
+	}
+	return q
 }
 
-// emission is what NewSchedule hands emit: the potential-change sets
-// (net n's is pcs[pcAt[n] : pcAt[n]+pcLen[n]]), the slot layout, the
-// index of every instant's first instruction and of its first last
-// instruction (both advanced as emit fills them), and the cells to emit
-// in topological order.
+// emitCell is a cell that gets instructions: its evaluation keys, the
+// emission's keys[at : at+n], and which kinds of pins it drives: one of
+// delay 0 (zero), one of delay >= 1 without a window (pos), and, per
+// pin, the delay of an inertial pin with a window (held), 0 for none.
+type emitCell struct {
+	cid       netlist.CellID
+	at, n     int32
+	zero, pos bool
+	held      [outputsPerCell]uint64
+}
+
+// groups returns the delays of the cell's inertial instructions per
+// evaluated instant: one per distinct delay of its held pins.
+func (e *emitCell) groups() []uint64 {
+	switch d := e.held; {
+	case d[0] == 0 && d[1] == 0:
+		return nil
+	case d[0] == 0 || d[0] == d[1]:
+		return e.held[1:]
+	case d[1] == 0:
+		return e.held[:1]
+	default:
+		return e.held[:]
+	}
+}
+
+// emission is what newSchedule hands emit: the key sets (net n's are
+// pcs[pcAt[n] : pcAt[n]+pcLen[n]]), the cells' evaluation keys, the
+// slot layout (batchAt[n] is net n's first batch slot), the bucket
+// bases, the index of every bucket's first instruction and of its first
+// last instruction (both advanced as emit fills them), and the cells to
+// emit in topological order.
 type emission struct {
-	c                     *Compiled
-	pcs, pcAt, pcLen      []int32
-	slotStart, at, lastAt []int32
-	maxIn                 int
-	cells                 []emitCell
+	c                  *Compiled
+	pcs, keys          []key
+	pcAt, pcLen        []int32
+	delays             []int32
+	guard              uint64
+	slotStart, batchAt []int32
+	scratch            int32
+	base, at, lastAt   []int32
+	maxIn              int
+	cells              []emitCell
+}
+
+// holdBucket returns the bucket of an inertial pin of delay d evaluated
+// at instant x: instant x+d−1's last one, or the guard's.
+func (b *emission) holdBucket(x, d uint64) int32 { return b.base[min(x+d-1, b.guard)+1] - 1 }
+
+// cursor walks one input's keys, pcs[next:end] of the emission, as emit
+// walks its cell's evaluation keys: the keys before next lie at or
+// before the current one, slot holds the input's value there, and main
+// and batch are the slots of the input's next main and batch key. It
+// holds no pointer, so that filling one costs no write barrier.
+type cursor struct {
+	next, end         int32
+	slot, main, batch int32
+}
+
+// advance moves w past the keys at or before k.
+func (w *cursor) advance(pcs []key, k key) {
+	for w.next < w.end && pcs[w.next] <= k {
+		w.slot = w.step(pcs)
+	}
+}
+
+// step moves w past the key at next and returns its slot: a main slot
+// when it is its instant's last key, a batch slot otherwise.
+func (w *cursor) step(pcs []key) int32 {
+	q := w.next
+	w.next++
+	if w.next < w.end && pcs[w.next].instant() == pcs[q].instant() {
+		w.batch++
+		return w.batch - 1
+	}
+	w.main++
+	return w.main - 1
 }
 
 // emit fills a program of total instructions and extra further-input
-// entries, bucketed by instant, each bucket ending with the
-// instructions that are their cells' last; cells are visited in
-// topological order, so both parts of a bucket come out in that order.
+// entries, bucketed by key, each bucket ending with the instructions
+// that are their cells' last; cells are visited in topological order,
+// so both parts of a bucket come out in that order.
 func emit[I slotIndex](b *emission, total, extra int) program[I] {
 	c := b.c
-	pcOf := func(net netlist.NetID) []int32 { return b.pcs[b.pcAt[net] : b.pcAt[net]+b.pcLen[net]] }
 	p := program[I]{instrs: make([]instr[I], total), extra: make([]I, 0, extra)}
-	// Per input of the current cell: its set, its entry slot, and how
-	// many of its instants lie at or before the current instant.
-	sets := make([][]int32, b.maxIn)
-	base := make([]int32, b.maxIn)
-	next := make([]int32, b.maxIn)
+	in := make([]cursor, b.maxIn)
 	for _, e := range b.cells {
 		cid := e.cid
 		ins := c.inNets[c.inStart[cid]:c.inStart[cid+1]]
 		for i, net := range ins {
-			sets[i], base[i], next[i] = pcOf(net), b.slotStart[net], 0
+			in[i] = cursor{next: b.pcAt[net], end: b.pcAt[net] + b.pcLen[net], slot: b.slotStart[net], main: b.slotStart[net] + 1, batch: b.batchAt[net]}
 		}
-		out := [outputsPerCell]int32{-1, -1}
-		for pin := range int(c.outLen[cid]) {
-			if o := c.outNets[outputsPerCell*int(cid)+pin]; o != netlist.NoNet {
-				out[pin] = b.slotStart[o] + 1
+		// Per output pin of the cell's own instructions: its first main
+		// slot, written at each instant's last key, and for a pin of
+		// delay 0 its first batch slot, written at the other keys; -1
+		// for none.
+		main, batch := [outputsPerCell]int32{-1, -1}, [outputsPerCell]int32{-1, -1}
+		for pin := range outputsPerCell {
+			ix := outputsPerCell*int(cid) + pin
+			if o := c.outNets[ix]; o != netlist.NoNet && e.held[pin] == 0 {
+				main[pin] = b.slotStart[o] + 1
+				if b.delays[ix] == 0 {
+					batch[pin] = b.batchAt[o]
+				}
 			}
 		}
 		op, arity := c.cellType[cid], uint8(min(len(ins), 4))
-		pc := pcOf(e.o)
-		for j, t := range pc {
-			t -= e.d
-			pos := &b.at[t]
-			if j == len(pc)-1 {
-				pos = &b.lastAt[t]
-			}
-			in := &p.instrs[*pos]
-			*pos++
-			in.op, in.n = op, arity
+		groups := e.groups()
+		u := b.keys[e.at : e.at+e.n]
+		// inst ranks the current key among the union's instants, and bat
+		// among its keys that are not their instant's last.
+		inst, bat := int32(0), int32(0)
+		for j, k := range u {
+			x := k.instant()
+			final := j+1 == len(u)
+			endOfInstant := final || u[j+1].instant() != x
 			for i := range ins {
-				k, set := next[i], sets[i]
-				for int(k) < len(set) && set[k] <= t {
-					k++
-				}
-				next[i] = k
-				slot := I(base[i] + k)
-				switch {
-				case i < 2 || len(ins) == 3:
-					in.in[i] = slot
-				case i == 2:
-					in.in[2] = I(len(p.extra))
-					p.extra = append(p.extra, I(len(ins)-2), slot)
-				default:
-					p.extra = append(p.extra, slot)
+				in[i].advance(b.pcs, k)
+			}
+			if e.zero || e.pos && endOfInstant {
+				ip := place(b, b.base[x]+k.batch(), final, p.instrs)
+				setInputs(&p, ip, op, arity, in[:len(ins)])
+				for pin := range ip.out {
+					switch {
+					case endOfInstant && main[pin] >= 0:
+						ip.out[pin] = I(main[pin] + inst)
+					case batch[pin] >= 0:
+						ip.out[pin] = I(batch[pin] + bat)
+					default:
+						ip.out[pin] = ^I(0)
+					}
 				}
 			}
-			for pin, o := range out {
-				in.out[pin] = ^I(0)
-				if o >= 0 {
-					in.out[pin] = I(o + int32(j))
+			if !endOfInstant {
+				bat++
+				continue
+			}
+			for _, d := range groups {
+				var out [outputsPerCell]I
+				for pin := range out {
+					out[pin] = ^I(0)
+					if e.held[pin] == d {
+						out[pin] = I(b.slotStart[c.outNets[outputsPerCell*int(cid)+pin]] + 1 + inst)
+					}
+				}
+				bucket := b.holdBucket(x, d)
+				ip := place(b, bucket, final, p.instrs)
+				setInputs(&p, ip, op, arity, in[:len(ins)])
+				ip.out = out
+				lo := I(len(p.extra))
+				p.extra = appendWindow(p.extra, b, in[:len(ins)], x+d)
+				if hi := I(len(p.extra)); hi > lo {
+					// Evaluate into the scratch slots, then hold.
+					for pin, o := range out {
+						if o != ^I(0) {
+							ip.out[pin] = I(b.scratch) + I(pin)
+						}
+					}
+					*place(b, bucket, final, p.instrs) = instr[I]{op: opHold, in: [3]I{lo, I(b.scratch), (hi - lo) / 2}, out: out}
 				}
 			}
+			inst++
 		}
 	}
 	return p
 }
 
+// place returns the next free instruction of bucket: the next of its
+// last ones when final.
+func place[I slotIndex](b *emission, bucket int32, final bool, instrs []instr[I]) *instr[I] {
+	pos := &b.at[bucket]
+	if final {
+		pos = &b.lastAt[bucket]
+	}
+	*pos++
+	return &instrs[*pos-1]
+}
+
+// setInputs sets ip, an instruction of p, to evaluate a cell of type op
+// and arity on the slots the cursors stand at.
+func setInputs[I slotIndex](p *program[I], ip *instr[I], op netlist.CellType, arity uint8, in []cursor) {
+	ip.op, ip.n = op, arity
+	for i := range in {
+		slot := I(in[i].slot)
+		switch {
+		case i < 2 || len(in) == 3:
+			ip.in[i] = slot
+		case i == 2:
+			ip.in[2] = I(len(p.extra))
+			p.extra = append(p.extra, I(len(in)-2), slot)
+		default:
+			p.extra = append(p.extra, slot)
+		}
+	}
+}
+
+// appendWindow appends to dst, as pairs (see opHold), the window of an
+// inertial pin evaluated at the instant the cursors stand at, whose
+// output lands at instant end: per input, its keys at later instants
+// before end and at or before the guard, each against the key before it.
+// (The cursors stand past every key of the instant: the union holds
+// each input's keys up to the guard.) Consecutive slots form one range.
+func appendWindow[I slotIndex](dst []I, b *emission, in []cursor, end uint64) []I {
+	lim := min(end, b.guard+1)
+	start := len(dst)
+	for _, w := range in { // copies: the cell's cursors stay put
+		prev := w.slot
+		for w.next < w.end && b.pcs[w.next].instant() < lim {
+			s := w.step(b.pcs)
+			switch k := len(dst); {
+			case prev != s-1:
+				dst = append(dst, I(max(s, prev)), I(min(s, prev)))
+			case k > start && dst[k-2] < dst[k-1] && dst[k-1] == I(s):
+				dst[k-1]++
+			default:
+				dst = append(dst, I(s), I(s+1))
+			}
+			prev = s
+		}
+	}
+	return dst
+}
+
 // unionSorted appends the sorted union of the ascending sets a and b to
 // dst, which must not share memory with either.
-func unionSorted(dst, a, b []int32) []int32 {
+func unionSorted(dst, a, b []key) []key {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -384,7 +686,8 @@ func unionSorted(dst, a, b []int32) []int32 {
 // Bytes returns the memory the schedule holds: the unit of the Engine's
 // schedule-cache bound.
 func (sc *Schedule) Bytes() int {
-	return int(unsafe.Sizeof(*sc)) + 4*(cap(sc.slotStart)+cap(sc.last)) + sc.narrow.bytes() + sc.wide.bytes()
+	return int(unsafe.Sizeof(*sc)) + 4*(cap(sc.slotStart)+cap(sc.last)+cap(sc.holds)) + int(unsafe.Sizeof(pastSlot{}))*cap(sc.past) +
+		sc.narrow.bytes() + sc.wide.bytes()
 }
 
 func (p *program[I]) bytes() int {
@@ -393,14 +696,21 @@ func (p *program[I]) bytes() int {
 }
 
 // Slots returns the number of value slots a kernel running the schedule
-// holds: one per net plus one per (net, instant of its PC set).
-func (sc *Schedule) Slots() int { return int(sc.slotStart[len(sc.slotStart)-1]) }
+// holds: one per net plus one per (net, instant of its keys), then one
+// per key that is not its instant's last, and two scratch slots when a
+// window may hold.
+func (sc *Schedule) Slots() int { return int(sc.slots) }
 
-// Instructions returns the number of (cell, instant) evaluations per step.
+// CanFail reports whether a step on the schedule can fail with an
+// *OscillationError: whether some net has an instant past the settle
+// guard. Whether a step does then depends on its stimulus and state.
+func (sc *Schedule) CanFail() bool { return sc.past != nil }
+
+// Instructions returns the number of evaluations per step.
 func (sc *Schedule) Instructions() int { return len(sc.narrow.instrs) + len(sc.wide.instrs) }
 
-// Instants returns |PC(net)|: the number of instants per step at which
-// the net can change, which bounds its transitions per lane and cycle.
+// Instants returns the number of instants per step at which the net can
+// change, which bounds its transitions per lane and cycle.
 func (sc *Schedule) Instants(net netlist.NetID) int {
 	return int(sc.slotStart[net+1] - sc.slotStart[net] - 1)
 }
@@ -423,21 +733,41 @@ func put[I slotIndex](r rails, i I, w logic.W) { r.zero[i], r.one[i] = w.Zero, w
 
 // run executes the instructions of spans ([start, end) index pairs:
 // sc.all or sc.last) on slots in the three-valued form and returns how
-// many output slots differ from their predecessor. Over sc.all that is
-// the step's word events on combinational nets; over sc.last the
-// predecessors were not written, and the count means nothing.
+// many main output slots differ from their predecessor. Over sc.all
+// that is the step's word events on combinational nets, unless
+// sc.recount; over sc.last the predecessors were not written, and the
+// count means nothing.
 //
 //glitchsim:hotpath
 func (sc *Schedule) run(r rails, spans []int32) uint64 {
 	var events uint64
+	holds := sc.holds
 	for i := 0; i+1 < len(spans); i += 2 {
-		if sc.narrow.instrs != nil {
-			events += runProgram(sc.narrow.instrs[spans[i]:spans[i+1]], sc.narrow.extra, r)
-		} else {
-			events += runProgram(sc.wide.instrs[spans[i]:spans[i+1]], sc.wide.extra, r)
+		lo, hi := spans[i], spans[i+1]
+		for ; len(holds) > 0 && holds[0] < hi; holds = holds[1:] {
+			if h := holds[0]; h >= lo {
+				events += sc.runRange(r, lo, h)
+				if sc.narrow.instrs != nil {
+					runHold(&sc.narrow.instrs[h], sc.narrow.extra, r)
+				} else {
+					runHold(&sc.wide.instrs[h], sc.wide.extra, r)
+				}
+				lo = h + 1
+			}
 		}
+		events += sc.runRange(r, lo, hi)
 	}
 	return events
+}
+
+// runRange is run on the instructions [lo, hi), none of op opHold.
+//
+//glitchsim:hotpath
+func (sc *Schedule) runRange(r rails, lo, hi int32) uint64 {
+	if sc.narrow.instrs != nil {
+		return runProgram(sc.narrow.instrs[lo:hi], sc.narrow.extra, r)
+	}
+	return runProgram(sc.wide.instrs[lo:hi], sc.wide.extra, r)
 }
 
 // runBits is run on slots in the one-rail forms: sl holds each slot's
@@ -446,14 +776,33 @@ func (sc *Schedule) run(r rails, spans []int32) uint64 {
 //glitchsim:hotpath
 func (sc *Schedule) runBits(sl []uint64, spans []int32) uint64 {
 	var events uint64
+	holds := sc.holds
 	for i := 0; i+1 < len(spans); i += 2 {
-		if sc.narrow.instrs != nil {
-			events += runBits(sc.narrow.instrs[spans[i]:spans[i+1]], sc.narrow.extra, sl)
-		} else {
-			events += runBits(sc.wide.instrs[spans[i]:spans[i+1]], sc.wide.extra, sl)
+		lo, hi := spans[i], spans[i+1]
+		for ; len(holds) > 0 && holds[0] < hi; holds = holds[1:] {
+			if h := holds[0]; h >= lo {
+				events += sc.runRangeBits(sl, lo, h)
+				if sc.narrow.instrs != nil {
+					runHoldBits(&sc.narrow.instrs[h], sc.narrow.extra, sl)
+				} else {
+					runHoldBits(&sc.wide.instrs[h], sc.wide.extra, sl)
+				}
+				lo = h + 1
+			}
 		}
+		events += sc.runRangeBits(sl, lo, hi)
 	}
 	return events
+}
+
+// runRangeBits is runRange in the one-rail forms.
+//
+//glitchsim:hotpath
+func (sc *Schedule) runRangeBits(sl []uint64, lo, hi int32) uint64 {
+	if sc.narrow.instrs != nil {
+		return runBits(sc.narrow.instrs[lo:hi], sc.narrow.extra, sl)
+	}
+	return runBits(sc.wide.instrs[lo:hi], sc.wide.extra, sl)
 }
 
 //glitchsim:hotpath
@@ -488,8 +837,8 @@ func runProgram[I slotIndex](instrs []instr[I], extra []I, r rails) uint64 {
 		case netlist.Maj3:
 			o0 = logic.Maj3W(at(r, in.in[0]), at(r, in.in[1]), at(r, in.in[2]))
 		default:
-			// Constant cells have no inputs and so no instants; DFFs
-			// are never scheduled.
+			// Constant cells have no inputs and so no keys, DFFs are
+			// never scheduled, and run executes opHold itself.
 			panic("sim: schedule instruction on a cell type without a case")
 		}
 		if o := in.out[0]; o != ^I(0) {
@@ -502,6 +851,29 @@ func runProgram[I slotIndex](instrs []instr[I], extra []I, r rails) uint64 {
 		}
 	}
 	return events
+}
+
+// runHold executes an instruction of op opHold (see there). Its
+// outputs' events are counted by Schedule.recount's pass.
+//
+//glitchsim:hotpath
+func runHold[I slotIndex](in *instr[I], extra []I, r rails) {
+	w := extra[in.in[0] : in.in[0]+2*in.in[2]]
+	var m uint64
+	for i := 0; i+1 < len(w); i += 2 {
+		if lo, hi := w[i], w[i+1]; lo > hi {
+			m |= logic.DiffMask(at(r, lo), at(r, hi))
+		} else {
+			for s := lo; s < hi; s++ {
+				m |= logic.DiffMask(at(r, s), at(r, s-1))
+			}
+		}
+	}
+	for pin, o := range in.out {
+		if o != ^I(0) {
+			put(r, o, at(r, in.in[1]+I(pin)).Merge(at(r, o-1), m))
+		}
+	}
 }
 
 // runBits is runProgram's Boolean image, case by case: with no lane at
@@ -556,6 +928,28 @@ func runBits[I slotIndex](instrs []instr[I], extra []I, sl []uint64) uint64 {
 		}
 	}
 	return events
+}
+
+// runHoldBits is runHold in the one-rail forms.
+//
+//glitchsim:hotpath
+func runHoldBits[I slotIndex](in *instr[I], extra []I, sl []uint64) {
+	w := extra[in.in[0] : in.in[0]+2*in.in[2]]
+	var m uint64
+	for i := 0; i+1 < len(w); i += 2 {
+		if lo, hi := w[i], w[i+1]; lo > hi {
+			m |= sl[lo] ^ sl[hi]
+		} else {
+			for s := lo; s < hi; s++ {
+				m |= sl[s] ^ sl[s-1]
+			}
+		}
+	}
+	for pin, o := range in.out {
+		if o != ^I(0) {
+			sl[o] = sl[in.in[1]+I(pin)]&^m | sl[o-1]&m
+		}
+	}
 }
 
 // nonzero returns 1 when some bit of d is set and 0 otherwise, without
@@ -655,468 +1049,4 @@ func xorBits[I slotIndex](sl []uint64, in *instr[I], extra []I) uint64 {
 		}
 	}
 	return w
-}
-
-// scheduleKernel runs a Schedule for MaxLanes stimulus lanes at once.
-// Like the other kernels it is not safe for concurrent use, but any
-// number may share one Compiled netlist and one Schedule.
-type scheduleKernel struct {
-	wideCore
-	sc *Schedule
-	// sl holds the slots, in the form form names (see the file
-	// comment). Its zero rail is allocated when a three-valued step
-	// first needs it (zeroRail); both rails are nil once released.
-	sl   rails
-	form form
-
-	// high holds the count bit-planes above the fourth (see increment):
-	// a lane making more than 15 transitions in a cycle. Zero between
-	// nets.
-	high [28]uint64
-}
-
-// form is the way a schedule kernel holds its slots.
-type form uint8
-
-const (
-	// threeValued: both rails hold the slots. The flip-flop samples
-	// are current.
-	threeValued form = iota
-	// oneRail: the one rail alone holds the slots, and no lane of any
-	// entry slot is X. The zero rail, if allocated, and the flip-flop
-	// samples are stale.
-	oneRail
-	// atReset: every entry slot holds its net's reset value
-	// (Compiled.initVals), the one rail an X one as 0. The zero rail, if
-	// allocated, is stale; the flip-flop samples are current.
-	atReset
-)
-
-// newScheduleKernel returns a schedule kernel in the reset form, with
-// its one rail alone. opts.Delays must be set.
-func newScheduleKernel(c *Compiled, sc *Schedule, opts Options) *scheduleKernel {
-	if len(sc.slotStart) != c.n.NumNets()+1 {
-		panic(fmt.Sprintf("sim: schedule of %d nets for netlist %q of %d", len(sc.slotStart)-1, c.n.Name, c.n.NumNets()))
-	}
-	s := &scheduleKernel{wideCore: newWideCore(c, opts), sc: sc, sl: rails{one: make([]uint64, sc.Slots())}, form: atReset}
-	for net, v := range c.initVals {
-		s.sl.one[sc.slotStart[net]] = logic.SplatW(v).One
-	}
-	return s
-}
-
-// Release implements WideKernel.
-func (s *scheduleKernel) Release() { s.sl = rails{} }
-
-// Step simulates one clock cycle for all lanes. It runs the whole
-// schedule, then polls cancellation and budgets once, before the step's
-// counts reach the counter: a tripped step leaves the counter and the
-// settled state as the last completed step left them, and Events (and
-// so BudgetError.Used) includes the whole tripped step. No Step can
-// trip the settle guard (see Options.Scheduled).
-//
-// In the one-rail form a stimulus with every lane known runs on
-// stepBits. A stimulus word with an X lane, like any Step from the
-// reset form, enters the three-valued form (widen), which fold leaves
-// again once a step ends with no X lane.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) Step(pi []logic.W) error {
-	s.checkWidth(pi)
-	if s.form != threeValued {
-		if s.form == oneRail && known(pi) {
-			return s.stepBits(pi)
-		}
-		s.widen()
-	}
-	events := s.inject(pi)
-	if err := s.commit(events + s.sc.run(s.sl, s.sc.all[:])); err != nil {
-		return err
-	}
-	s.fold()
-	s.endCycle()
-	return nil
-}
-
-// stepBits is Step in the one-rail form, on a stimulus with every lane
-// known.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) stepBits(pi []logic.W) error {
-	events := s.injectBits(pi)
-	if err := s.commit(events + s.sc.runBits(s.sl.one, s.sc.all[:])); err != nil {
-		return err
-	}
-	s.foldBits()
-	s.endCycle()
-	return nil
-}
-
-// Settle implements WideKernel. It runs each cell's last instruction
-// alone (see Settling in the file comment), counts one word event per
-// net whose settled value changed in some lane, and moves each net's
-// last slot into its entry slot; it polls like Step. From the reset or
-// one-rail form, a stimulus with every lane known runs on settleBits.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) Settle(pi []logic.W) error {
-	s.checkWidth(pi)
-	if s.form != threeValued {
-		if known(pi) {
-			return s.settleBits(pi)
-		}
-		s.widen()
-	}
-	r, start := s.sl, s.sc.slotStart
-	s.inject(pi)
-	s.sc.run(r, s.sc.last)
-	var events uint64
-	for net := 0; net+1 < len(start); net++ {
-		events += nonzero(logic.DiffMask(at(r, start[net+1]-1), at(r, start[net])))
-	}
-	if err := s.commit(events); err != nil {
-		return err
-	}
-	s.fold()
-	s.cycle++
-	return nil
-}
-
-// settleBits is Settle in the one-rail and reset forms, on a stimulus
-// with every lane known. From the reset form it leaves every net known:
-// a flip-flop whose D input is X at reset holds the 0 its X reads as,
-// and every net with instants is computed from known inputs. A net
-// whose reset value is X then counts as changed.
-//
-// It counts and moves in one pass, before the poll, so a Settle that
-// fails has moved the state on; no later step can succeed then (see
-// WideKernel.Settle).
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) settleBits(pi []logic.W) error {
-	sl, start, init := s.sl.one, s.sc.slotStart, s.c.initVals
-	reset := s.form == atReset
-	s.injectBits(pi)
-	s.sc.runBits(sl, s.sc.last)
-	var events uint64
-	for net := 0; net+1 < len(start); net++ {
-		a, last := start[net], sl[start[net+1]-1]
-		d := last ^ sl[a]
-		if reset && init[net] == logic.X {
-			d = 1
-		}
-		events += nonzero(d)
-		sl[a] = last
-	}
-	s.form = oneRail
-	if err := s.commit(events); err != nil {
-		return err
-	}
-	s.cycle++
-	return nil
-}
-
-// inject samples every flip-flop from its D input's entry slot and
-// writes instant 0 of the primary inputs and flip-flop outputs, the slot
-// after each entry slot, in the three-valued form. It returns their
-// word events.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) inject(pi []logic.W) uint64 {
-	c, r, start := s.c, s.sl, s.sc.slotStart
-	for i, d := range c.dffD {
-		s.sample(i, at(r, start[d]))
-	}
-	var events uint64
-	for i, id := range c.n.PIs {
-		events += nonzero(logic.DiffMask(pi[i], at(r, start[id])))
-		put(r, start[id]+1, pi[i])
-	}
-	for i, q := range c.dffQ {
-		events += nonzero(logic.DiffMask(s.ffQ[i], at(r, start[q])))
-		put(r, start[q]+1, s.ffQ[i])
-	}
-	return events
-}
-
-// injectBits is inject in the one-rail forms. With no lane at X a
-// flip-flop takes its D input's entry value in every lane, so the
-// sample is that value itself.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) injectBits(pi []logic.W) uint64 {
-	c, sl, start := s.c, s.sl.one, s.sc.slotStart
-	var events uint64
-	for i, id := range c.n.PIs {
-		a := start[id]
-		events += nonzero(pi[i].One ^ sl[a])
-		sl[a+1] = pi[i].One
-	}
-	for i, q := range c.dffQ {
-		a, d := start[q], sl[start[c.dffD[i]]]
-		events += nonzero(d ^ sl[a])
-		sl[a+1] = d
-	}
-	return events
-}
-
-// commit adds a step's word events to the kernel's total and polls
-// cancellation and budgets when due.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) commit(events uint64) error {
-	s.events += events
-	if s.poll.due(s.events) {
-		return s.poll.poll(s.events, s.cycle)
-	}
-	return nil
-}
-
-// known reports whether every lane of every word of ws holds a known
-// level: exactly one of its rails set.
-//
-//glitchsim:hotpath
-func known(ws []logic.W) bool {
-	k := ^uint64(0)
-	for _, w := range ws {
-		k &= w.Zero ^ w.One
-	}
-	return k == ^uint64(0)
-}
-
-// zeroRail returns the zero rail, allocating it on first need: a kernel
-// that never sees an X lane holds 8 bytes per slot.
-func (s *scheduleKernel) zeroRail() []uint64 {
-	if s.sl.zero == nil {
-		s.sl.zero = make([]uint64, len(s.sl.one))
-	}
-	return s.sl.zero
-}
-
-// widen enters the three-valued form by rebuilding the zero rail of
-// every entry slot: from the reset values in the reset form, as the one
-// rail's complement in the one-rail form. The instant slots need
-// nothing, since a step writes each of them before reading it, and
-// neither do the flip-flop samples: current in the reset form, and in
-// the one-rail form replaced in every lane by the step's sampling from
-// entry slots with every lane known.
-func (s *scheduleKernel) widen() {
-	zero, start := s.zeroRail(), s.sc.slotStart
-	if s.form == atReset {
-		for net, v := range s.c.initVals {
-			zero[start[net]] = logic.SplatW(v).Zero
-		}
-	} else {
-		for _, a := range start[:len(start)-1] {
-			zero[a] = ^s.sl.one[a]
-		}
-	}
-	s.form = threeValued
-}
-
-// fold counts every net's transitions of the step on the attached
-// counter and moves each net's last slot into its entry slot. It enters
-// the one-rail form when every lane of every entry slot is then known.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) fold() {
-	zero, one, start := s.sl.zero, s.sl.one, s.sc.slotStart
-	counter := s.counter
-	var mask uint64
-	if counter != nil {
-		mask = counter.LaneMask()
-	}
-	k := ^uint64(0)
-	for net := 0; net+1 < len(start); net++ {
-		a, b := start[net], start[net+1]
-		if b-a >= 2 { // a net without instants never changes
-			if counter != nil {
-				s.countNet(netlist.NetID(net), zero[a:b], one[a:b], mask)
-			}
-			zero[a], one[a] = zero[b-1], one[b-1]
-		}
-		k &= zero[a] ^ one[a]
-	}
-	if k == ^uint64(0) {
-		s.form = oneRail
-	}
-}
-
-// foldBits is fold in the one-rail form. A net of one instant makes at
-// most one transition per lane, so its counts need no bit-planes: every
-// transition is useful, and the changed lanes give the total and the
-// rises.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) foldBits() {
-	sl, start := s.sl.one, s.sc.slotStart
-	counter := s.counter
-	var mask uint64
-	if counter != nil {
-		mask = counter.LaneMask()
-	}
-	for net := 0; net+1 < len(start); net++ {
-		a, b := start[net], start[net+1]
-		switch {
-		case b-a < 2:
-			continue // no instants: the net never changes
-		case counter == nil:
-		case b-a == 2:
-			if m := (sl[a] ^ sl[a+1]) & mask; m != 0 {
-				t := uint64(bits.OnesCount64(m))
-				counter.CountCycle(netlist.NetID(net), t, uint64(bits.OnesCount64(m&sl[a+1])), t, 1)
-			}
-		default:
-			s.countBits(netlist.NetID(net), sl[a:b], mask)
-		}
-		sl[a] = sl[b-1]
-	}
-}
-
-// countNet counts one net's transitions over a step, from its entry
-// slot through its last instant slot (zero and one are their rails), in
-// the lanes of mask, and hands the totals to the counter. Transitions
-// from or to X are not counted.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) countNet(net netlist.NetID, zero, one []uint64, mask uint64) {
-	var rise int
-	var p0, p1, p2, p3 uint64
-	high := 0
-	pk, pv := zero[0]|one[0], one[0]
-	for i := 1; i < len(one); i++ {
-		k, v := zero[i]|one[i], one[i]
-		m := pk & k & (pv ^ v) & mask
-		pk, pv = k, v
-		rise += bits.OnesCount64(m & v)
-		p0, p1, p2, p3, high = s.increment(m, p0, p1, p2, p3, high)
-	}
-	if p0|p1|p2|p3 == 0 && high == 0 {
-		return
-	}
-	t, most := s.tally(p0, p1, p2, p3, high)
-	s.counter.CountCycle(net, t, uint64(rise), uint64(bits.OnesCount64(p0)), most)
-}
-
-// countBits is countNet in the one-rail form. It counts the rises
-// without a popcount per instant: every lane is known, so a lane's rises
-// minus its falls equal its last value minus its entry value, and the
-// lane sum of the rises is (t + |last ∧ ¬entry| − |entry ∧ ¬last|) / 2
-// over the counted lanes.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) countBits(net netlist.NetID, vals []uint64, mask uint64) {
-	var p0, p1, p2, p3 uint64
-	high := 0
-	prev := vals[0]
-	for _, v := range vals[1:] {
-		p0, p1, p2, p3, high = s.increment((prev^v)&mask, p0, p1, p2, p3, high)
-		prev = v
-	}
-	if p0|p1|p2|p3 == 0 && high == 0 {
-		return
-	}
-	t, most := s.tally(p0, p1, p2, p3, high)
-	entry := vals[0]
-	rise := t + uint64(bits.OnesCount64(prev&^entry&mask)) - uint64(bits.OnesCount64(entry&^prev&mask))
-	s.counter.CountCycle(net, t, rise/2, uint64(bits.OnesCount64(p0)), most)
-}
-
-// increment adds one to the count of every lane in m. Each lane's count
-// is a binary number in bit-planes (plane p holds bit p of every lane's
-// count), incremented by one ripple-carry step. The four low planes
-// p0–p3 live in the caller's registers; a lane makes at most one
-// transition per instant, so only nets of more than 15 instants carry
-// into the planes above, of which the first high are in use in s.high.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) increment(m, p0, p1, p2, p3 uint64, high int) (uint64, uint64, uint64, uint64, int) {
-	// No branch on m == 0: every step below is a no-op then, and most
-	// instants change some lane.
-	c := p0 & m
-	p0 ^= m
-	c, p1 = p1&c, p1^c
-	c, p2 = p2&c, p2^c
-	c, p3 = p3&c, p3^c
-	for p := 0; c != 0; p++ {
-		s.high[p], c = s.high[p]^c, s.high[p]&c
-		high = max(high, p+1)
-	}
-	return p0, p1, p2, p3, high
-}
-
-// tally reads a net's counts off its bit-planes (see increment) and
-// clears s.high: the lane sum of the counts, and the largest count,
-// found by narrowing the candidate lanes plane by plane, from the
-// highest down, to those with the plane's bit set, if any are.
-//
-//glitchsim:hotpath
-func (s *scheduleKernel) tally(p0, p1, p2, p3 uint64, high int) (t uint64, most uint32) {
-	t = uint64(bits.OnesCount64(p0) + 2*bits.OnesCount64(p1) + 4*bits.OnesCount64(p2) + 8*bits.OnesCount64(p3))
-	cand := ^uint64(0)
-	for p := high - 1; p >= 0; p-- {
-		t += uint64(bits.OnesCount64(s.high[p])) << (p + 4)
-		if c := cand & s.high[p]; c != 0 {
-			cand = c
-			most |= 16 << p
-		}
-		s.high[p] = 0
-	}
-	for i, p := range [4]uint64{p3, p2, p1, p0} {
-		if c := cand & p; c != 0 {
-			cand = c
-			most |= 8 >> i
-		}
-	}
-	return t, most
-}
-
-// ExportState implements WideKernel: the entry slots hold the settled
-// net values, and ffQ[i] equals the entry slot of its Q net. In the
-// one-rail form the zero rail is the one rail's complement, and in the
-// reset form the values are the reset values.
-func (s *scheduleKernel) ExportState(dst []logic.W) []logic.W {
-	start := s.sc.slotStart
-	for net, a := range start[:len(start)-1] {
-		switch s.form {
-		case atReset:
-			dst = append(dst, logic.SplatW(s.c.initVals[net]))
-		case oneRail:
-			dst = append(dst, logic.W{Zero: ^s.sl.one[a], One: s.sl.one[a]})
-		default:
-			dst = append(dst, at(s.sl, a))
-		}
-	}
-	return dst
-}
-
-// ImportState implements WideKernel: it writes the entry slots and
-// re-derives the flip-flop samples from their Q nets. It takes the form
-// vals allow: the reset form when they are the reset values (the
-// warm-up's fast-forward imports what a kernel at reset exported), the
-// one-rail form when every lane is known, and the three-valued form
-// otherwise.
-func (s *scheduleKernel) ImportState(vals []logic.W, cycle int) {
-	s.checkImport(vals)
-	for i, q := range s.c.dffQ {
-		s.ffQ[i] = vals[q]
-	}
-	s.cycle = cycle
-	start, reset := s.sc.slotStart, true
-	for net, v := range vals {
-		s.sl.one[start[net]] = v.One
-		reset = reset && v == logic.SplatW(s.c.initVals[net])
-	}
-	switch {
-	case reset:
-		s.form = atReset
-	case known(vals):
-		s.form = oneRail
-	default:
-		zero := s.zeroRail()
-		for net, v := range vals {
-			zero[start[net]] = v.Zero
-		}
-		s.form = threeValued
-	}
 }

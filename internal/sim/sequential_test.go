@@ -4,10 +4,9 @@ package sim_test
 // registry's sequential subjects (pipelined multiplier, accumulators with
 // feedback) must satisfy the same word-parallel contract as the
 // combinational circuits — lane-summed statistics and per-lane packed
-// register state bit-identical to the merged scalar runs — on the
-// schedule kernel under uniform delays and on the wide-event kernel
-// under every non-uniform model (and on the schedule kernel too where
-// it applies), and the clocked step path must not allocate once warm.
+// register state bit-identical to the merged scalar runs — under
+// uniform and every non-uniform delay model, in both modes, and the
+// clocked step path must not allocate once warm.
 // Selected in CI's -race step via TestSequential.
 
 import (
@@ -25,11 +24,9 @@ import (
 var sequentialCircuits = []string{"pipemult8", "accum16", "accum16cg"}
 
 // TestSequentialKernelEquivalence: sequential circuits × delay models ×
-// seed blocks. Uniform models run the schedule kernel, non-uniform ones
-// the lane-masked wide-event kernel and, in transport mode with every
-// evaluated delay >= 1, the schedule kernel too; all must be
-// bit-identical to running the lanes one at a time on the scalar kernel
-// — including the per-lane register state carried across cycles.
+// seed blocks, all bit-identical to running the lanes one at a time on
+// the scalar kernel — including the per-lane register state carried
+// across cycles.
 func TestSequentialKernelEquivalence(t *testing.T) {
 	blocks := [][]uint64{seedBlock(11), seedBlock(0xBEEF), seedBlock(77)[:13]}
 	for _, circuit := range sequentialCircuits {
@@ -42,7 +39,7 @@ func TestSequentialKernelEquivalence(t *testing.T) {
 			for di, dm := range []delay.Model{delay.Unit(), delay.Uniform(2)} {
 				name := fmt.Sprintf("%s/block%d/uniform%d", circuit, bi, di)
 				ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: dm}, seeds, 24)
-				wide, wideVals := wideRun(t, c, scheduled, sim.Options{Delay: dm}, seeds, 24)
+				wide, wideVals := wideRun(t, c, sim.Options{Delay: dm}, seeds, 24)
 				compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 			}
 			for mi, dm := range nonUniformModels() {
@@ -57,12 +54,12 @@ func TestSequentialKernelEquivalence(t *testing.T) {
 	opts := sim.Options{Delay: delay.Typical(), Mode: sim.Inertial}
 	seeds := seedBlock(5)
 	ref, refVals := mergedScalarRuns(t, c, opts, seeds, 12)
-	wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, 12)
+	wide, wideVals := wideRun(t, c, opts, seeds, 12)
 	compareWideToScalar(t, "pipemult8/inertial", nl, wide, wideVals, ref, refVals, seeds)
 }
 
 // TestSequentialStepAllocFree: the clocked step path — DFF sampling and
-// t=0 Q injection included — must be alloc-free once warm on all three
+// t=0 Q injection included — must be alloc-free once warm on both
 // kernels.
 func TestSequentialStepAllocFree(t *testing.T) {
 	nl := mustBuild(t, "pipemult8")
@@ -101,7 +98,7 @@ func TestSequentialStepAllocFree(t *testing.T) {
 	}{
 		{"wide-schedule-unit", sim.Options{Delay: delay.Unit()}},
 		{"wide-schedule-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
-		{"wide-event-inertial", sim.Options{Delay: delay.FullAdderRatio(2, 1), Mode: sim.Inertial}},
+		{"wide-faratio-inertial", sim.Options{Delay: delay.FullAdderRatio(2, 1), Mode: sim.Inertial}},
 	} {
 		ws := sim.NewWideKernel(comp, tc.opts)
 		counter := core.NewWideCounter(nl)

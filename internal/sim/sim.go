@@ -38,29 +38,21 @@
 //
 // Simulation results — every per-net transition, its time, and
 // therefore every activity statistic — are thus bit-identical across
-// runs, and the word-parallel kernels reproduce them lane by lane.
+// runs, and the word-parallel kernel reproduces them lane by lane.
 //
 // # Kernels
 //
 // Simulator is the scalar kernel: one stimulus stream, and the
-// reference the word-parallel kernels are checked against. Two wide
-// kernels advance 64 stimulus lanes at once and embed one wideCore
-// holding the state and code they share; NewWideKernel picks one:
-//
-//   - The schedule kernel (schedule.go) runs transport-mode runs whose
-//     evaluated pins all have delay >= 1, and uniform-delay runs in
-//     either mode, unless the settle guard could trip. It runs a
-//     Schedule — one value slot per (net, potential-change instant) and
-//     one instruction per (cell, instant), built once per compiled
-//     netlist and delay table and cached by the Engine — with no event
-//     queue, and counts each net once per step with
-//     core.WideCounter.CountCycle.
-//   - WideEventSimulator (lane-masked events, any delay model) runs the
-//     rest: inertial runs under non-uniform delays, evaluated zero-delay
-//     pins, and models that could trip the settle guard. It hands each
-//     committed net change straight to WideCounter.Change and each
-//     settled cycle to OnCycleEnd. It shares the event queue with the
-//     scalar kernel.
+// independent reference the word-parallel kernel is checked against.
+// The wide kernel (wide.go), which NewWideKernel returns, advances 64
+// stimulus lanes at once under every delay model and in both modes. It
+// runs a Schedule (schedule.go) — one value slot per (net, potential
+// change key) and one instruction per (cell, key), with batch slots for
+// zero-delay pins, inertial windows, and the main slots past the settle
+// guard listed for its check; built once per compiled netlist, delay
+// table, mode and guard, and cached by the Engine — with no event
+// queue, and counts each net once per step with
+// core.WideCounter.CountCycle.
 //
 // # Hot-path layout
 //
@@ -70,12 +62,13 @@
 // pointer-rich netlist structures. A Compiled is immutable and can be
 // shared by many Simulators concurrently — the batch measurement layer
 // compiles each circuit once per process, not once per goroutine. When
-// no Monitor (for a wide kernel, no WideCounter) is attached, the
-// per-instant change-coalescing bookkeeping is skipped entirely.
+// no Monitor is attached, the per-instant change-coalescing bookkeeping
+// is skipped entirely.
 package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"glitchsim/internal/delay"
 	"glitchsim/internal/logic"
@@ -114,10 +107,10 @@ type Options struct {
 	// every kernel it constructs; when nil, constructors build their own.
 	Delays *DelayTable
 	// Schedule, when non-nil, is NewSchedule of the Compiled netlist (or
-	// of one with the same Fingerprint) under Delays (or a table with the
-	// same Digest). NewWideKernel runs it when Scheduled holds and builds
-	// its own when nil, so a measurement or an Engine cache can build a
-	// schedule once and share it across kernels.
+	// of one with the same Fingerprint) under Options with the same
+	// ScheduleKey. NewWideKernel runs it, and builds its own when nil, so
+	// a measurement or an Engine cache can build a schedule once and
+	// share it across kernels.
 	Schedule *Schedule
 	// Mode selects transport (default) or inertial delay handling.
 	Mode Mode
@@ -156,22 +149,24 @@ func (opts Options) guardTime() int {
 	return opts.MaxTimePerCycle
 }
 
-// CanOscillate reports whether a Step of a kernel built on c with these
-// options could fail with an *OscillationError. Every event of a Step
-// ends a chain of cell delays that starts with an injection at time 0,
-// so none lies past the netlist's critical path under the delay table
-// (which NumCells times the largest delay bounds). Only when that path
-// exceeds the settle guard can a Step trip it, and whether one does then
-// depends on the stimulus and on the state it starts from.
-func (opts Options) CanOscillate(c *Compiled) bool {
+// inertial reports whether a schedule under dt gets inertial windows: in
+// inertial mode under a non-uniform table. Under a uniform delay no pulse
+// is narrower than a cell delay, and both modes coincide.
+func (opts Options) inertial(dt *DelayTable) bool {
+	_, uniform := dt.Uniform()
+	return opts.Mode == Inertial && !uniform
+}
+
+// ScheduleKey returns what NewSchedule(c, opts) depends on besides c's
+// Fingerprint: the delay table's Digest, the settle guard and, where it
+// matters, the mode. Options with equal keys build equal schedules.
+func (opts Options) ScheduleKey(c *Compiled) string {
 	dt := opts.delayTable(c)
-	guard := opts.guardTime()
-	if c.n.NumCells()*dt.Max() <= guard {
-		return false
+	key := strconv.FormatUint(dt.Digest(), 16) + "/" + strconv.Itoa(opts.guardTime())
+	if opts.inertial(dt) {
+		key += "/inertial"
 	}
-	return c.n.CriticalPathLength(func(cell *netlist.Cell, pin int) int {
-		return dt.At(outputsPerCell*int(cell.ID) + pin)
-	}) > guard
+	return key
 }
 
 // cancelCheckInterval is the number of processed events between two
@@ -217,7 +212,7 @@ type Simulator struct {
 	ffQ    []logic.V // sampled Q, indexed like Compiled.dffCells
 	delays []int32   // per cell-output key, precomputed from the model
 
-	q          eventQueue[event]
+	q          eventQueue
 	serial     uint64
 	pending    []int32  // in-flight events per net
 	lastSerial []uint64 // per cell-output key, for inertial cancellation
@@ -269,7 +264,7 @@ func NewFromCompiled(c *Compiled, opts Options) *Simulator {
 		changed:    make([]changeState, nn),
 		flushEpoch: 1,
 		touchEpoch: make([]int32, nc),
-		q:          newEventQueue[event](dt.Max()),
+		q:          newEventQueue(dt.Max()),
 	}
 	s.poll.init(opts)
 	copy(s.values, c.initVals)

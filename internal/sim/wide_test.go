@@ -1,12 +1,12 @@
 package sim_test
 
-// Wide-kernel equivalence: the 64-lane schedule kernel must be
-// bit-identical to 64 independent scalar runs — per-lane settled values
-// and, after folding the WideCounter, every per-net activity statistic
-// of the merged scalar counters. This is the test that licenses the
+// Wide-kernel equivalence: the 64-lane kernel must be bit-identical to
+// 64 independent scalar runs — per-lane settled values and, after
+// folding the WideCounter, every per-net activity statistic of the
+// merged scalar counters. This is the test that licenses the
 // parallel-pattern kernel to replace 64 scalar simulations. The
-// non-uniform delay models run it in wideevent_test.go, beside the event
-// kernel on the same scalar reference.
+// non-uniform delay models, the "wide-event" delay class, run it in
+// wideevent_test.go.
 
 import (
 	"fmt"
@@ -53,33 +53,12 @@ func mergedScalarRuns(t *testing.T, c *sim.Compiled, opts sim.Options, seeds []u
 	return agg, finals
 }
 
-// kernelFunc builds a wide kernel: scheduled or eventDriven.
-type kernelFunc func(*sim.Compiled, sim.Options) (sim.WideKernel, error)
-
-// scheduled builds the schedule kernel through NewWideKernel, and fails
-// when NewWideKernel routes the options to the event kernel instead.
-func scheduled(c *sim.Compiled, opts sim.Options) (sim.WideKernel, error) {
-	k := sim.NewWideKernel(c, opts)
-	if sim.ScheduleOf(k) == nil {
-		return nil, fmt.Errorf("NewWideKernel ran %s on the event kernel", c.Netlist().Name)
-	}
-	return k, nil
-}
-
-// eventDriven builds the lane-masked event kernel (any delay model).
-func eventDriven(c *sim.Compiled, opts sim.Options) (sim.WideKernel, error) {
-	return sim.NewWideEvent(c, opts), nil
-}
-
-// wideRun simulates all seeds at once on the kernel newKernel builds
-// and returns the folded counter plus the packed final net values.
-func wideRun(t *testing.T, c *sim.Compiled, newKernel kernelFunc, opts sim.Options, seeds []uint64, cycles int) (*core.Counter, []logic.W) {
+// wideRun simulates all seeds at once on NewWideKernel and returns the
+// folded counter plus the packed final net values.
+func wideRun(t *testing.T, c *sim.Compiled, opts sim.Options, seeds []uint64, cycles int) (*core.Counter, []logic.W) {
 	t.Helper()
 	nl := c.Netlist()
-	ws, err := newKernel(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := sim.NewWideKernel(c, opts)
 	counter := core.NewWideCounter(nl)
 	if len(seeds) < sim.MaxLanes {
 		counter.SetLaneMask(uint64(1)<<uint(len(seeds)) - 1)
@@ -136,7 +115,7 @@ func TestWideKernelEquivalence(t *testing.T) {
 		for bi, seeds := range blocks {
 			name := fmt.Sprintf("%s/block%d", circuit, bi)
 			ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: delay.Unit()}, seeds, cycles)
-			wide, wideVals := wideRun(t, c, scheduled, sim.Options{Delay: delay.Unit()}, seeds, cycles)
+			wide, wideVals := wideRun(t, c, sim.Options{Delay: delay.Unit()}, seeds, cycles)
 			compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 		}
 	}
@@ -151,7 +130,7 @@ func seedBlock(base uint64) []uint64 {
 	return seeds
 }
 
-// TestWideKernelUniformDelays: the schedule kernel must also match under
+// TestWideKernelUniformDelays: the wide kernel must also match under
 // non-unit uniform delays, and with fewer active lanes than the word
 // holds (the tail chunk of a seed sweep).
 func TestWideKernelUniformDelays(t *testing.T) {
@@ -170,7 +149,7 @@ func TestWideKernelUniformDelays(t *testing.T) {
 		{"uniform2-single", delay.Uniform(2), []uint64{42}},
 	} {
 		ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: tc.dm}, tc.seeds, 25)
-		wide, wideVals := wideRun(t, c, scheduled, sim.Options{Delay: tc.dm}, tc.seeds, 25)
+		wide, wideVals := wideRun(t, c, sim.Options{Delay: tc.dm}, tc.seeds, 25)
 		compareWideToScalar(t, tc.name, nl, wide, wideVals, ref, refVals, tc.seeds)
 	}
 }
@@ -195,7 +174,7 @@ func TestWidePropertyRandomNetlists(t *testing.T) {
 		}
 		name := fmt.Sprintf("trial%d(lanes=%d)", trial, len(seeds))
 		ref, refVals := mergedScalarRuns(t, c, sim.Options{Delay: delay.Unit()}, seeds, 15)
-		wide, wideVals := wideRun(t, c, scheduled, sim.Options{Delay: delay.Unit()}, seeds, 15)
+		wide, wideVals := wideRun(t, c, sim.Options{Delay: delay.Unit()}, seeds, 15)
 		compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
 	}
 }

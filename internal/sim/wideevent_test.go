@@ -1,11 +1,11 @@
 package sim_test
 
-// Wide-event-kernel equivalence: the masked word-parallel event kernel
-// must be bit-identical to 64 independent scalar runs under EVERY delay
-// model — the non-uniform ones (full-adder ratios, per-type, randomized
-// per-pin) included. Wherever NewWideKernel routes a configuration to
-// the schedule kernel instead (transport mode, every evaluated delay >=
-// 1), the schedule kernel must match the same scalar reference too.
+// Wide-kernel equivalence in the "wide-event" delay class: the 64-lane
+// kernel must be bit-identical to 64 independent scalar runs under EVERY
+// delay model — the non-uniform ones (full-adder ratios, per-type,
+// randomized per-pin with zero delays) and zero delay included — in
+// transport and in inertial mode, where its inertial windows and
+// zero-delay batches reproduce the scalar kernel's cancellations.
 
 import (
 	"fmt"
@@ -21,13 +21,13 @@ import (
 )
 
 // nonUniformModels returns the delay-model families of the paper's
-// realistic-delay experiments plus a deterministic pseudo-random per-pin
-// model. These tests construct the event kernel explicitly, and run the
-// schedule kernel beside it where NewWideKernel would pick that one.
+// realistic-delay experiments, the ablations' zero-delay sums, and a
+// deterministic pseudo-random per-pin model with zero delays.
 func nonUniformModels() []delay.Model {
 	return []delay.Model{
 		delay.FullAdderRatio(2, 1),
 		delay.FullAdderRatio(3, 1),
+		delay.FullAdderRatio(0, 5),
 		delay.Typical(),
 		delay.PerType(map[netlist.CellType]int{
 			netlist.Xor: 4, netlist.Xnor: 4, netlist.FA: 5, netlist.HA: 3, netlist.Not: 1,
@@ -51,28 +51,25 @@ func randomDelay(seed uint64, spread int) delay.Model {
 	}
 }
 
-// compareWideKernels checks the event kernel, and the schedule kernel
-// whenever the options are Scheduled, against one merged scalar
+// compareWideKernels checks NewWideKernel against one merged scalar
 // reference.
 func compareWideKernels(t *testing.T, name string, c *sim.Compiled, opts sim.Options, seeds []uint64, cycles int) {
 	t.Helper()
-	nl := c.Netlist()
 	ref, refVals := mergedScalarRuns(t, c, opts, seeds, cycles)
-	wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, cycles)
-	compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
-	if opts.Scheduled(c) {
-		wide, wideVals = wideRun(t, c, scheduled, opts, seeds, cycles)
-		compareWideToScalar(t, name+"/schedule", nl, wide, wideVals, ref, refVals, seeds)
-	}
+	wide, wideVals := wideRun(t, c, opts, seeds, cycles)
+	compareWideToScalar(t, name, c.Netlist(), wide, wideVals, ref, refVals, seeds)
 }
 
 // TestWideEventKernelEquivalence: for every built-in circuit and every
-// non-uniform delay model family, one 64-lane wide-event run — and one
-// schedule-kernel run where the model allows it — must be bit-identical
-// to 64 scalar runs merged in seed order. Enforced in CI under -race
-// alongside TestWideKernelEquivalence.
+// non-uniform delay model family, in both modes, one 64-lane run must be
+// bit-identical to 64 scalar runs merged in seed order. Enforced in CI
+// under -race alongside TestWideKernelEquivalence, with -short, which
+// runs 16 lanes: the scalar reference is nearly all of the cost.
 func TestWideEventKernelEquivalence(t *testing.T) {
 	seeds := seedBlock(77)
+	if testing.Short() {
+		seeds = seeds[:16]
+	}
 	for _, circuit := range registry.Names() {
 		nl, err := registry.Build(circuit)
 		if err != nil {
@@ -84,7 +81,9 @@ func TestWideEventKernelEquivalence(t *testing.T) {
 			cycles = 4 // the 16x16 multipliers: keep the 64x scalar reference affordable
 		}
 		for _, dm := range nonUniformModels() {
-			compareWideKernels(t, fmt.Sprintf("%s/%s", circuit, dm.Name()), c, sim.Options{Delay: dm}, seeds, cycles)
+			for _, mode := range []sim.Mode{sim.Transport, sim.Inertial} {
+				compareWideKernels(t, fmt.Sprintf("%s/%s/%v", circuit, dm.Name(), mode), c, sim.Options{Delay: dm, Mode: mode}, seeds, cycles)
+			}
 		}
 	}
 }
@@ -92,21 +91,21 @@ func TestWideEventKernelEquivalence(t *testing.T) {
 // TestWideEventKernelInertial: the lane image of the scalar kernel's
 // inertial cancellation — only the newest claim per lane survives — must
 // hold under unequal delays, where inertial and transport genuinely
-// diverge.
+// diverge, over more cycles than the equivalence suite runs: windows
+// cut by any batch of an input (fa(0,5) and fa(0,2), where a zero-delay
+// sum can change and change back inside one instant, and fa(2,0) and
+// fa(3,0), where a zero-delay carry chain does) and random per-pin
+// delays with zeros.
 func TestWideEventKernelInertial(t *testing.T) {
-	for _, circuit := range []string{"array8", "wallace8", "dirdet8r", "cla16", "hazard"} {
+	for _, circuit := range []string{"array8", "wallace8", "booth8", "dirdet8r", "cla16", "hazard"} {
 		nl, err := registry.Build(circuit)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := sim.Compile(nl)
-		for _, dm := range []delay.Model{delay.FullAdderRatio(2, 1), delay.Typical(), randomDelay(99, 5)} {
+		for _, dm := range []delay.Model{delay.FullAdderRatio(2, 1), delay.FullAdderRatio(0, 2), delay.FullAdderRatio(0, 5), delay.FullAdderRatio(2, 0), delay.FullAdderRatio(3, 0), delay.Typical(), randomDelay(99, 5)} {
 			name := fmt.Sprintf("%s/%s/inertial", circuit, dm.Name())
-			opts := sim.Options{Delay: dm, Mode: sim.Inertial}
-			seeds := seedBlock(5)
-			ref, refVals := mergedScalarRuns(t, c, opts, seeds, 15)
-			wide, wideVals := wideRun(t, c, eventDriven, opts, seeds, 15)
-			compareWideToScalar(t, name, nl, wide, wideVals, ref, refVals, seeds)
+			compareWideKernels(t, name, c, sim.Options{Delay: dm, Mode: sim.Inertial}, seedBlock(5), 15)
 		}
 	}
 }
@@ -161,34 +160,37 @@ func TestWideEventPropertyRandomNetlists(t *testing.T) {
 	}
 }
 
-// TestNewWideKernelSelection: NewWideKernel runs the schedule kernel
-// when the delays are uniform or the mode is transport, every evaluated
-// delay is >= 1 and the settle guard cannot trip; the event kernel
-// otherwise. KernelName reports the delay class either way: uniform
-// delay >= 1 is "wide-lockstep", everything else "wide-event".
+// TestNewWideKernelSelection: NewWideKernel runs every delay model and
+// mode on the one wide kernel, and KernelName reports the delay class:
+// uniform delay >= 1 is "wide-lockstep", everything else "wide-event".
+// A transport and an inertial schedule differ once a pin has a window.
 func TestNewWideKernelSelection(t *testing.T) {
 	c := sim.Compile(mustBuild(t, "array8"))
 	for _, tc := range []struct {
-		name      string
-		opts      sim.Options
-		scheduled bool
-		want      string
+		name string
+		opts sim.Options
+		want string
 	}{
-		{"unit", sim.Options{}, true, "wide-lockstep"},
-		{"uniform3", sim.Options{Delay: delay.Uniform(3)}, true, "wide-lockstep"},
-		{"uniform-inertial", sim.Options{Mode: sim.Inertial}, true, "wide-lockstep"},
-		{"faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}, true, "wide-event"},
-		{"typical", sim.Options{Delay: delay.Typical()}, true, "wide-event"},
-		{"faratio-inertial", sim.Options{Delay: delay.FullAdderRatio(2, 1), Mode: sim.Inertial}, false, "wide-event"},
-		{"zero", sim.Options{Delay: delay.Zero()}, false, "wide-event"},
-		{"unit-guard", sim.Options{MaxTimePerCycle: 4}, false, "wide-lockstep"},
+		{"unit", sim.Options{}, "wide-lockstep"},
+		{"uniform3", sim.Options{Delay: delay.Uniform(3)}, "wide-lockstep"},
+		{"uniform-inertial", sim.Options{Mode: sim.Inertial}, "wide-lockstep"},
+		{"faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}, "wide-event"},
+		{"typical", sim.Options{Delay: delay.Typical()}, "wide-event"},
+		{"faratio-inertial", sim.Options{Delay: delay.FullAdderRatio(2, 1), Mode: sim.Inertial}, "wide-event"},
+		{"zero", sim.Options{Delay: delay.Zero()}, "wide-event"},
+		{"unit-guard", sim.Options{MaxTimePerCycle: 4}, "wide-lockstep"},
 	} {
 		k := sim.NewWideKernel(c, tc.opts)
-		if got := sim.ScheduleOf(k) != nil; got != tc.scheduled || got != tc.opts.Scheduled(c) {
-			t.Errorf("%s: schedule kernel %v, Scheduled %v, want %v", tc.name, got, tc.opts.Scheduled(c), tc.scheduled)
-		}
 		if got := k.KernelName(); got != tc.want {
 			t.Errorf("%s: kernel name %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	for _, dm := range []delay.Model{delay.Uniform(3), delay.FullAdderRatio(2, 1)} {
+		transport := sim.NewSchedule(c, sim.Options{Delay: dm})
+		inertial := sim.NewSchedule(c, sim.Options{Delay: dm, Mode: sim.Inertial})
+		_, uniform := sim.UniformDelay(c.Netlist(), dm)
+		if same := transport.Bytes() == inertial.Bytes() && transport.Instructions() == inertial.Instructions(); same != uniform {
+			t.Errorf("%s: transport and inertial schedules alike %v, want %v", dm.Name(), same, uniform)
 		}
 	}
 }

@@ -64,6 +64,40 @@ func TestMemoScheduleMeasureHeavy(t *testing.T) {
 	}
 }
 
+// TestMemoScheduleModes: one shape measured in transport and in
+// inertial mode caches two schedules, which differ once a pin has an
+// inertial window, and a repeat builds neither again. Under a uniform
+// delay the modes coincide, and both share one entry.
+func TestMemoScheduleModes(t *testing.T) {
+	e := NewEngine()
+	measure := func(dsum, dcarry int, inertial bool) {
+		cfg := Config{Cycles: 64, Delay: registry.DelayModel(dsum, dcarry, false), Inertial: inertial}
+		if _, err := e.Measure(context.Background(), MeasureRequest{Circuit: CircuitNamed("array8"), Config: cfg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		measure(2, 1, false)
+		measure(2, 1, true)
+	}
+	if entries, _ := e.schedules.retained(); entries != 2 {
+		t.Fatalf("transport and inertial measurements of one shape cache %d schedules, want 2", entries)
+	}
+	misses := e.schedules.misses
+	measure(2, 1, false)
+	measure(2, 1, true)
+	if e.schedules.misses != misses {
+		t.Errorf("a warm engine built %d schedules", e.schedules.misses-misses)
+	}
+	for range 2 {
+		measure(1, 1, false)
+		measure(1, 1, true)
+	}
+	if entries, _ := e.schedules.retained(); entries != 3 {
+		t.Errorf("unit-delay measurements in both modes cache %d schedules, want 1", entries-2)
+	}
+}
+
 // TestMemoScheduleByteBound: the engine's schedule cache stays within
 // scheduleCacheBytes over a sweep of every registry circuit, and a byte
 // memo with a bound the sweep outgrows evicts down to it after every
@@ -104,7 +138,7 @@ func TestMemoScheduleByteBound(t *testing.T) {
 					i := (i/2 + w + round) % len(compiled)
 					opts := sim.Options{Delays: tables[i]}
 					sc := scheduleFor(m, compiled[i], opts)
-					if want := sim.NewSchedule(compiled[i], tables[i]); sc.Slots() != want.Slots() || sc.Instructions() != want.Instructions() {
+					if want := sim.NewSchedule(compiled[i], opts); sc.Slots() != want.Slots() || sc.Instructions() != want.Instructions() {
 						t.Errorf("lookup %d returned another shape's schedule", i)
 					}
 					if _, bytes := m.retained(); bytes > bound {

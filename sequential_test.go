@@ -140,8 +140,8 @@ func retimedDirdet(t *testing.T) *netlist.Netlist {
 // TestSequentialMeasureLanes: the full Measure-layer lane decomposition
 // on sequential circuits — per-lane register state, warm-up flushes and
 // quota retirement — must be bit-identical to measuring the lanes one
-// stream at a time, under uniform (lockstep kernel) and non-uniform
-// (wide-event kernel) delay models, for every warm-up length. The
+// stream at a time, under uniform (wide-lockstep class) and non-uniform
+// (wide-event class) delay models, for every warm-up length. The
 // scalar reference simulates every warm-up step, so on the feed-forward
 // pipelines (pipemult8, retimed dirdet8r) this checks warmupSteps'
 // levels+1 rule against the full warm-up, below, at and above the

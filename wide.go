@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,19 +15,16 @@ import (
 )
 
 // Lane decomposition: the measurement-layer face of the word-parallel
-// kernels. A measurement with L lanes distributes its Cycles random
+// kernel. A measurement with L lanes distributes its Cycles random
 // vectors over L independent seeded stimulus streams (each with its own
 // warm-up, settled in SequentialLevels+1 steps when no register feeds
 // back on itself; see warmupSteps) instead of one long stream, and all
 // L streams advance in ONE word-parallel simulation, evaluating every
-// gate for up to 64 patterns per visit — under every delay model.
-// sim.NewWideKernel runs transport-mode models whose evaluated delays
-// are all >= 1 (unit delay, full-adder sum/carry ratios, per-type
-// delays) and uniform models in either mode on the schedule kernel,
-// with a schedule from the Engine's cache, and the rest (zero delays,
-// inertial runs under non-uniform delays) on the lane-masked event
-// kernel. Both are bit-identical to L scalar runs merged in lane order
-// by construction (TestWideKernelEquivalence,
+// gate for up to 64 patterns per visit — under every delay model and in
+// both delay modes. sim.NewWideKernel runs them all on one kernel, with
+// a schedule from the Engine's cache: zero-delay pins get batch slots
+// and inertial pins their windows. It is bit-identical to L scalar runs
+// merged in lane order by construction (TestWideKernelEquivalence,
 // TestWideEventKernelEquivalence and TestMeasureLanesScalarWideAgree
 // enforce it), so the delay model changes the speed of a measurement,
 // never the meaning of its lane decomposition.
@@ -149,15 +145,15 @@ const (
 	// measurements under uniform delay models with delay >= 1 (the
 	// paper's unit-delay experiments), in either mode: the two coincide
 	// when no pulse can be narrower than a cell delay. They run on the
-	// 64-lane schedule kernel. The name predates that kernel: it no
-	// longer names a kernel of its own.
+	// 64-lane wide kernel. The name predates that kernel: it no longer
+	// names a kernel of its own.
 	KernelWideLockstep Kernel = "wide-lockstep"
 	// KernelWideEvent names the delay class of lane-decomposed
 	// measurements under every other delay model: unequal per-cell
 	// delays (full-adder sum/carry ratios, per-type models) and zero
-	// delay, in transport or inertial mode. Transport runs whose
-	// evaluated delays are all >= 1 run on the schedule kernel, the
-	// rest on the 64-lane lane-masked event kernel.
+	// delay, in transport or inertial mode. They run on the same 64-lane
+	// wide kernel; the name predates it and no longer names a kernel of
+	// its own.
 	KernelWideEvent Kernel = "wide-event"
 )
 
@@ -271,9 +267,9 @@ func shardCap(c *sim.Compiled, cfg Config, lanes int) int {
 // SequentialLevels+1 steps from the reset state, which reaches the
 // serial run's state before step k0 exactly; every statistic is a
 // per-cycle sum (MaxPerCycle a maximum) and the lane mask depends on
-// the step alone, so the merge equals the serial counter. A netlist
-// whose critical path could exceed the settle guard runs serially: a
-// settling step from the reset state could trip the guard where the
+// the step alone, so the merge equals the serial counter. A run whose
+// schedule can trip the settle guard (Schedule.CanFail) runs serially:
+// a settling step from the reset state could trip the guard where the
 // serial run does not. The lowest shard's error wins.
 //
 // On a budget trip after k completed measured steps, the partial
@@ -309,7 +305,7 @@ func measureWide(ctx context.Context, c *sim.Compiled, schedules *memo[*sim.Sche
 	if len(r.quotas) > 0 {
 		r.steps = r.quotas[0]
 	}
-	if shards <= 1 || r.opts.CanOscillate(c) {
+	if shards <= 1 || r.opts.Schedule.CanFail() {
 		return r.measureSteps(ctx, scratch, 0, r.steps)
 	}
 	bound := func(i int) int { return r.steps * i / shards }
@@ -342,19 +338,15 @@ func measureWide(ctx context.Context, c *sim.Compiled, schedules *memo[*sim.Sche
 }
 
 // scheduleFor returns the schedule every kernel of a measurement of c
-// under opts shares: nil when NewWideKernel runs opts on the event
-// kernel, from the schedules cache when it is enabled (keyed by the
-// netlist's fingerprint and the delay table's digest), built here
-// otherwise.
+// under opts shares: from the schedules cache when it is enabled (keyed
+// by the netlist's fingerprint and sim.Options.ScheduleKey, which
+// together fix a schedule), built here otherwise.
 func scheduleFor(schedules *memo[*sim.Schedule], c *sim.Compiled, opts sim.Options) *sim.Schedule {
-	if !opts.Scheduled(c) {
-		return nil
-	}
-	build := func() *sim.Schedule { return sim.NewSchedule(c, opts.Delays) }
+	build := func() *sim.Schedule { return sim.NewSchedule(c, opts) }
 	if schedules == nil || schedules.capacity <= 0 {
 		return build()
 	}
-	return schedules.get(c.Fingerprint()+"/"+strconv.FormatUint(opts.Delays.Digest(), 16), build)
+	return schedules.get(c.Fingerprint()+"/"+opts.ScheduleKey(c), build)
 }
 
 // wideRun is the part of a word-parallel measurement its shards share,

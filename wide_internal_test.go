@@ -36,8 +36,8 @@ func TestMeasureLanesScalarWideAgree(t *testing.T) {
 			return circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
 		}, 90, 17, delay.Uniform(2), false},
 		{"rca8-short-run", func() *netlist.Netlist { return circuits.NewRCA(8, circuits.Cells) }, 5, 64, delay.Unit(), false},
-		// Non-uniform models: the wide-event kernel replaces the deleted
-		// scalar lane-by-lane fallback and must stay bit-identical to it.
+		// Non-uniform models, zero delay and inertial windows: the wide
+		// kernel must stay bit-identical to the lanes run one by one.
 		{"array8-faratio-64", func() *netlist.Netlist { return circuits.NewArrayMultiplier(8, circuits.Cells) }, 60, 64, delay.FullAdderRatio(2, 1), false},
 		{"wallace8-typical-64", func() *netlist.Netlist { return circuits.NewWallaceMultiplier(8, circuits.Cells) }, 60, 64, delay.Typical(), false},
 		{"dirdet8-faratio-23", func() *netlist.Netlist {
